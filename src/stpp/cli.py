@@ -550,19 +550,27 @@ def main(argv=None) -> int:
     parser.add_argument("--force", action="store_true", help="overwrite existing outputs")
     parser.add_argument("--skip-bad", action="store_true", help="skip malformed input rows")
     args = parser.parse_args(argv)
-    with open(args.config) as fh:
-        config = json.load(fh)
     try:
+        with open(args.config) as fh:
+            config = json.load(fh)
         out = run(
             config, args.task,
             seed=args.seed, threads=args.threads,
             force=args.force, skip_bad=args.skip_bad,
         )
+    except json.JSONDecodeError as exc:
+        message = f"{args.config}: malformed JSON: {exc}"
+    except KeyError as exc:
+        message = f"missing config key {exc}"
+    except MemoryError as exc:
+        message = f"out of memory: {exc}"
     except (ValueError, FileExistsError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(out)
-    return 0
+        message = str(exc)
+    else:
+        print(out)
+        return 0
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -372,6 +372,12 @@ def empirical_fgj(
     window = pattern.window
     if window.mask is not None:
         raise ValueError("empirical summaries need a rectangular window")
+    if (
+        window.x_range[1] - window.x_range[0] <= 2 * r
+        or window.y_range[1] - window.y_range[0] <= 2 * r
+        or window.duration <= 2 * tau
+    ):
+        raise ValueError("window too small for the requested (r, tau)")
     rng = substream(seed, 977)
     xy = np.column_stack(
         [
@@ -380,8 +386,6 @@ def empirical_fgj(
         ]
     )
     tt = rng.uniform(window.t_range[0] + tau, window.t_range[1] - tau, n_test)
-    if window.x_range[1] - window.x_range[0] <= 2 * r or window.duration <= 2 * tau:
-        raise ValueError("window too small for the requested (r, tau)")
     f_hat = _covered_fraction(pattern, xy, tt, r, tau, exclude_self=False)
     inner = (
         (pattern.x[:, 0] >= window.x_range[0] + r)

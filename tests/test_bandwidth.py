@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from stpp.bandwidth import (
     BandwidthSearch,
@@ -151,7 +152,78 @@ class TestSelectSpatial:
         assert sorted(seen) == list(range(137))
 
 
+def exact_sheather_jones(x):
+    """Sheather-Jones root from exact sums over all n(n-1)/2 pair differences.
+
+    The pilot constants, bracketing and solve are those of the selector; only
+    the kernel functionals differ, so this is the oracle for the binning.
+    """
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    diffs = (x[:, None] - x[None, :])[np.triu_indices(n, k=1)]
+
+    def functional(order, g):
+        u2 = (diffs / g) ** 2
+        herm = {4: [1, -6, 3], 6: [1, -15, 45, -15]}[order]
+        total = 2.0 * (np.polyval(herm, u2) * np.exp(-0.5 * u2)).sum() + n * herm[-1]
+        return total / (math.sqrt(2 * math.pi) * n * (n - 1) * g ** (order + 1))
+
+    iqr = np.subtract(*np.percentile(x, [75, 25]))
+    scale = min(x.std(ddof=1), iqr / 1.349) if iqr > 0 else x.std(ddof=1)
+    a = 1.241 * scale * n ** (-1.0 / 7.0)
+    b = 1.230 * scale * n ** (-1.0 / 9.0)
+    alpha2_const = 1.357 * (functional(4, a) / -functional(6, b)) ** (1.0 / 7.0)
+    c1 = 1.0 / (2.0 * math.sqrt(math.pi) * n)
+
+    def objective(h):
+        s = functional(4, alpha2_const * h ** (5.0 / 7.0))
+        return (c1 / s) ** 0.2 - h if s > 0 else math.inf
+
+    h0 = 1.144 * scale * n ** (-0.2)
+    lo, hi = 0.1 * h0, h0
+    while objective(lo) <= 0:
+        lo *= 0.5
+    while objective(hi) >= 0:
+        hi *= 1.5
+    return float(brentq(objective, lo, hi, xtol=1e-12 * h0))
+
+
+def clustered_times(n, rng, duration=3650.0, lag_mean=5.0, per_parent=50):
+    """60% uniform background, 40% exponential lags after cluster parents."""
+    n_bg = int(0.6 * n)
+    parents = rng.uniform(0.0, duration, (n - n_bg) // per_parent + 1)
+    lags = rng.exponential(lag_mean, n - n_bg)
+    children = parents[rng.integers(0, len(parents), n - n_bg)] + lags
+    return np.concatenate([rng.uniform(0.0, duration, n_bg), children])
+
+
 class TestSheatherJones:
+    def test_binned_matches_exact_pair_sums(self):
+        rng = substream(3, 0)
+        samples = {
+            "normal": rng.normal(size=1000),
+            "bimodal": np.concatenate([rng.normal(-3, 0.5, 400), rng.normal(3, 0.5, 400)]),
+            "lognormal": rng.lognormal(0.0, 1.5, 2000),
+            "clustered": clustered_times(5000, rng),
+        }
+        for name, x in samples.items():
+            got = select_bandwidth_temporal(x)
+            assert got == pytest.approx(exact_sheather_jones(x), rel=1e-3), name
+
+    def test_bin_cap_warns(self):
+        # far outliers ask for more than 2^20 bins of width h0/200
+        x = substream(5, 0).normal(size=2000)
+        x[:3] = [1e4, 2e4, -1e4]
+        with pytest.warns(UserWarning, match="capped"):
+            got = select_bandwidth_temporal(x)
+        assert got == pytest.approx(exact_sheather_jones(x), rel=1e-3)
+
+    def test_large_sample_is_finite(self):
+        # the exact pair sums would need about 2e10 differences here
+        x = clustered_times(200_000, substream(4, 0))
+        h = select_bandwidth_temporal(x)
+        assert math.isfinite(h) and h > 0
+
     def test_scale_equivariance(self):
         x = substream(0, 0).normal(size=500)
         b = select_bandwidth_temporal(x)

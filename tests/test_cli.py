@@ -207,6 +207,28 @@ class TestMain:
         err = capsys.readouterr().err
         assert "--force" in err
 
+    def test_malformed_config_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text('{"window": {"x1": [0, 1],')
+        assert main(["simulate", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "malformed JSON" in err
+
+    def test_config_without_window_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"output_dir": str(tmp_path / "out"), "seed": 3}))
+        assert main(["simulate", "--config", str(cfg_path)]) == 2
+        assert "error: missing config key 'window'" in capsys.readouterr().err
+
+    def test_memory_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.37 GiB")
+
+        monkeypatch.setattr("stpp.cli.run", exhausted)
+        cfg_path, _ = write_config(tmp_path, simulate={"lambda": 10})
+        assert main(["simulate", "--config", str(cfg_path)]) == 2
+        assert "error: out of memory: Unable to allocate" in capsys.readouterr().err
+
     def test_console_entry_point(self, tmp_path):
         cfg_path, _ = write_config(tmp_path, simulate={"lambda": 10})
         proc = subprocess.run(

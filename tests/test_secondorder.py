@@ -233,6 +233,13 @@ class TestEmpiricalFGJ:
         with pytest.raises(ValueError):
             empirical_fgj(pat, 0.6, 0.05)
 
+    def test_window_narrow_only_in_y_rejected(self):
+        # 2r exceeds the y extent only; the x and t extents are wide enough
+        strip = Window((0, 1), (0, 0.15), (0, 1))
+        pat = simulate_poisson(IntensityModel.const(2000), strip, 0)
+        with pytest.raises(ValueError, match="window too small"):
+            empirical_fgj(pat, 0.1, 0.05)
+
 
 class TestResidualRatio:
     def test_poisson_residual_is_small(self):
