@@ -19,13 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .core import GridSpec, SpatialPattern, TemporalPattern, substream
+from .core import GridSpec, SpatialPattern, TemporalPattern, _trusted, substream
 from .simulate import RetentionSpec, thin_spatial
-from .intensity import (
-    _MIN_CORRECTION,
-    _axis_factors,
-    _corrections_from_factors,
-)
+from .intensity import _MIN_CORRECTION, _spatial_rows
 
 __all__ = [
     "BandwidthSearch",
@@ -79,22 +75,19 @@ class BandwidthSearch:
 def inverse_residual_loss(lam_at_points, area: float) -> float:
     """Squared inverse-residual loss given intensity values at data points.
 
-    Returns +inf when any value is nonpositive (candidate rejected).
+    Returns +inf when any value is nonpositive (candidate rejected), and
+    also when tiny positive values overflow the inverse sum or its square.
     """
     lam = np.asarray(lam_at_points, dtype=float)
     if len(lam) == 0 or (lam <= 0).any():
         return math.inf
-    return float((np.sum(1.0 / lam) - area) ** 2)
+    with np.errstate(over="ignore"):
+        return float((np.sum(1.0 / lam) - area) ** 2)
 
 
 def _lambda_at_points(train_xy, eval_xy, b, window, grid, loo: bool):
     """Diggle-corrected kernel intensity of the train set at eval points."""
-    ggx, ggy = _axis_factors(train_xy, grid, b)
-    mask = None
-    if window.mask is not None:
-        mask = window.mask.raster(grid.centers(0), grid.centers(1))
-    e = _corrections_from_factors(ggx, ggy, mask)
-    e = np.maximum(e, _MIN_CORRECTION)
+    e = np.maximum(_spatial_rows(train_xy, grid, window, b)[2], _MIN_CORRECTION)
     d2 = (
         (train_xy[:, 0][:, None] - eval_xy[:, 0][None, :]) ** 2
         + (train_xy[:, 1][:, None] - eval_xy[:, 1][None, :]) ** 2
@@ -156,10 +149,8 @@ def select_bandwidth_spatial(pattern: SpatialPattern, search: BandwidthSearch) -
         for fold in fold_ids:
             hold = np.zeros(n_sub, dtype=bool)
             hold[fold] = True
-            train, test = sub.points[~hold], sub.points[hold]
-            train_pat = SpatialPattern.__new__(SpatialPattern)
-            train_pat.points = train
-            train_pat.window = window
+            train_pat = _trusted(SpatialPattern, sub.points[~hold], window)
+            test = sub.points[hold]
             for j, b in enumerate(search.candidates):
                 losses[j] += cvl_loss(train_pat, b, eval_points=test, grid=grid)
         losses /= search.folds

@@ -26,6 +26,7 @@ import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -162,7 +163,7 @@ def ingest(path, window: Window, context: dict, skip_bad=False, jitter=False) ->
 
 
 def emit_pattern(path, pattern) -> None:
-    pts = pattern.points if isinstance(pattern, SpaceTimePattern) else pattern.points
+    pts = pattern.points
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         if pts.shape[1] == 3:
@@ -179,6 +180,15 @@ def _write_curves(path, args, observed, lower, upper) -> None:
         writer.writerow(["arg", "observed", "lo", "hi"])
         for a, o, lo, hi in zip(args, observed, lower, upper):
             writer.writerow([_fmt(a), _fmt(o), _fmt(lo), _fmt(hi)])
+
+
+def _write_curve_pair(out_dir, names, res, split, outputs) -> None:
+    """Write a combined two-component envelope as two curves files, split at ``split``."""
+    for name, part in zip(names, (slice(None, split), slice(split, None))):
+        _write_curves(
+            out_dir / name, res.args[part], res.observed[part], res.lower[part], res.upper[part]
+        )
+    outputs += names
 
 
 def _write_field_2d(path, field) -> None:
@@ -288,20 +298,20 @@ def run(config: dict, task: str, seed=None, threads=1, force=False, skip_bad=Fal
         report["n_events"] = len(pat)
         return pat
 
+    pattern_tasks = {
+        "intensity": _task_intensity,
+        "separability": _task_separability,
+        "ripley-k": partial(_task_ripley_k, threads=threads),
+        "homogenize": _task_homogenize,
+    }
     if task == "simulate":
         pattern = _task_simulate(config, window, seed, report)
         emit_pattern(out_dir / "pattern.csv", pattern)
         outputs.append("pattern.csv")
-    elif task == "intensity":
-        _task_intensity(need_pattern(), config, seed, report, out_dir, outputs)
-    elif task == "separability":
-        _task_separability(need_pattern(), config, seed, report, out_dir, outputs)
-    elif task == "ripley-k":
-        _task_ripley_k(need_pattern(), config, seed, threads, report, out_dir, outputs)
-    elif task == "homogenize":
-        _task_homogenize(need_pattern(), config, seed, report, out_dir, outputs)
     elif task == "prop2-check":
         _task_prop2(config, report)
+    else:
+        pattern_tasks[task](need_pattern(), config, seed, report, out_dir, outputs)
 
     report_path = out_dir / "report.json"
     with open(report_path, "w") as fh:
@@ -405,16 +415,7 @@ def _task_separability(pattern, config, seed, report, out_dir, outputs):
         if v == 0:
             report["bandwidth_spatial"] = b_s
             report["bandwidth_temporal"] = b_t
-            n_t = gt
-            _write_curves(
-                out_dir / "curves_St.csv",
-                res.args[:n_t], res.observed[:n_t], res.lower[:n_t], res.upper[:n_t],
-            )
-            _write_curves(
-                out_dir / "curves_Ss.csv",
-                res.args[n_t:], res.observed[n_t:], res.lower[n_t:], res.upper[n_t:],
-            )
-            outputs += ["curves_St.csv", "curves_Ss.csv"]
+            _write_curve_pair(out_dir, ["curves_St.csv", "curves_Ss.csv"], res, gt, outputs)
             report["p_value"] = res.p_value
             report["rejected"] = bool(res.rejected)
     report["p_values"] = p_values
@@ -422,7 +423,7 @@ def _task_separability(pattern, config, seed, report, out_dir, outputs):
     report["alpha"] = alpha
 
 
-def _task_ripley_k(pattern, config, seed, threads, report, out_dir, outputs):
+def _task_ripley_k(pattern, config, seed, report, out_dir, outputs, threads):
     test_cfg = config.get("test", {})
     B = int(test_cfg.get("B", 199))
     alpha = float(test_cfg.get("alpha", 0.05))
@@ -467,16 +468,7 @@ def _task_ripley_k(pattern, config, seed, threads, report, out_dir, outputs):
         [CurveSet(grid.tau, kt_obs, kt_reps), CurveSet(grid.r, ks_obs, ks_reps)],
         alpha=alpha,
     )
-    n_tau = len(grid.tau)
-    _write_curves(
-        out_dir / "curves_Kt.csv",
-        res.args[:n_tau], res.observed[:n_tau], res.lower[:n_tau], res.upper[:n_tau],
-    )
-    _write_curves(
-        out_dir / "curves_Ks.csv",
-        res.args[n_tau:], res.observed[n_tau:], res.lower[n_tau:], res.upper[n_tau:],
-    )
-    outputs += ["curves_Kt.csv", "curves_Ks.csv"]
+    _write_curve_pair(out_dir, ["curves_Kt.csv", "curves_Ks.csv"], res, len(grid.tau), outputs)
     report["p_value"] = res.p_value
     report["B"] = B
     report["alpha"] = alpha

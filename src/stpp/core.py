@@ -22,6 +22,7 @@ __all__ = [
     "TemporalPattern",
     "GridSpec",
     "ScalarField",
+    "as_rng",
     "ball_volume",
     "count_in",
     "project",
@@ -54,6 +55,11 @@ def substream(seed, *indices) -> np.random.Generator:
     do not depend on scheduling order or worker count.
     """
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(indices)))
+
+
+def as_rng(seed) -> np.random.Generator:
+    """``seed`` itself when it is a Generator, else a new generator seeded by it."""
+    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
 
 class PolygonMask:
@@ -206,12 +212,14 @@ class Window:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         return (t >= self.t_range[0]) & (t <= self.t_range[1])
 
-    def spatial_only(self) -> "Window":
-        """Same spatial domain with a dummy unit time interval."""
-        return Window(self.x_range, self.y_range, (0.0, 1.0), self.mask)
+    def raster(self, grid: GridSpec) -> np.ndarray | None:
+        """In-mask booleans at the cell centres of a spatial grid; None if unmasked."""
+        if self.mask is None:
+            return None
+        return self.mask.raster(grid.centers(0), grid.centers(1))
 
 
-def _dedupe_or_jitter(coords, window, jitter, rng, scale):
+def _dedupe_or_jitter(coords, jitter, rng, scale):
     """Enforce simplicity; optionally jitter exact duplicates by <= 1e-9 units."""
     order = np.lexsort(coords.T[::-1])
     sorted_coords = coords[order]
@@ -227,7 +235,7 @@ def _dedupe_or_jitter(coords, window, jitter, rng, scale):
     out = coords.copy()
     dup_idx = order[1:][dup]
     out[dup_idx] += rng.uniform(-1e-9, 1e-9, size=(len(dup_idx), coords.shape[1])) * scale
-    return _dedupe_or_jitter(out, window, False, None, scale)
+    return _dedupe_or_jitter(out, False, None, scale)
 
 
 class SpaceTimePattern:
@@ -260,7 +268,7 @@ class SpaceTimePattern:
                 window.y_range[1] - window.y_range[0],
                 window.duration,
             )
-            pts = _dedupe_or_jitter(pts, window, jitter, rng, scale)
+            pts = _dedupe_or_jitter(pts, jitter, rng, scale)
             pts = pts[np.lexsort((pts[:, 1], pts[:, 0], pts[:, 2]))]
         self.points = pts
         self.window = window
@@ -292,7 +300,7 @@ class SpatialPattern:
                 window.x_range[1] - window.x_range[0],
                 window.y_range[1] - window.y_range[0],
             )
-            pts = _dedupe_or_jitter(pts, window, jitter, rng, scale)
+            pts = _dedupe_or_jitter(pts, jitter, rng, scale)
         self.points = pts
         self.window = window
         self.points.setflags(write=False)
@@ -318,19 +326,28 @@ class TemporalPattern:
         return len(self.times)
 
 
+def _trusted(cls, points: np.ndarray, window: Window):
+    """A ``cls`` pattern around points already known to be valid on ``window``.
+
+    Skips the constructor's containment, sorting and simplicity checks, so
+    callers pass subsets or re-pairings of validated patterns only.  The
+    array is made read-only, as the constructors do.
+    """
+    out = cls.__new__(cls)
+    out.points = points
+    out.window = window
+    points.setflags(write=False)
+    return out
+
+
 def project(pattern: SpaceTimePattern) -> tuple[SpatialPattern, TemporalPattern]:
     """Split a space-time pattern into its spatial and temporal projections.
 
     Multiplicity is preserved: both projections have the parent's
     cardinality even if projected coordinates coincide.
     """
-    sp = SpatialPattern.__new__(SpatialPattern)
-    sp.points = pattern.x
-    sp.window = pattern.window
-    tp = TemporalPattern.__new__(TemporalPattern)
-    tp.times = np.sort(pattern.t)
-    tp.window = pattern.window
-    return sp, tp
+    sp = _trusted(SpatialPattern, pattern.x, pattern.window)
+    return sp, TemporalPattern(pattern.t, pattern.window)
 
 
 def count_in(pattern: SpaceTimePattern, x_range, y_range, t_range) -> int:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpatialPattern, VoronoiRegionMask, Window, substream
+from .core import SpatialPattern, VoronoiRegionMask, Window, _trusted, substream
 from .inference import quadrat_test
 from .intensity import VoronoiCells, voronoi_intensity
 
@@ -102,12 +102,8 @@ def minimize_loss(cells: VoronoiCells, config: HomogenizeConfig) -> float:
     finite = np.isfinite(cells.values)
     values = np.sort(cells.values[finite])
     areas = cells.areas[finite][np.argsort(cells.values[finite])]
+    # suffix_area[searchsorted(values, mu, "left")] is the area of {value >= mu}
     suffix_area = np.concatenate([np.cumsum(areas[::-1])[::-1], [0.0]])
-
-    def area_at(mu):
-        # area of {value >= mu}; 'left' puts strictly smaller values before
-        pos = np.searchsorted(values, mu, side="left")
-        return suffix_area[pos]
 
     # mu * area(mu) is linear between consecutive distinct values, so the
     # candidate minimizers are the breakpoints themselves plus each piece's
@@ -158,10 +154,7 @@ def homogenize(
     )
     window = pattern.window
     masked = Window(window.x_range, window.y_range, window.t_range, region)
-    out = SpatialPattern.__new__(SpatialPattern)
-    out.points = pattern.points[keep]
-    out.window = masked
-    out.points.setflags(write=False)
+    out = _trusted(SpatialPattern, pattern.points[keep], masked)
 
     retained = len(out)
     if retained < 20:

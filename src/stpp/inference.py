@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import chi2, rankdata
 
-from .core import SpatialPattern
+from .core import GridSpec, SpatialPattern
 
 __all__ = [
     "CurveSet",
@@ -93,7 +93,6 @@ def _erl_order(curves: np.ndarray):
     s = len(curves)
     order = np.lexsort(sorted_ranks.T[::-1])
     measures = np.empty(s)
-    pos = 0
     i = 0
     while i < s:
         j = i
@@ -103,8 +102,6 @@ def _erl_order(curves: np.ndarray):
             j += 1
         measures[order[i : j + 1]] = (j + 1) / s
         i = j + 1
-        pos = j + 1
-    assert pos == s
     return measures, order
 
 
@@ -180,23 +177,15 @@ def _tile_areas(window, nx: int, ny: int) -> np.ndarray:
         ay = (window.y_range[1] - window.y_range[0]) / ny
         return np.full((nx, ny), ax * ay)
     res = 512
-    xs = window.x_range[0] + (np.arange(res) + 0.5) * (
-        (window.x_range[1] - window.x_range[0]) / res
-    )
-    ys = window.y_range[0] + (np.arange(res) + 0.5) * (
-        (window.y_range[1] - window.y_range[0]) / res
-    )
-    grid = window.mask.raster(xs, ys)
-    cell = ((window.x_range[1] - window.x_range[0]) / res) * (
-        (window.y_range[1] - window.y_range[0]) / res
-    )
+    fine = GridSpec.spatial(window, res, res)
+    inside = window.raster(fine)
     # tile index of each raster cell center, matching histogram2d binning
     ix = np.clip(((np.arange(res) + 0.5) * nx / res).astype(int), 0, nx - 1)
     iy = np.clip(((np.arange(res) + 0.5) * ny / res).astype(int), 0, ny - 1)
     tile_x = np.repeat(ix[:, None], res, axis=1)
     tile_y = np.repeat(iy[None, :], res, axis=0)
     areas = np.zeros((nx, ny))
-    np.add.at(areas, (tile_x[grid], tile_y[grid]), cell)
+    np.add.at(areas, (tile_x[inside], tile_y[inside]), fine.cell_volume)
     return areas
 
 

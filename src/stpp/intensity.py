@@ -10,6 +10,10 @@ the estimate itself, which makes the mass identity
 
 hold to floating-point accuracy for any bandwidth (each summand integrates
 to exactly 1 by construction).
+
+``_spatial_rows`` and ``_spacetime_rows`` are the one place the per-event
+Diggle-corrected kernel rows are built; the separability engine and the
+spatial bandwidth selector reuse them rather than rebuilding the kernel.
 """
 
 from __future__ import annotations
@@ -67,19 +71,43 @@ def _gauss_factors(points_1d, centers, step, b):
     return np.exp(-0.5 * z * z) * (step / (b * math.sqrt(2.0 * math.pi)))
 
 
-def _axis_factors(xy, grid: GridSpec, b):
+def _spatial_rows(xy, grid: GridSpec, window: Window, b):
+    """Per-event kernel factor rows on a spatial grid and their corrections.
+
+    Returns gx (n, nx) and gy (n, ny), whose outer product per event is
+    its kernel times the cell area, the Diggle corrections e (n,) by
+    quadrature over the window, and the window's raster (None if unmasked).
+    """
     gx = _gauss_factors(xy[:, 0], grid.centers(0), grid.step[0], b)
     gy = _gauss_factors(xy[:, 1], grid.centers(1), grid.step[1], b)
-    return gx, gy
-
-
-def _corrections_from_factors(gx, gy, mask):
+    mask = window.raster(grid)
     if mask is None:
         e = gx.sum(axis=1) * gy.sum(axis=1)
     else:
         # e_i = gx_i^T M gy_i over the masked grid
         e = np.einsum("ij,ij->i", gx @ mask.astype(float), gy)
-    return e
+    return gx, gy, e, mask
+
+
+def _spacetime_rows(pattern, grid: GridSpec, b_s, b_t):
+    """Per-event corrected kernel rows on a space-time grid.
+
+    Returns S (n, nx*ny), each event's spatial kernel divided by its
+    correction, T (n, nt), the same for the temporal kernel, the scaled
+    spatial factors gx / (e_s * cell area) and gy whose products make up
+    S, the corrections e_s and e_t, and the spatial raster (None if
+    unmasked).  No bandwidth or underflow check is made here.
+    """
+    window = pattern.window
+    nx, ny, nt = grid.shape
+    spatial = GridSpec.spatial(window, nx, ny)
+    gx, gy, e_s, mask = _spatial_rows(pattern.x, spatial, window, b_s)
+    e_t = temporal_corrections(pattern.t, window, b_t)
+    gx = gx / (e_s[:, None] * spatial.cell_volume)
+    S = (gx[:, :, None] * gy[:, None, :]).reshape(len(pattern), nx * ny)
+    T = _gauss_factors(pattern.t, grid.centers(2), 1.0, b_t)
+    T /= e_t[:, None]
+    return S, T, gx, gy, e_s, e_t, mask
 
 
 def _check_resolvable(b, grid: GridSpec, axes):
@@ -113,11 +141,7 @@ def diggle_correction(center, kernel: KernelSpec, window: Window, grid=None) -> 
         if grid is None:
             grid = GridSpec.spatial(window, 256, 256)
         _check_resolvable(b, grid, (0, 1))
-        gx, gy = _axis_factors(xy, grid, b)
-        mask = None
-        if window.mask is not None:
-            mask = window.mask.raster(grid.centers(0), grid.centers(1))
-        w = float(_corrections_from_factors(gx, gy, mask)[0])
+        w = float(_spatial_rows(xy, grid, window, b)[2][0])
     if w < _MIN_CORRECTION:
         raise ValueError(f"edge-correction weight {w:g} below {_MIN_CORRECTION:g}")
     return min(w, 1.0)
@@ -147,16 +171,12 @@ def estimate_lambda_s(
     window = pattern.window
     if grid is None:
         grid = GridSpec.spatial(window, 256, 256)
-    mask = None
-    if window.mask is not None:
-        mask = window.mask.raster(grid.centers(0), grid.centers(1))
     if len(pattern) == 0:
         warnings.warn("empty pattern: returning a zero intensity field")
-        field = ScalarField(grid, np.zeros(grid.shape), mask)
+        field = ScalarField(grid, np.zeros(grid.shape), window.raster(grid))
         return IntensityEstimate(field, (kernel.bandwidth,), empty=True)
     _check_resolvable(kernel.bandwidth, grid, (0, 1))
-    gx, gy = _axis_factors(pattern.points, grid, kernel.bandwidth)
-    e = _corrections_from_factors(gx, gy, mask)
+    gx, gy, e, mask = _spatial_rows(pattern.points, grid, window, kernel.bandwidth)
     if (e < _MIN_CORRECTION).any():
         raise ValueError("edge-correction weight underflow at a data point")
     cellvol = grid.cell_volume
@@ -223,28 +243,19 @@ def estimate_lambda_st(
         if getattr(retention, "pi0", None) is None:
             raise ValueError("retention correction requires a constant retention")
         pi0 = retention.pi0
-    spatial_grid = GridSpec.spatial(window, nx, ny)
-    mask2d = None
-    if window.mask is not None:
-        mask2d = window.mask.raster(spatial_grid.centers(0), spatial_grid.centers(1))
     if len(pattern) == 0:
         warnings.warn("empty pattern: returning a zero intensity field")
+        mask2d = window.raster(GridSpec.spatial(window, nx, ny))
         field = ScalarField(grid, np.zeros(grid.shape), mask2d)
         return IntensityEstimate(
             field, (kernel_s.bandwidth, kernel_t.bandwidth), empty=True
         )
     _check_resolvable(kernel_s.bandwidth, grid, (0, 1))
-    gx, gy = _axis_factors(pattern.x, spatial_grid, kernel_s.bandwidth)
-    e_s = _corrections_from_factors(gx, gy, mask2d)
-    e_t = temporal_corrections(pattern.t, window, kernel_t.bandwidth)
+    S, T, _, _, e_s, e_t, mask2d = _spacetime_rows(
+        pattern, grid, kernel_s.bandwidth, kernel_t.bandwidth
+    )
     if (e_s < _MIN_CORRECTION).any() or (e_t < _MIN_CORRECTION).any():
         raise ValueError("edge-correction weight underflow at a data point")
-    cell_area = spatial_grid.cell_volume
-    # n x (nx*ny) spatial part, each row already divided by its correction
-    S = (gx / (e_s[:, None] * cell_area))[:, :, None] * gy[:, None, :]
-    S = S.reshape(len(pattern), nx * ny)
-    T = _gauss_factors(pattern.t, grid.centers(2), 1.0, kernel_t.bandwidth)
-    T /= e_t[:, None]
     values = (S.T @ T).reshape(nx, ny, nt) / pi0
     if mask2d is not None:
         values = np.where(mask2d[:, :, None], values, 0.0)
@@ -299,9 +310,8 @@ def voronoi_intensity(
         resolution = max(256, int(math.ceil(math.sqrt(16.0 * n))))
     grid = GridSpec.spatial(window, resolution, resolution)
     xs, ys = grid.centers(0), grid.centers(1)
-    if window.mask is not None:
-        mask = window.mask.raster(xs, ys)
-    else:
+    mask = window.raster(grid)
+    if mask is None:
         mask = np.ones(grid.shape, dtype=bool)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     centers = np.column_stack([gx[mask], gy[mask]])

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpaceTimePattern, Window, ball_volume, substream
+from .core import GridSpec, SpaceTimePattern, Window, ball_volume, substream
 from .intensity import IntensityEstimate
 from .simulate import ClusterModel, IntensityModel, RetentionSpec, simulate_cluster, simulate_poisson, thin
 
@@ -214,22 +214,21 @@ def _eroded_areas(window: Window, radii: np.ndarray) -> np.ndarray:
     return counts * sx * sy
 
 
-def _mask_boundary_raster(window: Window, res: int = 512):
-    """Distance to the window boundary on a raster: EDT of the mask,
-    additionally capped by the distance to the enclosing rectangle (the
-    array edge carries no mask information)."""
+def _mask_boundary_raster(window: Window):
+    """Distance to the window boundary on a 512 x 512 raster: EDT of the
+    mask, additionally capped by the distance to the enclosing rectangle
+    (the array edge carries no mask information)."""
     from scipy.ndimage import distance_transform_edt
 
-    sx = (window.x_range[1] - window.x_range[0]) / res
-    sy = (window.y_range[1] - window.y_range[0]) / res
-    xs = window.x_range[0] + (np.arange(res) + 0.5) * sx
-    ys = window.y_range[0] + (np.arange(res) + 0.5) * sy
-    grid = window.mask.raster(xs, ys)
-    dist = distance_transform_edt(grid, sampling=(sx, sy))
+    fine = GridSpec.spatial(window, 512, 512)
+    sx, sy = fine.step
+    xs, ys = fine.centers(0), fine.centers(1)
+    inside = window.raster(fine)
+    dist = distance_transform_edt(inside, sampling=(sx, sy))
     rect_x = np.minimum(xs - window.x_range[0], window.x_range[1] - xs)
     rect_y = np.minimum(ys - window.y_range[0], window.y_range[1] - ys)
     dist = np.minimum(dist, np.minimum(rect_x[:, None], rect_y[None, :]))
-    return dist, grid, (sx, sy)
+    return dist, inside, (sx, sy)
 
 
 def _estimate_K_border(pattern, lam, grid: KGrid, floor_quantile: float) -> KEstimate:

@@ -17,16 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridSpec, ScalarField, SpaceTimePattern, project, substream
+from .core import GridSpec, ScalarField, SpaceTimePattern, _trusted, substream
 from .inference import CurveSet, EnvelopeResult, combined_erl_test
-from .intensity import (
-    IntensityEstimate,
-    KernelSpec,
-    _axis_factors,
-    _gauss_factors,
-    _corrections_from_factors,
-    temporal_corrections,
-)
+from .intensity import IntensityEstimate, KernelSpec, _spacetime_rows
 
 __all__ = [
     "SeparabilityStats",
@@ -107,18 +100,16 @@ def permute_null(pattern: SpaceTimePattern, B: int, seed) -> list[SpaceTimePatte
         rng = substream(seed, b)
         perm = rng.permutation(len(pattern))
         pts = np.column_stack([pattern.x, pattern.t[perm]])
-        rep = SpaceTimePattern.__new__(SpaceTimePattern)
-        rep.points = pts[np.lexsort((pts[:, 1], pts[:, 0], pts[:, 2]))]
-        rep.window = pattern.window
-        rep.points.setflags(write=False)
-        out.append(rep)
+        pts = pts[np.lexsort((pts[:, 1], pts[:, 0], pts[:, 2]))]
+        out.append(_trusted(SpaceTimePattern, pts, pattern.window))
     return out
 
 
 class _SeparabilityEngine:
     """Shared kernel matrices for fast S_t / S_s curves over permutations.
 
-    The spatial kernel rows (and their corrections) depend only on
+    Reuses the corrected kernel rows of :func:`estimate_lambda_st` (built
+    by ``intensity._spacetime_rows``).  The spatial rows depend only on
     locations and the temporal rows only on times, so a permutation
     replicate just re-pairs rows.  Curves then reduce to one matrix-vector
     product per replicate instead of a full 3D field.
@@ -127,40 +118,26 @@ class _SeparabilityEngine:
     def __init__(self, pattern, kernel_s, kernel_t, grid):
         window = pattern.window
         nx, ny, nt = grid.shape
-        self.grid = grid
-        spatial = GridSpec.spatial(window, nx, ny)
-        temporal = GridSpec((window.t_range[0],), (window.duration / nt,), (nt,))
-        mask2d = None
-        if window.mask is not None:
-            mask2d = window.mask.raster(spatial.centers(0), spatial.centers(1))
-        sp, tp = project(pattern)
         n = len(pattern)
-        lam_s = _kernel_field_2d(sp.points, spatial, mask2d, kernel_s.bandwidth)
-        lam_t_est, T = _kernel_field_1d(pattern.t, temporal, window, kernel_t.bandwidth)
-        gx, gy = _axis_factors(pattern.x, spatial, kernel_s.bandwidth)
-        e_s = _corrections_from_factors(gx, gy, mask2d)
-        cell_area = spatial.cell_volume
-        S = (gx / (e_s[:, None] * cell_area))[:, :, None] * gy[:, None, :]
-        self.S = S.reshape(n, nx * ny)
-        self.T = T
-        self.n = n
+        self.S, self.T, gx, gy, _, _, mask2d = _spacetime_rows(
+            pattern, grid, kernel_s.bandwidth, kernel_t.bandwidth
+        )
         if mask2d is None:
-            mask2d = np.ones(spatial.shape, dtype=bool)
+            mask2d = np.ones((nx, ny), dtype=bool)
         self.mask2d = mask2d
+        cell_area = grid.step[0] * grid.step[1]
         area = mask2d.sum() * cell_area
-        lam_s_flat = np.where(mask2d, lam_s, 0.0).ravel()
+        lam_s_flat = np.where(mask2d, gx.T @ gy, 0.0).ravel()
         w_s = np.zeros_like(lam_s_flat)
         np.divide(cell_area * n / area, lam_s_flat, out=w_s, where=lam_s_flat > 0)
         self.u = self.S @ w_s
-        dt = temporal.cell_volume
+        lam_t = self.T.sum(axis=0)
         w_t = np.zeros(nt)
-        np.divide(dt * n / window.duration, lam_t_est, out=w_t, where=lam_t_est > 0)
+        np.divide(grid.step[2] * n / window.duration, lam_t, out=w_t, where=lam_t > 0)
         self.v = self.T @ w_t
-        self.inv_lam_t = _safe_ratio(np.ones(nt), lam_t_est)
+        self.inv_lam_t = _safe_ratio(np.ones(nt), lam_t)
         self.inv_lam_s = _safe_ratio(np.ones(nx * ny), lam_s_flat)
-        self.t_args = temporal.centers(0)
-        self.lam_s = lam_s
-        self.lam_t = lam_t_est
+        self.t_args = grid.centers(2)
 
     def curves(self, perm=None):
         """S_t and S_s curves for the (permuted) pairing of rows."""
@@ -169,21 +146,6 @@ class _SeparabilityEngine:
         s_t = (self.u @ T) * self.inv_lam_t
         s_s = (self.S.T @ v) * self.inv_lam_s
         return s_t, s_s[self.mask2d.ravel()]
-
-
-def _kernel_field_2d(xy, grid, mask2d, b):
-    gx, gy = _axis_factors(xy, grid, b)
-    e = _corrections_from_factors(gx, gy, mask2d)
-    values = (gx / (e[:, None] * grid.cell_volume)).T @ gy
-    if mask2d is not None:
-        values = np.where(mask2d, values, 0.0)
-    return values
-
-
-def _kernel_field_1d(times, grid, window, b):
-    e = temporal_corrections(times, window, b)
-    T = _gauss_factors(times, grid.centers(0), 1.0, b) / e[:, None]
-    return T.sum(axis=0), T
 
 
 def separability_test(

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RasterMask, ScalarField, SpaceTimePattern, SpatialPattern, Window
+from .core import RasterMask, ScalarField, SpaceTimePattern, SpatialPattern, Window, _trusted, as_rng
 
 __all__ = [
     "IntensityModel",
@@ -129,7 +129,7 @@ def simulate_poisson(model: IntensityModel, window: Window, seed) -> SpaceTimePa
     declared bound and keep each proposal with probability lam(y)/bound.
     A proposal where lam exceeds the bound is a hard error.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = as_rng(seed)
     lam_max = model.max_rate()
     if lam_max == 0:
         return SpaceTimePattern(np.empty((0, 3)), window)
@@ -151,7 +151,7 @@ def simulate_poisson_spatial(lam, window: Window, seed) -> SpatialPattern:
     ``lam`` is either a constant or a pair ``(func, bound)`` with
     ``func(x1, x2)`` dominated by ``bound``.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = as_rng(seed)
     if isinstance(lam, tuple):
         func, bound = lam
         n = rng.poisson(bound * window.area)
@@ -173,7 +173,7 @@ def simulate_cluster(model: ClusterModel, window: Window, seed) -> SpaceTimePatt
     that the clipped pattern has the stationary mean count
     kappa * mean_offspring * |W| * |T| up to Gaussian tail mass.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = as_rng(seed)
     dx = 4.0 * model.sigma
     dt = 4.0 * model.sigma_t
     px = (window.x_range[0] - dx, window.x_range[1] + dx)
@@ -257,18 +257,13 @@ def thin(pattern: SpaceTimePattern, retention: RetentionSpec, seed) -> SpaceTime
     For a constant retention the output keeps the input window; for a
     field the support of the field becomes the window mask.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = as_rng(seed)
     if len(pattern) == 0:
         keep = np.zeros(0, dtype=bool)
     else:
         p = retention.prob_at(pattern.x, pattern.t)
         keep = rng.uniform(size=len(pattern)) < p
-    window = _support_window(pattern.window, retention)
-    out = SpaceTimePattern.__new__(SpaceTimePattern)
-    out.points = pattern.points[keep]
-    out.window = window
-    out.points.setflags(write=False)
-    return out
+    return _trusted(SpaceTimePattern, pattern.points[keep], _support_window(pattern.window, retention))
 
 
 def _support_window(window: Window, retention: RetentionSpec) -> Window:
@@ -283,14 +278,10 @@ def _support_window(window: Window, retention: RetentionSpec) -> Window:
 
 def thin_spatial(pattern: SpatialPattern, retention: RetentionSpec, seed) -> SpatialPattern:
     """Planar analogue of :func:`thin`."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = as_rng(seed)
     if len(pattern) == 0:
         keep = np.zeros(0, dtype=bool)
     else:
         p = retention.prob_at(pattern.points)
         keep = rng.uniform(size=len(pattern)) < p
-    out = SpatialPattern.__new__(SpatialPattern)
-    out.points = pattern.points[keep]
-    out.window = _support_window(pattern.window, retention)
-    out.points.setflags(write=False)
-    return out
+    return _trusted(SpatialPattern, pattern.points[keep], _support_window(pattern.window, retention))

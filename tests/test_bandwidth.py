@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,11 @@ class TestInverseResidualLoss:
 
     def test_zero_value_gives_sentinel(self):
         assert inverse_residual_loss(np.array([1.0, 0.0]), 1.0) == math.inf
+        # tiny positive values overflow 1/lam or the square: rejected silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert inverse_residual_loss(np.array([1e-320]), 1.0) == math.inf
+            assert inverse_residual_loss(np.array([1e-160]), 1.0) == math.inf
 
 
 class TestCvlLoss:

@@ -8,6 +8,8 @@ from stpp.core import (
     PolygonMask,
     ScalarField,
     SpaceTimePattern,
+    SpatialPattern,
+    TemporalPattern,
     Window,
     ball_volume,
     count_in,
@@ -87,6 +89,8 @@ def test_project_preserves_cardinality_and_values():
     sim = simulate_poisson(IntensityModel.const(300), UNIT, 0)
     sp, tp = project(sim)
     assert len(sp) == len(sim) == len(tp)
+    assert type(sp) is SpatialPattern and type(tp) is TemporalPattern
+    assert not sp.points.flags.writeable and not tp.times.flags.writeable
 
 
 def test_count_in():
@@ -138,10 +142,16 @@ def test_substream_independent_of_order():
 
 def test_simulation_paths_keep_invariants():
     # construction invariants hold after simulation and thinning
-    from stpp.simulate import RetentionSpec, thin
+    from stpp.simulate import RetentionSpec, thin, thin_spatial
 
     pat = simulate_poisson(IntensityModel.const(400), UNIT, 3)
     assert np.all(np.diff(pat.t) >= 0)
     sub = thin(pat, RetentionSpec.constant(0.3), 4)
     assert np.all(np.diff(sub.t) >= 0)
     assert len(np.unique(sub.points, axis=0)) == len(sub)
+    assert type(sub) is SpaceTimePattern and not sub.points.flags.writeable
+
+    sp, _ = project(pat)
+    sub_sp = thin_spatial(sp, RetentionSpec.constant(0.3), 5)
+    assert type(sub_sp) is SpatialPattern and not sub_sp.points.flags.writeable
+    assert len(np.unique(sub_sp.points, axis=0)) == len(sub_sp)

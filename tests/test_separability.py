@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stpp.core import GridSpec, ScalarField, SpaceTimePattern, Window, project, substream
+from stpp.core import GridSpec, PolygonMask, ScalarField, SpaceTimePattern, Window, project, substream
 from stpp.intensity import (
     IntensityEstimate,
     KernelSpec,
@@ -18,6 +18,9 @@ from stpp.separability import (
 from stpp.simulate import IntensityModel, RetentionSpec, simulate_poisson, thin
 
 UNIT = Window((0, 1), (0, 1), (0, 1))
+POLYGON = Window(
+    (0, 1), (0, 1), (0, 1), PolygonMask([(0.05, 0.0), (1.0, 0.1), (0.9, 1.0), (0.0, 0.85)])
+)
 KS, KT = KernelSpec(0.08), KernelSpec(0.05)
 
 
@@ -110,14 +113,17 @@ class TestComputeS:
 
 
 class TestEngine:
-    def test_matches_compute_s(self):
-        pat = simulate_poisson(IntensityModel.const(700), UNIT, 3)
-        grid = GridSpec.spacetime(UNIT, 10, 14, 22)
+    @pytest.mark.parametrize("window", [UNIT, POLYGON], ids=["rectangle", "polygon"])
+    def test_matches_compute_s(self, window):
+        pat = simulate_poisson(IntensityModel.const(700), window, 3)
+        grid = GridSpec.spacetime(window, 10, 14, 22)
         stats = compute_S(pat, *estimates(pat, grid))
         eng = _SeparabilityEngine(pat, KS, KT, grid)
         s_t, s_s = eng.curves()
+        mask = stats.s_s.mask
+        assert np.array_equal(eng.mask2d, mask)
         assert np.allclose(s_t, stats.s_t.values)
-        assert np.allclose(s_s, stats.s_s.values.ravel())
+        assert np.allclose(s_s, stats.s_s.values[mask])
 
     def test_permuted_curves_match_recomputation(self):
         pat = simulate_poisson(IntensityModel.const(300), UNIT, 4)
