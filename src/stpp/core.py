@@ -330,8 +330,10 @@ def _trusted(cls, points: np.ndarray, window: Window):
     """A ``cls`` pattern around points already known to be valid on ``window``.
 
     Skips the constructor's containment, sorting and simplicity checks, so
-    callers pass subsets or re-pairings of validated patterns only.  The
-    array is made read-only, as the constructors do.
+    callers pass subsets or re-pairings of validated patterns only.
+    SpaceTimePattern points must already be in the constructor's (t, x1, x2)
+    order, on which ``secondorder``'s pair enumerator relies.  The array is
+    made read-only, as the constructors do.
     """
     out = cls.__new__(cls)
     out.points = points

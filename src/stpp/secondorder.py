@@ -10,6 +10,15 @@ restricted to pairs inside the cylinder {||x - x'|| <= r, |t - t'| <= tau};
 under a Poisson model K(r, tau) equals the cylinder volume 2 tau pi r^2.
 The one-dimensional averages calibrate to 2 tau and pi r^2 under Poisson.
 
+One enumerator, ``_close_pairs``, serves both K estimators and F/G: a
+``searchsorted`` window on the sorted times, narrowed to the 3 x 3 square
+cells of side >= r around each point, then the exact cut, in chunks of
+``_PAIR_CHUNK`` candidates.  Time is O(n log n + C) for C ~ 9 n^2 r^2 tau /
+(|W| |T|) candidates; memory is bounded by the chunk.  K matches an
+all-pairs sum to 1e-12 of the surface's scale and F/G match it exactly
+(tested); the former k-d tree enumeration gave K within 3e-14 and the same
+F/G.
+
 The truncated series and residual checks quantify how constant-retention
 thinning pushes the empty-space / nearest-neighbour summaries toward their
 Poisson forms: the first-order-corrected J residual shrinks like the
@@ -23,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridSpec, SpaceTimePattern, Window, ball_volume, substream
+from .core import GridSpec, ScalarField, SpaceTimePattern, Window, ball_volume, substream
 from .intensity import IntensityEstimate
 from .simulate import ClusterModel, IntensityModel, RetentionSpec, simulate_cluster, simulate_poisson, thin
 
@@ -37,6 +46,9 @@ __all__ = [
     "j_residual_ratio",
     "empirical_fgj",
 ]
+
+_PAIR_CHUNK = 1 << 18  # candidate pairs held in memory at once
+_MAX_CELLS = 1024  # spatial cells per axis of the pair search; bounds its int64 keys
 
 
 @dataclass
@@ -78,25 +90,21 @@ class KEstimate:
 def _lambda_at_events(lam, pattern: SpaceTimePattern, floor_quantile: float) -> np.ndarray:
     """Intensity values at the events, floored away from zero.
 
-    ``lam`` may be a constant, an array of per-event values, a ScalarField
-    or an IntensityEstimate (looked up at event coordinates).
+    ``lam`` may be a constant, a 1-D array-like of per-event values, a
+    ScalarField or an IntensityEstimate (looked up at event coordinates).
     """
     n = len(pattern)
-    if np.isscalar(lam):
-        vals = np.full(n, float(lam))
-    elif isinstance(lam, IntensityEstimate):
-        vals = _lambda_at_events(lam.field, pattern, floor_quantile)
-    elif isinstance(lam, np.ndarray) and lam.ndim == 1 and len(lam) == n:
-        vals = lam.astype(float)
-    else:  # ScalarField on W, T or W x T
-        grid = lam.grid
-        if grid.ndim == 3:
-            coords = pattern.points
-        elif grid.ndim == 2:
-            coords = pattern.x
-        else:
-            coords = pattern.t
+    if isinstance(lam, IntensityEstimate):
+        return _lambda_at_events(lam.field, pattern, floor_quantile)
+    if isinstance(lam, ScalarField):  # on W, T or W x T
+        coords = {3: pattern.points, 2: pattern.x}.get(lam.grid.ndim, pattern.t)
         vals = lam.value_at(coords)
+    else:
+        vals = np.asarray(lam, dtype=float)
+        if vals.ndim == 0:
+            vals = np.full(n, float(vals))
+        elif vals.shape != (n,):
+            raise ValueError(f"per-event intensities need shape ({n},), got {vals.shape}")
     if (vals <= 0).any():
         positive = vals[vals > 0]
         if len(positive) == 0:
@@ -139,53 +147,84 @@ def estimate_K(
             "use correction='border' on masked windows"
         )
     n = len(pattern)
-    k = np.zeros((len(grid.r), len(grid.tau)))
+    n_r, n_t = len(grid.r), len(grid.tau)
+    k = np.zeros(n_r * n_t)
     if n < 2:
-        return KEstimate(k, grid, n_points=n)
+        return KEstimate(k.reshape(n_r, n_t), grid, n_points=n)
     lam_vals = _lambda_at_events(lam, pattern, floor_quantile)
-    r_max = grid.r[-1]
-    tau_max = grid.tau[-1]
-
-    if n <= 512:
-        # direct pairwise enumeration beats tree construction at this size
-        iu, ju = np.triu_indices(n, k=1)
-        d2 = ((pattern.x[iu] - pattern.x[ju]) ** 2).sum(axis=1)
-        near = d2 <= r_max * r_max
-        pairs = np.column_stack([iu[near], ju[near]])
-    else:
-        from scipy.spatial import cKDTree
-
-        tree = cKDTree(pattern.x)
-        pairs = tree.query_pairs(r_max, output_type="ndarray")
-    if len(pairs) == 0:
-        return KEstimate(k, grid, n_points=n)
-    i, j = pairs[:, 0], pairs[:, 1]
-    dt = np.abs(pattern.t[i] - pattern.t[j])
-    close = dt <= tau_max
-    i, j, dt = i[close], j[close], dt[close]
-    if len(i) == 0:
-        return KEstimate(k, grid, n_points=n)
-    dx = np.abs(pattern.x[i] - pattern.x[j])
-    ds = np.hypot(dx[:, 0], dx[:, 1])
     lx = window.x_range[1] - window.x_range[0]
     ly = window.y_range[1] - window.y_range[0]
     lt = window.duration
-    overlap = (lx - dx[:, 0]) * (ly - dx[:, 1]) * (lt - dt)
-    e = window.volume / overlap
-    winsorized = int((e > correction_cap).sum())
-    e = np.minimum(e, correction_cap)
-    w = 2.0 * e / (lam_vals[i] * lam_vals[j]) / window.volume  # ordered pairs
-    ir = np.searchsorted(grid.r, ds, side="left")
-    it = np.searchsorted(grid.tau, dt, side="left")
-    keep = (ir < len(grid.r)) & (it < len(grid.tau))
-    hist = np.zeros((len(grid.r), len(grid.tau)))
-    np.add.at(hist, (ir[keep], it[keep]), w[keep])
-    k = hist.cumsum(axis=0).cumsum(axis=1)
+    winsorized = 0
+    for i, j, dx, ds, dt in _close_pairs(pattern.x, pattern.t, grid.r[-1], grid.tau[-1]):
+        overlap = (lx - dx[:, 0]) * (ly - dx[:, 1]) * (lt - dt)
+        e = window.volume / overlap
+        winsorized += int((e > correction_cap).sum())
+        e = np.minimum(e, correction_cap)
+        w = 2.0 * e / (lam_vals[i] * lam_vals[j]) / window.volume  # ordered pairs
+        bins = np.searchsorted(grid.r, ds) * n_t + np.searchsorted(grid.tau, dt)
+        k += np.bincount(bins, weights=w, minlength=n_r * n_t)
+    k = k.reshape(n_r, n_t).cumsum(axis=0).cumsum(axis=1)
     return KEstimate(k, grid, winsorized_pairs=winsorized, n_points=n)
 
 
-def _boundary_distances(pattern: SpaceTimePattern):
-    """Spatial and temporal distances of each event to the window boundary."""
+def _close_pairs(x, t, r, tau, qx=None, qt=None):
+    """Chunks of (i, j, |dx|, ||dx||, |dt|) with ||dx|| <= r and |dt| <= tau.
+
+    ``t`` must be sorted, as in every SpaceTimePattern.  Without query points
+    the pairs are the unordered event pairs (j > i); with them, i indexes
+    (qx, qt) and j the events.  The candidates of a reference point are the
+    events in its time window, a range of indices into the sorted times,
+    that lie in its own or one of the 8 adjacent square cells of side >= r.
+    """
+    self_pairs = qx is None
+    if self_pairs:
+        qx, qt = x, t
+    if len(x) == 0 or len(qx) == 0:
+        return
+    # the window is padded by a few ulps and the exact |dt| <= tau applied
+    # afterwards, so rounding in t +- tau can neither add nor drop a pair
+    pad = 4 * np.finfo(float).eps * (np.abs(qt) + tau)
+    t_lo = np.arange(1, len(t) + 1) if self_pairs else np.searchsorted(t, qt - tau - pad)
+    t_hi = np.searchsorted(t, qt + tau + pad, side="right")
+    # cells a little wider than r, so rounding cannot put a close pair two
+    # cells apart; a spare empty column stops neighbour keys wrapping around
+    origin = np.minimum(x.min(axis=0), qx.min(axis=0))
+    span = (np.maximum(x.max(axis=0), qx.max(axis=0)) - origin).max()
+    side = max(r * (1 + 1e-9) + 1e-9 * span, span / _MAX_CELLS, np.finfo(float).tiny)
+    width = int(span // side) + 2
+
+    def cell(p):
+        c = ((p - origin) // side).astype(np.int64)
+        return c[:, 0] * width + c[:, 1]
+
+    # the events sorted by (cell, index), coded as cell * n + index; the
+    # index order is the time order
+    n, key = len(t), cell(x)
+    order = np.argsort(key, kind="stable")
+    ranked = key[order] * n + order
+    neighbours = (np.arange(-1, 2)[:, None] * width + np.arange(-1, 2)).ravel()
+    block = (cell(qx)[:, None] + neighbours) * n
+    lo = np.searchsorted(ranked, block + t_lo[:, None]).ravel()
+    counts = np.searchsorted(ranked, block + t_hi[:, None]).ravel() - lo
+    ends = np.cumsum(counts)
+    total = int(ends[-1])
+    for start in range(0, total, _PAIR_CHUNK):
+        pos = np.arange(start, min(start + _PAIR_CHUNK, total))
+        row = np.searchsorted(ends, pos, side="right")
+        i, j = row // len(neighbours), order[lo[row] + pos - (ends[row] - counts[row])]
+        dx = np.abs(x[j] - qx[i])
+        ds = np.hypot(dx[:, 0], dx[:, 1])
+        dt = np.abs(t[j] - qt[i])
+        near = (ds <= r) & (dt <= tau)
+        yield i[near], j[near], dx[near], ds[near], dt[near]
+
+
+def _boundary_distances(pattern: SpaceTimePattern, raster):
+    """Spatial and temporal distances of each event to the window boundary.
+
+    ``raster`` is the window's ``_mask_boundary_raster``, None if unmasked.
+    """
     window = pattern.window
     x, y, t = pattern.x[:, 0], pattern.x[:, 1], pattern.t
     d_t = np.minimum(t - window.t_range[0], window.t_range[1] - t)
@@ -193,42 +232,40 @@ def _boundary_distances(pattern: SpaceTimePattern):
         np.minimum(x - window.x_range[0], window.x_range[1] - x),
         np.minimum(y - window.y_range[0], window.y_range[1] - y),
     )
-    if window.mask is None:
+    if raster is None:
         return d_rect, d_t
-    dist, _, (sx, sy) = _mask_boundary_raster(window)
-    res = dist.shape[0]
-    i = np.clip(((x - window.x_range[0]) / sx).astype(int), 0, res - 1)
-    j = np.clip(((y - window.y_range[0]) / sy).astype(int), 0, res - 1)
-    return np.minimum(d_rect, dist[i, j]), d_t
+    dist, _, fine = raster
+    return np.minimum(d_rect, dist[fine.locate(pattern.x)]), d_t
 
 
-def _eroded_areas(window: Window, radii: np.ndarray) -> np.ndarray:
+def _eroded_areas(window: Window, radii: np.ndarray, raster) -> np.ndarray:
     """|{x in W : distance to the boundary >= r}| for each r."""
-    if window.mask is None:
+    if raster is None:
         lx = window.x_range[1] - window.x_range[0] - 2 * radii
         ly = window.y_range[1] - window.y_range[0] - 2 * radii
         return np.maximum(lx, 0.0) * np.maximum(ly, 0.0)
-    dist, grid, (sx, sy) = _mask_boundary_raster(window)
-    flat = np.sort(dist[grid].ravel())
+    dist, inside, fine = raster
+    flat = np.sort(dist[inside].ravel())
     counts = len(flat) - np.searchsorted(flat, radii, side="left")
-    return counts * sx * sy
+    return counts * fine.cell_volume
 
 
 def _mask_boundary_raster(window: Window):
     """Distance to the window boundary on a 512 x 512 raster: EDT of the
     mask, additionally capped by the distance to the enclosing rectangle
-    (the array edge carries no mask information)."""
+    (the array edge carries no mask information).  None if unmasked."""
+    if window.mask is None:
+        return None
     from scipy.ndimage import distance_transform_edt
 
     fine = GridSpec.spatial(window, 512, 512)
-    sx, sy = fine.step
     xs, ys = fine.centers(0), fine.centers(1)
     inside = window.raster(fine)
-    dist = distance_transform_edt(inside, sampling=(sx, sy))
+    dist = distance_transform_edt(inside, sampling=fine.step)
     rect_x = np.minimum(xs - window.x_range[0], window.x_range[1] - xs)
     rect_y = np.minimum(ys - window.y_range[0], window.y_range[1] - ys)
     dist = np.minimum(dist, np.minimum(rect_x[:, None], rect_y[None, :]))
-    return dist, inside, (sx, sy)
+    return dist, inside, fine
 
 
 def _estimate_K_border(pattern, lam, grid: KGrid, floor_quantile: float) -> KEstimate:
@@ -239,47 +276,31 @@ def _estimate_K_border(pattern, lam, grid: KGrid, floor_quantile: float) -> KEst
     """
     n = len(pattern)
     n_r, n_t = len(grid.r), len(grid.tau)
-    k = np.zeros((n_r, n_t))
     window = pattern.window
-    areas = _eroded_areas(window, grid.r)
+    raster = _mask_boundary_raster(window)
+    areas = _eroded_areas(window, grid.r, raster)
     lts = np.maximum(window.duration - 2 * grid.tau, 0.0)
     volumes = areas[:, None] * lts[None, :]
-    if n < 2:
-        k[volumes <= 0] = np.nan
-        return KEstimate(k, grid, edge_correction="border", n_points=n)
-    lam_vals = _lambda_at_events(lam, pattern, floor_quantile)
-    d_s, d_t = _boundary_distances(pattern)
-    r_max, tau_max = grid.r[-1], grid.tau[-1]
-
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(pattern.x)
-    pairs = tree.query_pairs(r_max, output_type="ndarray")
-    hist = np.zeros((n_r + 1, n_t + 1))
-    if len(pairs):
-        i = np.concatenate([pairs[:, 0], pairs[:, 1]])  # ordered pairs
-        j = np.concatenate([pairs[:, 1], pairs[:, 0]])
-        dt = np.abs(pattern.t[i] - pattern.t[j])
-        near = dt <= tau_max
-        i, j, dt = i[near], j[near], dt[near]
-        ds = np.hypot(*(pattern.x[i] - pattern.x[j]).T)
-        w = 1.0 / (lam_vals[i] * lam_vals[j])
-        # pair (i, j) enters cell (a, b) iff ds <= r_a <= d_s[i] and
-        # dt <= tau_b <= d_t[i]: a contiguous block, applied by
+    hist = np.zeros((n_r + 1) * (n_t + 1))
+    if n >= 2:  # fewer events form no pair and need no intensity
+        lam_vals = _lambda_at_events(lam, pattern, floor_quantile)
+        d_s, d_t = _boundary_distances(pattern, raster)
+    for i, j, _, ds, dt in _close_pairs(pattern.x, pattern.t, grid.r[-1], grid.tau[-1]):
+        # ordered pair (ref, other) enters cell (a, b) iff ds <= r_a <= d_s[ref]
+        # and dt <= tau_b <= d_t[ref]: a contiguous block, applied by
         # inclusion-exclusion on a difference array
-        a_lo = np.searchsorted(grid.r, ds, side="left")
-        b_lo = np.searchsorted(grid.tau, dt, side="left")
-        a_hi = np.searchsorted(grid.r, d_s[i], side="right") - 1
-        b_hi = np.searchsorted(grid.tau, d_t[i], side="right") - 1
-        ok = (a_lo <= a_hi) & (b_lo <= b_hi) & (a_lo < n_r) & (b_lo < n_t)
-        a_lo, b_lo = a_lo[ok], b_lo[ok]
-        a_hi, b_hi = a_hi[ok], b_hi[ok]
-        w = w[ok]
-        np.add.at(hist, (a_lo, b_lo), w)
-        np.add.at(hist, (a_hi + 1, b_lo), -w)
-        np.add.at(hist, (a_lo, b_hi + 1), -w)
-        np.add.at(hist, (a_hi + 1, b_hi + 1), w)
-    sums = hist.cumsum(axis=0).cumsum(axis=1)[:n_r, :n_t]
+        ref = np.concatenate([i, j])
+        a_lo = np.tile(np.searchsorted(grid.r, ds), 2)
+        b_lo = np.tile(np.searchsorted(grid.tau, dt), 2)
+        a_hi = np.searchsorted(grid.r, d_s[ref], side="right")
+        b_hi = np.searchsorted(grid.tau, d_t[ref], side="right")
+        ok = (a_lo < a_hi) & (b_lo < b_hi)
+        w = np.tile(1.0 / (lam_vals[i] * lam_vals[j]), 2)[ok]
+        a_lo, b_lo, a_hi, b_hi = a_lo[ok], b_lo[ok], a_hi[ok], b_hi[ok]
+        corners = np.concatenate([a_lo, a_hi, a_lo, a_hi]) * (n_t + 1)
+        corners += np.concatenate([b_lo, b_lo, b_hi, b_hi])
+        hist += np.bincount(corners, np.concatenate([w, -w, -w, w]), len(hist))
+    sums = hist.reshape(n_r + 1, n_t + 1).cumsum(axis=0).cumsum(axis=1)[:n_r, :n_t]
     with np.errstate(divide="ignore", invalid="ignore"):
         k = np.where(volumes > 0, sums / np.where(volumes > 0, volumes, 1.0), np.nan)
     return KEstimate(k, grid, edge_correction="border", n_points=n)
@@ -404,17 +425,9 @@ def empirical_fgj(
 
 
 def _covered_fraction(pattern, xy, tt, r, tau, exclude_self):
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(pattern.x)
-    neighbours = tree.query_ball_point(xy, r)
-    counts = np.fromiter((len(nb) for nb in neighbours), dtype=np.int64, count=len(xy))
-    if counts.sum() == 0:
-        return 0.0
-    flat = np.concatenate([nb for nb in neighbours if nb]).astype(np.int64)
-    owner = np.repeat(np.arange(len(xy)), counts)
-    ok = np.abs(pattern.t[flat] - tt[owner]) <= tau
-    hits = np.bincount(owner[ok], minlength=len(xy))
+    hits = np.zeros(len(xy), dtype=np.int64)
+    for i, *_ in _close_pairs(pattern.x, pattern.t, r, tau, xy, tt):
+        hits += np.bincount(i, minlength=len(xy))
     # a reference event is always its own cylindrical neighbour
     threshold = 2 if exclude_self else 1
     return float((hits >= threshold).mean())

@@ -23,6 +23,11 @@ def write_config(tmp_path, name="config.json", **overrides):
     return path, cfg
 
 
+def read_csv(path):
+    with open(path, newline="") as f:
+        return list(csv.reader(f))
+
+
 class TestIngest:
     def test_empty_file_with_header(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -100,7 +105,7 @@ class TestRun:
     def test_simulate_task_writes_schema(self, tmp_path):
         cfg_path, cfg = write_config(tmp_path, simulate={"lambda": 200})
         out = run(cfg, "simulate")
-        rows = list(csv.reader(open(out / "pattern.csv")))
+        rows = read_csv(out / "pattern.csv")
         assert rows[0] == ["x1", "x2", "t"]
         report = json.loads((out / "report.json").read_text())
         assert report["n_events"] == len(rows) - 1
@@ -137,7 +142,7 @@ class TestRun:
         report = json.loads((tmp_path / "k" / "report.json").read_text())
         k = report["p_value"] * 40
         assert k == pytest.approx(round(k))
-        rows = list(csv.reader(open(tmp_path / "k" / "curves_Kt.csv")))
+        rows = read_csv(tmp_path / "k" / "curves_Kt.csv")
         assert rows[0] == ["arg", "observed", "lo", "hi"]
         assert len(rows) == 11
 
@@ -158,7 +163,7 @@ class TestRun:
         run(cfg2, "separability")
         report = json.loads((tmp_path / "sep" / "report.json").read_text())
         assert 0 < report["p_value"] <= 1
-        st = list(csv.reader(open(tmp_path / "sep" / "curves_St.csv")))
+        st = read_csv(tmp_path / "sep" / "curves_St.csv")
         assert len(st) == 31
 
     def test_homogenize_task(self, tmp_path):
@@ -175,7 +180,7 @@ class TestRun:
         run(cfg2, "homogenize")
         report = json.loads((tmp_path / "hom" / "report.json").read_text())
         assert report["retained"] > 0
-        rows = list(csv.reader(open(tmp_path / "hom" / "pattern_homogenized.csv")))
+        rows = read_csv(tmp_path / "hom" / "pattern_homogenized.csv")
         assert rows[0] == ["x1", "x2"]
         assert len(rows) - 1 == report["retained"]
 

@@ -151,6 +151,14 @@ def test_simulation_paths_keep_invariants():
     assert len(np.unique(sub.points, axis=0)) == len(sub)
     assert type(sub) is SpaceTimePattern and not sub.points.flags.writeable
 
+    # the close-pair enumerator of the K and F/G estimators relies on this order
+    from stpp.separability import permute_null
+    from stpp.simulate import ClusterModel, simulate_cluster
+
+    model = ClusterModel(kappa=50.0, mean_offspring=10.0, sigma=0.03, sigma_t=0.03)
+    for rep in [simulate_cluster(model, UNIT, 6), *permute_null(pat, 3, 7)]:
+        assert len(rep) > 0 and np.all(np.diff(rep.t) >= 0)
+
     sp, _ = project(pat)
     sub_sp = thin_spatial(sp, RetentionSpec.constant(0.3), 5)
     assert type(sub_sp) is SpatialPattern and not sub_sp.points.flags.writeable

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from stpp.core import SpaceTimePattern, Window, ball_volume, substream
+from stpp import secondorder
+from stpp.core import PolygonMask, SpaceTimePattern, Window, ball_volume, substream
 from stpp.secondorder import (
     KEstimate,
     KGrid,
@@ -17,6 +18,74 @@ from stpp.secondorder import (
 from stpp.simulate import ClusterModel, IntensityModel, RetentionSpec, simulate_cluster, simulate_poisson, thin
 
 UNIT = Window((0, 1), (0, 1), (0, 1))
+KITE = Window((0, 1), (0, 1), (0, 1), PolygonMask([(0, 0), (1, 0), (1, 1), (0.2, 0.9)]))
+WIDE = KGrid(np.linspace(0.0, 0.25, 12), np.linspace(0.0, 0.2, 12))
+FAR = KGrid(np.linspace(0.0, 0.6, 6), np.linspace(0.0, 0.05, 6))  # r_max over half the window
+
+
+def brute_force_K(pattern, lam, grid, correction="translation", correction_cap=20.0):
+    """K from all n(n-1) ordered pairs, summed cell by cell: (k, winsorized).
+
+    Test-only oracle for the pair enumeration.  ``lam`` holds positive
+    per-event intensities.  The pair weights and the border eligibility are
+    the estimator's; every cell sums its own pairs directly, with no
+    histogram, difference array or cumulative sum.
+    """
+    window, x, t = pattern.window, pattern.x, pattern.t
+    i, j = np.nonzero(~np.eye(len(pattern), dtype=bool))
+    dx = np.abs(x[i] - x[j])
+    ds = np.hypot(dx[:, 0], dx[:, 1])
+    dt = np.abs(t[i] - t[j])
+    near = (ds <= grid.r[-1]) & (dt <= grid.tau[-1])
+    i, j, dx, ds, dt = i[near], j[near], dx[near], ds[near], dt[near]
+    w = 1.0 / (lam[i] * lam[j])
+    k = np.zeros((len(grid.r), len(grid.tau)))
+    if correction == "translation":
+        lx = window.x_range[1] - window.x_range[0]
+        ly = window.y_range[1] - window.y_range[0]
+        e = window.volume / ((lx - dx[:, 0]) * (ly - dx[:, 1]) * (window.duration - dt))
+        w = w * np.minimum(e, correction_cap) / window.volume
+        for a, b in np.ndindex(k.shape):
+            k[a, b] = w[(ds <= grid.r[a]) & (dt <= grid.tau[b])].sum()
+        return k, int((e > correction_cap).sum()) // 2
+    raster = secondorder._mask_boundary_raster(window)
+    d_s, d_t = secondorder._boundary_distances(pattern, raster)
+    areas = secondorder._eroded_areas(window, grid.r, raster)
+    for a, b in np.ndindex(k.shape):
+        r, tau = grid.r[a], grid.tau[b]
+        volume = areas[a] * max(window.duration - 2 * tau, 0.0)
+        sel = (ds <= r) & (r <= d_s[i]) & (dt <= tau) & (tau <= d_t[i])
+        k[a, b] = w[sel].sum() / volume if volume > 0 else np.nan
+    return k, 0
+
+
+def brute_force_covered(pattern, xy, tt, r, tau, exclude_self):
+    """Share of the query points with a cylinder neighbour, from all pairs."""
+    ds = np.hypot(*np.abs(pattern.x[None, :, :] - xy[:, None, :]).transpose(2, 0, 1))
+    dt = np.abs(pattern.t[None, :] - tt[:, None])
+    hits = ((ds <= r) & (dt <= tau)).sum(axis=1)
+    return float((hits >= (2 if exclude_self else 1)).mean())
+
+
+def assert_surface_close(k, oracle, rel=1e-12):
+    """Equal NaN cells, and every other cell within rel of the surface's scale."""
+    assert np.array_equal(np.isnan(k), np.isnan(oracle))
+    finite = ~np.isnan(oracle)
+    scale = np.abs(oracle[finite]).max()
+    assert scale > 0
+    assert np.abs(k[finite] - oracle[finite]).max() <= rel * scale
+
+
+def varying_lambda(pattern, level):
+    return level * (0.5 + pattern.x[:, 0]) * (1.5 - pattern.t)
+
+
+def oracle_patterns():
+    cluster = ClusterModel(kappa=40.0, mean_offspring=25.0, sigma=0.03, sigma_t=0.03)
+    return {
+        "poisson": simulate_poisson(IntensityModel.const(1200), UNIT, substream(0, 20)),
+        "cluster": simulate_cluster(cluster, UNIT, substream(0, 21)),
+    }
 
 
 class TestEstimateK:
@@ -39,6 +108,20 @@ class TestEstimateK:
         assert est.k[0, 1] == 0.0
         assert est.k[1, 1] == pytest.approx(expected_weight)
         assert est.k[2, 2] == pytest.approx(expected_weight)
+
+    def test_pairs_on_the_grid_edge_count(self):
+        # a pair exactly at (r_max, tau_max) and a simultaneous pair at r_max
+        d, h = 0.125, 0.0625
+        pat = SpaceTimePattern(
+            [(0.25, 0.5, 0.25), (0.25 + d, 0.5, 0.25 + h), (0.75, 0.5, 0.5), (0.75, 0.5 + d, 0.5)],
+            UNIT,
+        )
+        est = estimate_K(pat, 1.0, KGrid(np.array([0.0, d]), np.array([0.0, h])))
+        simultaneous = 2.0 / (1.0 * (1 - d) * 1.0)
+        assert est.k[1, 0] == pytest.approx(simultaneous)
+        assert est.k[1, 1] == pytest.approx(simultaneous + 2.0 / ((1 - d) * (1 - h)))
+        query = np.array([[0.25, 0.5 + d]]), np.array([0.25 + h])
+        assert secondorder._covered_fraction(pat, *query, d, h, False) == 1.0
 
     def test_poisson_calibration(self):
         grid = KGrid.default(UNIT, 30, 30)
@@ -118,6 +201,16 @@ class TestEstimateK:
         ratio = acc / np.maximum(cnt, 1) / vol
         assert 0.9 <= np.nanmin(ratio[3:, 3:]) and np.nanmax(ratio[3:, 3:]) <= 1.1
 
+    def test_border_builds_mask_raster_once(self, monkeypatch):
+        calls = []
+        build = secondorder._mask_boundary_raster
+        monkeypatch.setattr(
+            secondorder, "_mask_boundary_raster", lambda w: calls.append(w) or build(w)
+        )
+        pat = simulate_poisson(IntensityModel.const(300), KITE, 5)
+        estimate_K(pat, 300.0, KGrid.default(KITE, 5, 5), correction="border")
+        assert len(calls) == 1
+
     def test_unknown_correction_rejected(self):
         pat = simulate_poisson(IntensityModel.const(50), UNIT, 0)
         with pytest.raises(ValueError, match="correction"):
@@ -138,6 +231,68 @@ class TestEstimateK:
         mean = diffs.mean(axis=0)
         se = diffs.std(axis=0, ddof=1) / math.sqrt(len(diffs))
         assert (np.abs(mean) <= 3 * se + 1e-12).all()
+
+
+    @pytest.mark.parametrize("grid", [WIDE, FAR], ids=["wide", "far"])
+    @pytest.mark.parametrize("name", ["poisson", "cluster"])
+    def test_translation_matches_brute_force(self, name, grid):
+        pat = oracle_patterns()[name]
+        assert 600 <= len(pat) <= 1500  # above the old direct-enumeration cutoff of 512
+        lam = varying_lambda(pat, 1000.0)
+        est = estimate_K(pat, lam, grid, correction_cap=1.5)
+        k, winsorized = brute_force_K(pat, lam, grid, correction_cap=1.5)
+        assert_surface_close(est.k, k)
+        assert est.winsorized_pairs == winsorized > 0
+
+    def test_far_offset_window_matches_brute_force(self):
+        # projected-metre coordinates: cell indices come from large offsets
+        window = Window((6.1e5, 6.2e5), (4.9e6, 4.91e6), (0.0, 3.0e7))
+        pat = simulate_poisson(IntensityModel.const(800 / window.volume), window, 6)
+        lam = np.full(len(pat), len(pat) / window.volume)
+        grid = KGrid.default(window, 10, 10)
+        assert_surface_close(estimate_K(pat, lam, grid).k, brute_force_K(pat, lam, grid)[0])
+
+    @pytest.mark.parametrize("window", [UNIT, KITE], ids=["rectangle", "polygon"])
+    def test_border_matches_brute_force(self, window):
+        pat = simulate_poisson(IntensityModel.const(1200), window, substream(1, 22))
+        lam = varying_lambda(pat, 1000.0)
+        est = estimate_K(pat, lam, WIDE, correction="border")
+        assert_surface_close(est.k, brute_force_K(pat, lam, WIDE, "border")[0])
+
+    def test_chunking_does_not_change_results(self, monkeypatch):
+        pat = simulate_poisson(IntensityModel.const(400), UNIT, substream(2, 23))
+        masked = simulate_poisson(IntensityModel.const(400), KITE, substream(2, 24))
+        xy = substream(2, 25).uniform(0.1, 0.9, (200, 2))
+        tt = substream(2, 26).uniform(0.1, 0.9, 200)
+
+        def results():
+            trans = estimate_K(pat, 400.0, WIDE, correction_cap=1.5)
+            return (
+                trans.k,
+                trans.winsorized_pairs,
+                estimate_K(pat, 400.0, WIDE, correction="border").k,
+                estimate_K(masked, 400.0, WIDE, correction="border").k,
+                secondorder._covered_fraction(pat, xy, tt, 0.1, 0.05, False),
+            )
+
+        whole = results()
+        monkeypatch.setattr(secondorder, "_PAIR_CHUNK", 5)
+        chunked = results()
+        for surface in (0, 2, 3):
+            assert_surface_close(chunked[surface], whole[surface])
+        assert chunked[1] == whole[1] > 0
+        assert chunked[4] == whole[4]
+
+    def test_per_event_intensity_list(self):
+        pat = simulate_poisson(IntensityModel.const(200), UNIT, 4)
+        vals = varying_lambda(pat, 200.0)
+        grid = KGrid.default(UNIT, 10, 10)
+        from_list = estimate_K(pat, vals.tolist(), grid).k
+        assert np.array_equal(from_list, estimate_K(pat, vals, grid).k)
+        with pytest.raises(ValueError, match=rf"\({len(pat)},\)"):
+            estimate_K(pat, vals[:-1], grid)
+        with pytest.raises(ValueError, match=rf"\({len(pat)},\)"):
+            estimate_K(pat, vals.tolist()[:-1], grid, correction="border")
 
 
 class TestAverageK:
@@ -239,6 +394,20 @@ class TestEmpiricalFGJ:
         pat = simulate_poisson(IntensityModel.const(2000), strip, 0)
         with pytest.raises(ValueError, match="window too small"):
             empirical_fgj(pat, 0.1, 0.05)
+
+
+    @pytest.mark.parametrize("name", ["poisson", "cluster"])
+    def test_covered_fraction_matches_brute_force(self, name):
+        pat = oracle_patterns()[name]
+        rng = substream(3, 27)
+        xy, tt = rng.uniform(0, 1, (500, 2)), rng.uniform(0, 1, 500)
+        # tau = 0 leaves only the events at the query's own time
+        for r, tau in ((0.2, 0.0), (0.6, 0.01), (0.05, 0.02), (0.1, 0.05)):
+            f = secondorder._covered_fraction(pat, xy, tt, r, tau, False)
+            assert f == brute_force_covered(pat, xy, tt, r, tau, False)
+            g = secondorder._covered_fraction(pat, pat.x, pat.t, r, tau, True)
+            assert g == brute_force_covered(pat, pat.x, pat.t, r, tau, True)
+        assert 0 < f < 1 and 0 < g < 1
 
 
 class TestResidualRatio:
