@@ -27,6 +27,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from functools import partial
+from itertools import compress, repeat
 from pathlib import Path
 
 import numpy as np
@@ -58,9 +59,13 @@ EARTH_RADIUS_KM = 6371.0
 TASKS = ("intensity", "separability", "ripley-k", "homogenize", "simulate", "prop2-check")
 
 
-def _fmt(x: float) -> str:
-    """Full-precision float formatting so emitted files round-trip exactly."""
-    return repr(float(x))
+# rows of a pattern file formatted and written at a time
+_BLOCK_ROWS = 1 << 16
+
+
+def _fmt(values) -> list[str]:
+    """Each value as a Python float's shortest round-trip ``repr``."""
+    return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
 
 
 # ---------------------------------------------------------------- ingestion
@@ -162,24 +167,33 @@ def ingest(path, window: Window, context: dict, skip_bad=False, jitter=False) ->
     return SpaceTimePattern(np.asarray(rows, dtype=float), window, jitter=jitter)
 
 
+def _write_csv(path, header, blocks) -> None:
+    """Write a CSV file block by block, every line ending in CRLF.
+
+    Each block is a list of columns, each an iterable of field strings
+    (``itertools.repeat`` for a constant one); a block's rows run to its
+    shortest column.  Float fields never need quoting, so the text equals
+    what ``csv.writer`` writes, and one block at a time is held in memory.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for columns in blocks:
+            fh.write("".join([",".join(row) + "\r\n" for row in zip(*columns)]))
+
+
 def emit_pattern(path, pattern) -> None:
     pts = pattern.points
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if pts.shape[1] == 3:
-            writer.writerow(["x1", "x2", "t"])
-        else:
-            writer.writerow(["x1", "x2"])
-        for row in pts:
-            writer.writerow([_fmt(v) for v in row])
+    header = ["x1", "x2", "t"] if pts.shape[1] == 3 else ["x1", "x2"]
+    blocks = (
+        [_fmt(col) for col in pts[start:start + _BLOCK_ROWS].T]
+        for start in range(0, len(pts), _BLOCK_ROWS)
+    )
+    _write_csv(path, header, blocks)
 
 
 def _write_curves(path, args, observed, lower, upper) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["arg", "observed", "lo", "hi"])
-        for a, o, lo, hi in zip(args, observed, lower, upper):
-            writer.writerow([_fmt(a), _fmt(o), _fmt(lo), _fmt(hi)])
+    columns = [_fmt(c) for c in (args, observed, lower, upper)]
+    _write_csv(path, ["arg", "observed", "lo", "hi"], [columns])
 
 
 def _write_curve_pair(out_dir, names, res, split, outputs) -> None:
@@ -192,36 +206,26 @@ def _write_curve_pair(out_dir, names, res, split, outputs) -> None:
 
 
 def _write_field_2d(path, field) -> None:
-    xs, ys = field.grid.centers(0), field.grid.centers(1)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x1", "x2", "value"])
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                if field.mask[i, j]:
-                    writer.writerow([_fmt(x), _fmt(y), _fmt(field.values[i, j])])
+    xs, ys = _fmt(field.grid.centers(0)), _fmt(field.grid.centers(1))
+    blocks = (
+        [repeat(x), compress(ys, keep), _fmt(values[keep])]
+        for x, keep, values in zip(xs, field.mask, field.values)
+    )
+    _write_csv(path, ["x1", "x2", "value"], blocks)
 
 
 def _write_field_1d(path, field) -> None:
-    ts = field.grid.centers(0)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "value"])
-        for t, v in zip(ts, field.values):
-            writer.writerow([_fmt(t), _fmt(v)])
+    columns = [_fmt(field.grid.centers(0)), _fmt(field.values)]
+    _write_csv(path, ["t", "value"], [columns])
 
 
 def _write_field_3d(path, field) -> None:
-    xs, ys, ts = field.grid.centers(0), field.grid.centers(1), field.grid.centers(2)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x1", "x2", "t", "value"])
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                if not field.mask[i, j, 0]:
-                    continue
-                for m, t in enumerate(ts):
-                    writer.writerow([_fmt(x), _fmt(y), _fmt(t), _fmt(field.values[i, j, m])])
+    xs, ys, ts = (_fmt(field.grid.centers(axis)) for axis in range(3))
+    blocks = (
+        [repeat(xs[i]), repeat(ys[j]), ts, _fmt(field.values[i, j])]
+        for i, j in zip(*np.nonzero(field.mask[:, :, 0]))
+    )
+    _write_csv(path, ["x1", "x2", "t", "value"], blocks)
 
 
 # ---------------------------------------------------------------- pipeline
@@ -526,6 +530,21 @@ def _task_prop2(config, report):
     report["residuals"] = {str(k): v for k, v in res["residuals"].items()}
 
 
+def _thread_count(flag: str | None) -> int:
+    """The ``--threads`` value, else ``STPP_THREADS``, else 1, as an integer >= 1."""
+    if flag is None:
+        source, raw = "STPP_THREADS", os.environ.get("STPP_THREADS", "1")
+    else:
+        source, raw = "--threads", flag
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"{source} must be an integer >= 1, got {raw!r}")
+    return threads
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="stpp",
@@ -535,19 +554,18 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON pipeline configuration")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument(
-        "--threads", type=int,
-        default=int(os.environ.get("STPP_THREADS", "1")),
-        help="worker threads for replicate farms (env STPP_THREADS)",
+        "--threads", help="worker threads for replicate farms (env STPP_THREADS, default 1)"
     )
     parser.add_argument("--force", action="store_true", help="overwrite existing outputs")
     parser.add_argument("--skip-bad", action="store_true", help="skip malformed input rows")
     args = parser.parse_args(argv)
     try:
+        threads = _thread_count(args.threads)
         with open(args.config) as fh:
             config = json.load(fh)
         out = run(
             config, args.task,
-            seed=args.seed, threads=args.threads,
+            seed=args.seed, threads=threads,
             force=args.force, skip_bad=args.skip_bad,
         )
     except json.JSONDecodeError as exc:

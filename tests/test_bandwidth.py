@@ -14,14 +14,17 @@ from stpp.bandwidth import (
     select_bandwidth_spatial,
     select_bandwidth_temporal,
 )
-from stpp.core import GridSpec, SpatialPattern, Window, project, substream
+from stpp.core import GridSpec, PolygonMask, SpatialPattern, Window, project, substream
 from stpp.simulate import IntensityModel, RetentionSpec, simulate_poisson, thin_spatial
 
 UNIT = Window((0, 1), (0, 1), (0, 1))
+POLYGON = Window(
+    (0, 1), (0, 1), (0, 1), PolygonMask([(0.05, 0.0), (1.0, 0.1), (0.9, 1.0), (0.0, 0.85)])
+)
 
 
-def poisson_spatial(lam, seed):
-    sp, _ = project(simulate_poisson(IntensityModel.const(lam), UNIT, seed))
+def poisson_spatial(lam, seed, window=UNIT):
+    sp, _ = project(simulate_poisson(IntensityModel.const(lam), window, seed))
     return sp
 
 
@@ -94,32 +97,36 @@ class TestSelectSpatial:
         search = BandwidthSearch(np.array([0.07]), folds=2, retention=0.5, repeats=2, seed=0)
         assert select_bandwidth_spatial(pat, search) == 0.07
 
-    def test_matches_procedural_oracle(self):
-        # replay the documented procedure: per repeat, thin with
-        # substream(seed, r), permute with the continued stream, split into
-        # contiguous fold chunks, evaluate held-out loss, argmin, average
-        pat = poisson_spatial(800, 3)
-        candidates = np.geomspace(0.02, 0.3, 6)
-        grid = GridSpec.spatial(UNIT, 64, 64)
-        search = BandwidthSearch(candidates, folds=2, retention=0.5, repeats=1,
+    @pytest.mark.parametrize("window", [UNIT, POLYGON], ids=["rectangle", "polygon"])
+    def test_matches_procedural_oracle(self, window):
+        # replay the documented procedure with cvl_loss per fold and
+        # candidate: per repeat, thin with substream(seed, r), permute with
+        # the continued stream, split into contiguous fold chunks, evaluate
+        # held-out loss, argmin; then average the repeats' argmins
+        pat = poisson_spatial(800, 3, window)
+        candidates = np.geomspace(0.02, 0.3, 16)
+        grid = GridSpec.spatial(window, 64, 64)
+        search = BandwidthSearch(candidates, folds=5, retention=0.5, repeats=3,
                                  seed=11, grid=grid)
         got = select_bandwidth_spatial(pat, search)
 
-        rng = substream(11, 0)
-        sub = thin_spatial(pat, RetentionSpec.constant(0.5), rng)
-        perm = rng.permutation(len(sub))
-        folds = np.array_split(perm, 2)
-        losses = np.zeros(len(candidates))
-        for fold in folds:
-            hold = np.zeros(len(sub), dtype=bool)
-            hold[fold] = True
-            train = SpatialPattern.__new__(SpatialPattern)
-            train.points = sub.points[~hold]
-            train.window = UNIT
-            for j, b in enumerate(candidates):
-                losses[j] += cvl_loss(train, b, eval_points=sub.points[hold], grid=grid)
-        expected = candidates[int(np.argmin(losses / 2))]
-        assert got == expected
+        chosen = []
+        for r in range(3):
+            rng = substream(11, r)
+            sub = thin_spatial(pat, RetentionSpec.constant(0.5), rng)
+            perm = rng.permutation(len(sub))
+            losses = np.zeros(len(candidates))
+            for fold in np.array_split(perm, 5):
+                hold = np.zeros(len(sub), dtype=bool)
+                hold[fold] = True
+                train = SpatialPattern.__new__(SpatialPattern)
+                train.points = sub.points[~hold]
+                train.window = window
+                for j, b in enumerate(candidates):
+                    losses[j] += cvl_loss(train, b, eval_points=sub.points[hold], grid=grid)
+            chosen.append(candidates[int(np.argmin(losses / 5))])
+        assert len(set(chosen)) > 1  # the average, not one argmin, is compared
+        assert got == float(np.mean(chosen))
 
     def test_scale_equivariance_within_one_step(self):
         pat = poisson_spatial(1200, 4)

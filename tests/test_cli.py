@@ -7,8 +7,14 @@ import sys
 import numpy as np
 import pytest
 
-from stpp.cli import EARTH_RADIUS_KM, build_window, ingest, main, run
-from stpp.core import SpaceTimePattern, Window
+from stpp import cli
+from stpp.cli import EARTH_RADIUS_KM, build_window, emit_pattern, ingest, main, run
+from stpp.core import GridSpec, PolygonMask, ScalarField, SpaceTimePattern, SpatialPattern, Window
+
+UNIT = Window((0, 1), (0, 1), (0, 1))
+POLYGON = Window(
+    (0, 1), (0, 1), (0, 1), PolygonMask([(0.05, 0.0), (1.0, 0.1), (0.9, 1.0), (0.0, 0.85)])
+)
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -26,6 +32,73 @@ def write_config(tmp_path, name="config.json", **overrides):
 def read_csv(path):
     with open(path, newline="") as f:
         return list(csv.reader(f))
+
+
+# Reference writers: ``csv.writer`` row by row with one ``repr`` per field.
+# The CLI's block writers must match them byte for byte.
+
+
+def _oracle_fmt(x):
+    return repr(float(x))
+
+
+def oracle_emit_pattern(path, pattern):
+    pts = pattern.points
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x1", "x2", "t"] if pts.shape[1] == 3 else ["x1", "x2"])
+        for row in pts:
+            writer.writerow([_oracle_fmt(v) for v in row])
+
+
+def oracle_write_curves(path, args, observed, lower, upper):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["arg", "observed", "lo", "hi"])
+        for row in zip(args, observed, lower, upper):
+            writer.writerow([_oracle_fmt(v) for v in row])
+
+
+def oracle_write_field_1d(path, field):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "value"])
+        for t, v in zip(field.grid.centers(0), field.values):
+            writer.writerow([_oracle_fmt(t), _oracle_fmt(v)])
+
+
+def oracle_write_field_2d(path, field):
+    xs, ys = field.grid.centers(0), field.grid.centers(1)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x1", "x2", "value"])
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                if field.mask[i, j]:
+                    writer.writerow([_oracle_fmt(x), _oracle_fmt(y), _oracle_fmt(field.values[i, j])])
+
+
+def oracle_write_field_3d(path, field):
+    xs, ys, ts = field.grid.centers(0), field.grid.centers(1), field.grid.centers(2)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x1", "x2", "t", "value"])
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                if not field.mask[i, j, 0]:
+                    continue
+                for m, t in enumerate(ts):
+                    writer.writerow(
+                        [_oracle_fmt(x), _oracle_fmt(y), _oracle_fmt(t), _oracle_fmt(field.values[i, j, m])]
+                    )
+
+
+def same_bytes(tmp_path, write, oracle, *args):
+    write(tmp_path / "new.csv", *args)
+    oracle(tmp_path / "oracle.csv", *args)
+    got = (tmp_path / "new.csv").read_bytes()
+    assert got == (tmp_path / "oracle.csv").read_bytes()
+    return got
 
 
 class TestIngest:
@@ -101,6 +174,62 @@ class TestIngest:
         assert np.array_equal(back.points, pat.points)
 
 
+SPECIAL = [-0.0, 1e-320, 5e-324, 1.7976931348623157e308, 0.1, -2.5e-7, 123456789.0]
+
+
+def field_values(shape, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.gamma(2.0, 1e3, size=shape).ravel()
+    values[: len(SPECIAL)] = SPECIAL
+    return values.reshape(shape)
+
+
+class TestWriters:
+    @pytest.mark.parametrize("window", [UNIT, POLYGON], ids=["rectangle", "polygon"])
+    def test_fields_match_csv_writer(self, tmp_path, window):
+        spatial = GridSpec.spatial(window, 9, 7)
+        field_2d = ScalarField(spatial, field_values(spatial.shape, 1), window.raster(spatial))
+        text = same_bytes(tmp_path, cli._write_field_2d, oracle_write_field_2d, field_2d)
+        assert text.count(b"\r\n") == 1 + field_2d.mask.sum()
+        spacetime = GridSpec.spacetime(window, 6, 5, 4)
+        mask = window.raster(GridSpec.spatial(window, 6, 5))
+        field_3d = ScalarField(spacetime, field_values(spacetime.shape, 2), mask)
+        text = same_bytes(tmp_path, cli._write_field_3d, oracle_write_field_3d, field_3d)
+        assert text.count(b"\r\n") == 1 + field_3d.mask.sum()
+        temporal = GridSpec.temporal(window, 11)
+        field_1d = ScalarField(temporal, field_values(temporal.shape, 3))
+        same_bytes(tmp_path, cli._write_field_1d, oracle_write_field_1d, field_1d)
+        if window is POLYGON:
+            assert not field_2d.mask.all() and not field_3d.mask.all()
+
+    @pytest.mark.parametrize("columns", [2, 3])
+    def test_emit_pattern_matches_csv_writer(self, tmp_path, monkeypatch, columns):
+        rng = np.random.default_rng(columns)
+        pts = rng.uniform(size=(100, 3))
+        pts = pts[np.argsort(pts[:, 2])]
+        pts[0, :2] = [1e-320, -0.0]
+        if columns == 3:
+            pattern = SpaceTimePattern(pts, UNIT)
+        else:
+            pattern = SpatialPattern(pts[:, :2], UNIT)
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 7)  # rows span several blocks
+        text = same_bytes(tmp_path, emit_pattern, oracle_emit_pattern, pattern)
+        assert text.count(b"\r\n") == 101
+        assert text.split(b"\r\n")[1].count(b",") == columns - 1
+
+    def test_curves_with_special_values_match_csv_writer(self, tmp_path):
+        args = np.linspace(0.0, 1.0, 6)
+        observed = np.array([math.inf, math.nan, -0.0, 1e-320, -math.inf, 2.0])
+        lower = np.array([-0.0, 0.0, 1e-320, math.nan, 3.0, 5e-324])
+        upper = np.array([1e308, math.inf, 0.1, 0.2, -0.0, math.nan])
+        text = same_bytes(
+            tmp_path, cli._write_curves, oracle_write_curves, args, observed, lower, upper
+        )
+        fields = set(text.replace(b"\r\n", b",").split(b","))
+        assert {b"inf", b"-inf", b"nan", b"-0.0", b"1e-320", b"5e-324"} <= fields
+        assert text.endswith(b"\r\n") and text.count(b"\r\n") == 7
+
+
 class TestRun:
     def test_simulate_task_writes_schema(self, tmp_path):
         cfg_path, cfg = write_config(tmp_path, simulate={"lambda": 200})
@@ -165,6 +294,38 @@ class TestRun:
         assert 0 < report["p_value"] <= 1
         st = read_csv(tmp_path / "sep" / "curves_St.csv")
         assert len(st) == 31
+
+    def test_intensity_task_at_default_search(self, tmp_path):
+        _, cfg = write_config(tmp_path, simulate={"lambda": 2000})
+        cfg["output_dir"] = str(tmp_path / "data")
+        out = run(cfg, "simulate")
+        grids = {"spatial": [24, 20], "temporal": 50, "spacetime": [16, 12, 25]}
+        cfg2 = {
+            "window": {"x1": [0, 1], "x2": [0, 1], "t": [0, 1]},
+            "input": str(out / "pattern.csv"),
+            "output_dir": str(tmp_path / "int"),
+            "emit_spacetime": True,
+            "grids": grids,
+            "seed": 6,
+        }
+        run(cfg2, "intensity")
+        report = json.loads((tmp_path / "int" / "report.json").read_text())
+        assert report["bandwidth_spatial"] > 0 and report["bandwidth_temporal"] > 0
+        assert report["integral_s"] == pytest.approx(report["n_events"], rel=1e-9)
+        expected = {
+            "intensity_s.csv": (["x1", "x2", "value"], 24 * 20),
+            "intensity_t.csv": (["t", "value"], 50),
+            "intensity_st.csv": (["x1", "x2", "t", "value"], 16 * 12 * 25),
+        }
+        for name, (header, n_rows) in expected.items():
+            raw = (tmp_path / "int" / name).read_bytes()
+            assert raw.endswith(b"\r\n") and raw.count(b"\n") == raw.count(b"\r\n")
+            rows = read_csv(tmp_path / "int" / name)
+            assert rows[0] == header
+            assert len(rows) == 1 + n_rows
+            for row in rows[1:]:
+                assert len(row) == len(header)
+                assert all(repr(float(v)) == v for v in row)
 
     def test_homogenize_task(self, tmp_path):
         _, cfg = write_config(tmp_path, simulate={"lambda": 2000})
@@ -248,3 +409,28 @@ class TestMain:
         assert main(["simulate", "--config", str(cfg_path)]) == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["threads"] == 3
+
+    @pytest.mark.parametrize("raw", ["two", "0", "-1", "1.5", ""])
+    def test_bad_threads_env_exits_2(self, tmp_path, capsys, monkeypatch, raw):
+        monkeypatch.setenv("STPP_THREADS", raw)
+        cfg_path, _ = write_config(tmp_path, simulate={"lambda": 10})
+        assert main(["simulate", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: STPP_THREADS must be an integer >= 1")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("raw", ["0", "two", "-3"])
+    def test_bad_threads_flag_exits_2(self, tmp_path, capsys, monkeypatch, raw):
+        monkeypatch.setenv("STPP_THREADS", "2")
+        cfg_path, _ = write_config(tmp_path, simulate={"lambda": 10})
+        assert main(["simulate", "--config", str(cfg_path), f"--threads={raw}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --threads must be an integer >= 1")
+        assert not (tmp_path / "out").exists()
+
+    def test_threads_flag_overrides_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("STPP_THREADS", "two")
+        cfg_path, _ = write_config(tmp_path, simulate={"lambda": 10})
+        assert main(["simulate", "--config", str(cfg_path), "--threads", "2"]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["threads"] == 2
