@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import GridSpec, SpatialPattern, TemporalPattern, substream
 from .simulate import RetentionSpec, thin_spatial
@@ -206,6 +205,8 @@ def select_bandwidth_temporal(times: TemporalPattern | np.ndarray) -> float:
     pilot bandwidth alpha2(h) tied to h through two direct plug-in stages.
     Functionals are linearly binned: O(n + M log M), M <= 2^20 bins of h0/200.
     """
+    from scipy.optimize import brentq
+
     x = times.times if isinstance(times, TemporalPattern) else np.asarray(times, float)
     n = len(x)
     if len(np.unique(x)) < 10:

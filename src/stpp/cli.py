@@ -94,14 +94,18 @@ def _project_lonlat(lon, lat, lat0):
 def build_window(config: dict) -> tuple[Window, dict]:
     """Window plus projection context from the config's window block.
 
-    Geographic windows are projected to kilometres by default; setting
-    ``"projection": "degrees"`` keeps raw longitude/latitude coordinates.
+    Geographic windows are projected to kilometres by default
+    (``"projection": "equirect"``); ``"projection": "degrees"`` keeps raw
+    longitude/latitude coordinates.  Any other projection is an error.
     """
+    projection = config.get("projection", "equirect")
+    if projection not in ("equirect", "degrees"):
+        raise ValueError(f"projection must be 'equirect' or 'degrees', got {projection!r}")
     wc = config["window"]
     if "lon" in wc:
         t0 = _parse_time(str(wc["time"][0]), None)
         t1 = _parse_time(str(wc["time"][1]), None)
-        if config.get("projection", "equirect") == "degrees":
+        if projection == "degrees":
             window = Window(tuple(wc["lon"]), tuple(wc["lat"]), (0.0, t1 - t0))
             return window, {"mode": "degrees", "time_origin": t0}
         lat0 = 0.5 * (wc["lat"][0] + wc["lat"][1])
@@ -125,9 +129,11 @@ def ingest(path, window: Window, context: dict, skip_bad=False, jitter=False) ->
     seconds) and are projected onto the planar window; planar files carry
     ``x1,x2,t``.  Malformed rows abort with their line number unless
     ``skip_bad`` is set.
+
+    Files of plain numbers, with geographic times either all epoch seconds
+    or all ``YYYY-MM-DDTHH:MM:SS[.ffffff]Z``, are parsed by columns; any
+    other file goes through the row parser, which gives the same points.
     """
-    rows = []
-    bad = 0
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -140,31 +146,124 @@ def ingest(path, window: Window, context: dict, skip_bad=False, jitter=False) ->
             geographic = False
         else:
             raise ValueError(f"{path}: unrecognized header {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                if geographic:
-                    lon, lat = float(row[0]), float(row[1])
-                    t = _parse_time(row[2], context["time_origin"])
-                    if context["mode"] == "degrees":
-                        rows.append((lon, lat, t))
-                    else:
-                        x1, x2 = _project_lonlat(lon, lat, context["lat0"])
-                        rows.append((float(x1), float(x2), t))
-                else:
-                    rows.append((float(row[0]), float(row[1]), float(row[2])))
-            except (ValueError, IndexError) as exc:
-                if skip_bad:
-                    bad += 1
-                    continue
-                raise ValueError(f"{path}:{lineno}: malformed row {row!r}: {exc}") from None
-    if bad:
-        warnings.warn(f"{path}: skipped {bad} malformed row(s)")
-    if not rows:
+        points = _parse_columns(path, reader.line_num, geographic, context)
+        if points is None:
+            points = _parse_rows(path, reader, geographic, context, skip_bad)
+    if not len(points):
         warnings.warn(f"{path}: no events parsed")
         return SpaceTimePattern(np.empty((0, 3)), window)
-    return SpaceTimePattern(np.asarray(rows, dtype=float), window, jitter=jitter)
+    return SpaceTimePattern(points, window, jitter=jitter)
+
+
+def _parse_rows(path, reader, geographic: bool, context: dict, skip_bad: bool) -> np.ndarray:
+    """The (n, 3) events of the rows left in ``reader``, parsed one row at a time."""
+    rows = []
+    bad = 0
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        try:
+            if geographic:
+                lon, lat = float(row[0]), float(row[1])
+                t = _parse_time(row[2], context["time_origin"])
+                if context["mode"] == "degrees":
+                    rows.append((lon, lat, t))
+                else:
+                    x1, x2 = _project_lonlat(lon, lat, context["lat0"])
+                    rows.append((float(x1), float(x2), t))
+            else:
+                rows.append((float(row[0]), float(row[1]), float(row[2])))
+        except (ValueError, IndexError) as exc:
+            if skip_bad:
+                bad += 1
+                continue
+            raise ValueError(f"{path}:{lineno}: malformed row {row!r}: {exc}") from None
+    if bad:
+        warnings.warn(f"{path}: skipped {bad} malformed row(s)")
+    return np.asarray(rows, dtype=float).reshape(-1, 3)
+
+
+# widest time field the columnar parse reads (a multiple of 8); a
+# full-width field may be cut
+_TIME_FIELD = 32
+# the UTC stamp layouts it reads, every digit written as 0, NUL-padded to
+# that width
+_STAMP_LAYOUTS = [
+    np.frombuffer(layout.ljust(_TIME_FIELD, b"\0"), dtype=np.uint64)
+    for layout in (b"0000-00-00T00:00:00Z", b"0000-00-00T00:00:00.000000Z")
+]
+
+
+def _parse_columns(path, skiprows: int, geographic: bool, context: dict):
+    """The (n, 3) events of the file parsed by columns, or None if the row
+    parser is needed.
+
+    ``np.loadtxt`` parses each number to the same float as ``float`` or
+    rejects it.  Files with quotes or NUL characters are declined, so the
+    fields are the ones ``csv.reader`` splits.
+    """
+    with open(path, "rb") as fb:
+        data = fb.read()
+    if b'"' in data or b"\0" in data:
+        return None
+    del data
+    third = f"S{_TIME_FIELD}" if geographic else float
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns on a file without rows
+            cols = np.loadtxt(
+                path, dtype=[("a", float), ("b", float), ("c", third)], delimiter=",",
+                comments=None, skiprows=skiprows, usecols=(0, 1, 2), ndmin=1,
+            )
+    except ValueError:
+        return None
+    if not len(cols):
+        return None
+    x1, x2, t = cols["a"], cols["b"], cols["c"]
+    if geographic:
+        t = _time_seconds(t)
+        if t is None:
+            return None
+        t = t - context["time_origin"]
+        if context["mode"] != "degrees":
+            x1, x2 = _project_lonlat(x1, x2, context["lat0"])
+    return np.column_stack([x1, x2, t])
+
+
+def _time_seconds(fields):
+    """Epoch seconds of byte-string time fields as ``_parse_time`` reads them,
+    or None if some field needs the row parser.
+
+    Either every field is epoch seconds, or every field has the exact layout
+    ``YYYY-MM-DDTHH:MM:SS[.ffffff]Z``: numpy's datetime parser accepts more
+    than ``datetime.fromisoformat`` (a ``+`` year sign, year 0), so the layout
+    is checked character by character first.  Stamps are exact integer
+    microseconds below 2**53, so dividing by 1e6 rounds as the row parser's
+    ``timestamp()`` does.
+    """
+    raw = np.ascontiguousarray(fields)
+    chars = raw.view(np.uint8).reshape(len(raw), _TIME_FIELD)
+    if chars[:, -1].any():
+        return None
+    shape = chars.copy()
+    np.putmask(shape, (chars >= ord("0")) & (chars <= ord("9")), ord("0"))
+    words = shape.view(np.uint64)  # eight characters compared at a time
+    stamps = np.zeros(len(raw), dtype=bool)
+    for layout in _STAMP_LAYOUTS:
+        stamps |= (words == layout).all(axis=1)
+    if not stamps.all():
+        try:
+            return np.array([float(f) for f in raw.tolist()])
+        except ValueError:
+            return None
+    chars[chars == ord("Z")] = 0
+    try:
+        micros = raw.astype("datetime64[us]").astype(np.int64)
+    except ValueError:
+        return None
+    if (np.abs(micros) >= 2**53).any():
+        return None
+    return micros / 1e6
 
 
 def _write_csv(path, header, blocks) -> None:
@@ -285,11 +384,11 @@ def run(config: dict, task: str, seed=None, threads=1, force=False, skip_bad=Fal
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}; choose from {', '.join(TASKS)}")
     seed = int(config.get("seed", 0) if seed is None else seed)
+    window, context = build_window(config)
     out_dir = Path(config.get("output_dir", "stpp-output"))
     if out_dir.exists() and any(out_dir.iterdir()) and not force:
         raise FileExistsError(f"output directory {out_dir} is not empty; use --force")
     out_dir.mkdir(parents=True, exist_ok=True)
-    window, context = build_window(config)
 
     report = {"task": task, "seed": seed}
     outputs = []

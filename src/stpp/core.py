@@ -219,13 +219,19 @@ class Window:
         return self.mask.raster(grid.centers(0), grid.centers(1))
 
 
-def _dedupe_or_jitter(coords, jitter, rng, scale):
-    """Enforce simplicity; optionally jitter exact duplicates by <= 1e-9 units."""
-    order = np.lexsort(coords.T[::-1])
+def _dedupe_or_jitter(coords, keys, jitter, rng, scale):
+    """``coords`` without exact duplicates, and its lexsort order by ``keys``.
+
+    ``keys`` are column indices, primary first; duplicates are the equal
+    adjacent rows of that order.  They are rejected unless ``jitter``, which
+    moves all but the first of each run by at most 1e-9 * scale, drawing
+    the perturbations in (x1, x2[, t]) order.
+    """
+    order = np.lexsort([coords[:, k] for k in reversed(keys)])
     sorted_coords = coords[order]
-    dup = np.all(np.diff(sorted_coords, axis=0) == 0.0, axis=1)
+    dup = np.all(sorted_coords[1:] == sorted_coords[:-1], axis=1)
     if not dup.any():
-        return coords
+        return coords, order
     if not jitter:
         raise ValueError(
             f"{int(dup.sum())} duplicate event(s); pass jitter=True to perturb them"
@@ -234,8 +240,9 @@ def _dedupe_or_jitter(coords, jitter, rng, scale):
         rng = np.random.default_rng(0)
     out = coords.copy()
     dup_idx = order[1:][dup]
+    dup_idx = dup_idx[np.lexsort(coords[dup_idx].T[::-1])]
     out[dup_idx] += rng.uniform(-1e-9, 1e-9, size=(len(dup_idx), coords.shape[1])) * scale
-    return _dedupe_or_jitter(out, False, None, scale)
+    return _dedupe_or_jitter(out, keys, False, None, scale)
 
 
 class SpaceTimePattern:
@@ -268,8 +275,8 @@ class SpaceTimePattern:
                 window.y_range[1] - window.y_range[0],
                 window.duration,
             )
-            pts = _dedupe_or_jitter(pts, jitter, rng, scale)
-            pts = pts[np.lexsort((pts[:, 1], pts[:, 0], pts[:, 2]))]
+            pts, order = _dedupe_or_jitter(pts, (2, 0, 1), jitter, rng, scale)
+            pts = pts[order]
         self.points = pts
         self.window = window
         self.points.setflags(write=False)
@@ -300,7 +307,7 @@ class SpatialPattern:
                 window.x_range[1] - window.x_range[0],
                 window.y_range[1] - window.y_range[0],
             )
-            pts = _dedupe_or_jitter(pts, jitter, rng, scale)
+            pts, _ = _dedupe_or_jitter(pts, (0, 1), jitter, rng, scale)
         self.points = pts
         self.window = window
         self.points.setflags(write=False)

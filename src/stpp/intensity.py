@@ -3,13 +3,16 @@ Voronoi tessellation estimator.
 
 The Gaussian kernel factorizes over coordinate axes, so every 2D (and 3D)
 quantity here is assembled from one-dimensional kernel factor matrices.
-Edge corrections are computed by quadrature on the same evaluation grid as
-the estimate itself, which makes the mass identity
+Spatial edge corrections are computed by quadrature on the same evaluation
+grid as the estimate itself, which makes the mass identity
 
-    integral over W of lambda_hat = n
+    integral over W of lambda_s_hat = n
 
 hold to floating-point accuracy for any bandwidth (each summand integrates
-to exactly 1 by construction).
+to exactly 1 by construction).  The temporal estimate uses the exact
+Gaussian interval mass as its correction, so its grid integral is close to
+n but not equal (10000.0408 for n = 10^4 on the benchmark's first planar
+catalogue).
 
 ``_spatial_rows`` and ``_spacetime_rows`` are the one place the per-event
 Diggle-corrected kernel rows are built; the separability engine and the
@@ -38,6 +41,9 @@ __all__ = [
 ]
 
 _MIN_CORRECTION = 1e-12
+
+# raster cell centres queried at a time by voronoi_intensity
+_RASTER_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -299,6 +305,12 @@ def voronoi_intensity(
     generator captures at least one raster cell.  The default resolution
     is max(256, sqrt(16 n)) cells per axis, so dense patterns keep about
     16 raster cells per generator.
+
+    The raster is queried in blocks of whole rows, about ``_RASTER_BLOCK``
+    cell centres at a time, so besides the k-d tree the memory is one
+    block of centres plus the grid-shaped owner array, the mask and the
+    field: at 10^6 events (a 4000 x 4000 raster) 16 MB per block and
+    128 MB each for the owners and the field.
     """
     from scipy.spatial import cKDTree
 
@@ -313,20 +325,23 @@ def voronoi_intensity(
     mask = window.raster(grid)
     if mask is None:
         mask = np.ones(grid.shape, dtype=bool)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    centers = np.column_stack([gx[mask], gy[mask]])
     tree = cKDTree(pattern.points)
-    _, owner = tree.query(centers, workers=-1)
-    cell_area = grid.cell_volume
-    areas = np.bincount(owner, minlength=n) * cell_area
+    assignment = np.full(grid.shape, -1, dtype=np.int64)
+    counts = np.zeros(n, dtype=np.int64)
+    rows = max(1, _RASTER_BLOCK // resolution)
+    for start in range(0, resolution, rows):
+        inside = mask[start:start + rows]
+        i, j = np.nonzero(inside)
+        _, owner = tree.query(np.column_stack([xs[start + i], ys[j]]), workers=-1)
+        assignment[start:start + rows][inside] = owner
+        counts += np.bincount(owner, minlength=n)
+    areas = counts * grid.cell_volume
     with np.errstate(divide="ignore"):
         values = 1.0 / areas  # inf marks generators that captured no raster cell
-    field_values = np.zeros(grid.shape)
-    field_values[mask] = values[owner]
+    field_values = values[assignment]
+    field_values[~mask] = 0.0
     estimate = IntensityEstimate(
         ScalarField(grid, field_values, mask), (), diggle_corrected=False
     )
-    assignment = np.full(grid.shape, -1, dtype=np.int64)
-    assignment[mask] = owner
     cells = VoronoiCells(pattern.points, areas, values, grid, assignment, mask)
     return estimate, cells

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +173,237 @@ class TestIngest:
         window2, ctx = build_window({"window": {"x1": [0, 1], "x2": [0, 1], "t": [0, 1]}})
         back = ingest(str(path), window2, ctx)
         assert np.array_equal(back.points, pat.points)
+
+
+def oracle_ingest(path, window, context, skip_bad=False, jitter=False):
+    """Reference reader: ``csv.reader`` and one ``_parse_time`` per row."""
+    rows = []
+    bad = 0
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, expected a header row")
+        header = [h.strip().lower() for h in header]
+        if header[:3] == ["lon", "lat", "time"]:
+            geographic = True
+        elif header[:3] == ["x1", "x2", "t"]:
+            geographic = False
+        else:
+            raise ValueError(f"{path}: unrecognized header {header!r}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            try:
+                if geographic:
+                    lon, lat = float(row[0]), float(row[1])
+                    t = cli._parse_time(row[2], context["time_origin"])
+                    if context["mode"] == "degrees":
+                        rows.append((lon, lat, t))
+                    else:
+                        x1, x2 = cli._project_lonlat(lon, lat, context["lat0"])
+                        rows.append((float(x1), float(x2), t))
+                else:
+                    rows.append((float(row[0]), float(row[1]), float(row[2])))
+            except (ValueError, IndexError) as exc:
+                if skip_bad:
+                    bad += 1
+                    continue
+                raise ValueError(f"{path}:{lineno}: malformed row {row!r}: {exc}") from None
+    if bad:
+        warnings.warn(f"{path}: skipped {bad} malformed row(s)")
+    if not rows:
+        warnings.warn(f"{path}: no events parsed")
+        return SpaceTimePattern(np.empty((0, 3)), window)
+    return SpaceTimePattern(np.asarray(rows, dtype=float), window, jitter=jitter)
+
+
+GEO = {
+    "window": {
+        "lon": [4.0, 8.0],
+        "lat": [43.0, 47.0],
+        "time": ["2011-01-01T00:00:00Z", "2021-12-31T23:59:59Z"],
+    }
+}
+PLANAR = {"window": {"x1": [0, 1], "x2": [0, 1], "t": [0, 1]}}
+
+
+def geo_rows(n, seed, stamp):
+    """``lon,lat,time`` lines with shortest-repr coordinates and ``stamp(us)`` times."""
+    rng = np.random.default_rng(seed)
+    lon = rng.uniform(4.0, 8.0, n)
+    lat = rng.uniform(43.0, 47.0, n)
+    start = np.datetime64("2011-01-01T00:00:00", "us").astype(np.int64)
+    stop = np.datetime64("2021-12-31T23:59:59", "us").astype(np.int64)
+    us = rng.integers(start, stop, n)
+    us[: n // 2] -= us[: n // 2] % 1_000_000  # whole seconds in the first half
+    return [f"{a!r},{b!r},{stamp(u)}" for a, b, u in zip(lon.tolist(), lat.tolist(), us)]
+
+
+def iso_z(us):
+    s = str(np.datetime64(int(us), "us"))
+    return (s[:19] if s.endswith(".000000") else s) + "Z"
+
+
+def epoch(us):
+    return repr(int(us) / 1e6)
+
+
+def both_ingests(tmp_path, lines, spec, skip_bad=False, header=None):
+    """Ingest the same file with ``ingest`` and the reference reader.
+
+    Returns (points or error message, warning messages) for each, and
+    whether the columnar parse took the file.
+    """
+    if header is None:
+        header = "lon,lat,time" if "lon" in spec["window"] else "x1,x2,t"
+    path = tmp_path / "events.csv"
+    path.write_bytes("".join(line + "\n" for line in [header, *lines]).encode())
+    window, ctx = build_window(spec)
+
+    def outcome(reader):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result = reader(str(path), window, ctx, skip_bad=skip_bad).points
+            except ValueError as exc:
+                result = str(exc)
+        return result, [str(w.message) for w in caught]
+
+    got, want = outcome(ingest), outcome(oracle_ingest)
+    columnar = cli._parse_columns(str(path), 1, "lon" in spec["window"], ctx) is not None
+    return got, want, columnar
+
+
+def assert_same_ingest(got, want):
+    assert got[1] == want[1]
+    if isinstance(want[0], str):
+        assert got[0] == want[0]
+    else:
+        assert got[0].shape == want[0].shape
+        assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64))
+
+
+class TestColumnarIngest:
+    """The columnar parse agrees with the row parser bit for bit."""
+
+    @pytest.mark.parametrize("stamp", [iso_z, epoch], ids=["iso_z", "epoch"])
+    def test_geographic_bit_identical(self, tmp_path, stamp):
+        got, want, columnar = both_ingests(tmp_path, geo_rows(500, 1, stamp), GEO)
+        assert columnar
+        assert_same_ingest(got, want)
+        assert len(got[0]) == 500
+
+    def test_fractional_and_whole_stamps_parse_exactly(self, tmp_path):
+        lines = geo_rows(400, 2, iso_z)
+        assert any("." in line.split(",")[2] for line in lines[200:])
+        assert all("." not in line.split(",")[2] for line in lines[:200])
+        got, want, columnar = both_ingests(tmp_path, lines, GEO)
+        assert columnar
+        assert_same_ingest(got, want)
+
+    def test_degrees_mode(self, tmp_path):
+        spec = {**GEO, "projection": "degrees"}
+        got, want, columnar = both_ingests(tmp_path, geo_rows(200, 3, iso_z), spec)
+        assert columnar
+        assert_same_ingest(got, want)
+        assert got[0][:, 0].min() >= 4.0 and got[0][:, 0].max() <= 8.0
+
+    def test_planar_crlf_and_extra_columns(self, tmp_path):
+        rng = np.random.default_rng(4)
+        pts = rng.uniform(size=(300, 3))
+        lines = [f"{a!r},{b!r},{c!r},extra,{i}\r" for i, (a, b, c) in enumerate(pts.tolist())]
+        got, want, columnar = both_ingests(tmp_path, lines, PLANAR)
+        assert columnar
+        assert_same_ingest(got, want)
+        assert len(got[0]) == 300
+
+    @pytest.mark.parametrize(
+        "time",
+        [
+            "2015-06-01T12:00:00+00:00",
+            "2015-06-01T12:00:00+02:00",
+            "2015-06-01T12:00:00",
+            "2015-06-01T12:00:00.123456",
+            "2015-06-01 12:00:00Z",
+            "2015-06-01T12:00:00.123Z",
+            "+2015-06-01T12:00:00Z",
+            "2015-02-30T12:00:00Z",
+            "2015-06-01T24:00:00Z",
+            " 2015-06-01T12:00:00Z",
+            "1435752000.5",
+        ],
+    )
+    def test_other_time_forms_take_the_row_parser(self, tmp_path, time):
+        lines = geo_rows(20, 5, iso_z)
+        lines[7] = f"5.5,45.5,{time}"
+        got, want, columnar = both_ingests(tmp_path, lines, GEO)
+        assert not columnar
+        assert_same_ingest(got, want)
+
+    def test_time_field_wider_than_the_column_takes_the_row_parser(self, tmp_path):
+        lines = geo_rows(20, 9, epoch)
+        lines[3] = "5.5,45.5," + "0" * (cli._TIME_FIELD - 8) + "1435752000.5"
+        got, want, columnar = both_ingests(tmp_path, lines, GEO)
+        assert not columnar
+        assert_same_ingest(got, want)
+        assert len(got[0]) == 20
+
+    def test_stamps_beyond_exact_microseconds_take_the_row_parser(self, tmp_path):
+        spec = {"window": {**GEO["window"], "time": ["1600-01-01T00:00:00Z", "2021-12-31T23:59:59Z"]}}
+        lines = geo_rows(20, 6, iso_z) + ["5.5,45.5,1600-06-01T12:00:00Z"]
+        got, want, columnar = both_ingests(tmp_path, lines, spec)
+        assert not columnar
+        assert_same_ingest(got, want)
+
+    @pytest.mark.parametrize(
+        "line",
+        ['"0.25",0.5,0.5', "0.25,0.5,0.5 # note", "# comment", "0_25e-1,0.5,0.5", "0.25,0.5"],
+        ids=["quoted", "trailing_hash", "hash_row", "underscore", "short"],
+    )
+    def test_planar_rows_the_row_parser_takes(self, tmp_path, line):
+        lines = ["0.1,0.2,0.3", line, "0.4,0.6,0.7"]
+        for skip_bad in (False, True):
+            got, want, columnar = both_ingests(tmp_path, lines, PLANAR, skip_bad=skip_bad)
+            assert not columnar
+            assert_same_ingest(got, want)
+
+    def test_quoted_newline_in_extra_column(self, tmp_path):
+        lines = ['0.1,0.2,0.3,"note', '0.4,0.6,0.7,"', "0.5,0.5,0.5"]
+        got, want, columnar = both_ingests(tmp_path, lines, PLANAR)
+        assert not columnar
+        assert_same_ingest(got, want)
+        assert len(got[0]) == 2
+
+    def test_header_only(self, tmp_path):
+        for spec in (GEO, PLANAR):
+            got, want, _ = both_ingests(tmp_path, [], spec)
+            assert_same_ingest(got, want)
+            assert got[0].shape == (0, 3) and "no events parsed" in got[1][0]
+
+    def test_epoch_mixed_with_iso(self, tmp_path):
+        lines = geo_rows(30, 7, iso_z) + geo_rows(30, 8, epoch)
+        got, want, columnar = both_ingests(tmp_path, lines, GEO)
+        assert not columnar
+        assert_same_ingest(got, want)
+        assert len(got[0]) == 60
+
+    def test_malformed_row_line_number_after_blank_lines(self, tmp_path):
+        lines = ["0.1,0.2,0.3", "", "   ", " , ", "0.4,0.6,0.7", "", "oops,0.5,0.5", "0.5,0.5,0.5"]
+        got, want, columnar = both_ingests(tmp_path, lines, PLANAR)
+        assert not columnar
+        assert_same_ingest(got, want)
+        assert "events.csv:8: malformed row" in got[0]
+        got, want, _ = both_ingests(tmp_path, lines, PLANAR, skip_bad=True)
+        assert_same_ingest(got, want)
+        assert got[1] == [f"{tmp_path / 'events.csv'}: skipped 1 malformed row(s)"]
+        assert len(got[0]) == 3
+
+    def test_blank_lines_between_good_rows(self, tmp_path):
+        lines = ["0.1,0.2,0.3", "", "0.4,0.6,0.7", "", "0.5,0.5,0.5"]
+        got, want, _ = both_ingests(tmp_path, lines, PLANAR)
+        assert_same_ingest(got, want)
+        assert len(got[0]) == 3
 
 
 SPECIAL = [-0.0, 1e-320, 5e-324, 1.7976931348623157e308, 0.1, -2.5e-7, 123456789.0]
@@ -345,6 +577,26 @@ class TestRun:
         assert rows[0] == ["x1", "x2"]
         assert len(rows) - 1 == report["retained"]
 
+    def test_homogenize_identical_across_threads(self, tmp_path):
+        _, cfg = write_config(tmp_path, simulate={"lambda": 3000})
+        cfg["output_dir"] = str(tmp_path / "data")
+        out = run(cfg, "simulate")
+        outputs = []
+        for threads in ("1", "2"):
+            cfg_path, _ = write_config(
+                tmp_path, name=f"hom{threads}.json",
+                input=str(out / "pattern.csv"),
+                output_dir=str(tmp_path / f"hom{threads}"),
+                homogenize={"target_count": 400},
+            )
+            assert main(["homogenize", "--config", str(cfg_path), "--threads", threads]) == 0
+            outputs.append(
+                [(tmp_path / f"hom{threads}" / name).read_bytes()
+                 for name in ("pattern_homogenized.csv", "report.json")]
+            )
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][1])["retained"] > 0
+
     def test_prop2_task(self, tmp_path):
         _, cfg = write_config(tmp_path)
         cfg["prop2"] = {"lam_floor": 500.0, "p": 0.05, "r": 0.1, "tau": 0.05,
@@ -394,6 +646,31 @@ class TestMain:
         cfg_path, _ = write_config(tmp_path, simulate={"lambda": 10})
         assert main(["simulate", "--config", str(cfg_path)]) == 2
         assert "error: out of memory: Unable to allocate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("projection", ["degree", "km", None])
+    def test_unknown_projection_exits_2(self, tmp_path, capsys, projection):
+        cfg_path, _ = write_config(tmp_path, window=GEO["window"], projection=projection)
+        assert main(["simulate", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: projection must be 'equirect' or 'degrees'")
+        assert repr(projection) in err
+        assert not (tmp_path / "out").exists()
+
+    def test_known_projections_accepted(self):
+        for projection, mode in (("equirect", "lonlat"), ("degrees", "degrees")):
+            _, context = build_window({**GEO, "projection": projection})
+            assert context["mode"] == mode
+        assert build_window(GEO)[1]["mode"] == "lonlat"
+
+    def test_import_leaves_scipy_stats_and_optimize_unloaded(self):
+        code = (
+            "import sys, stpp.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'optimize'])))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_console_entry_point(self, tmp_path):
         cfg_path, _ = write_config(tmp_path, simulate={"lambda": 10})

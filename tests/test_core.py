@@ -69,6 +69,68 @@ def test_pattern_sorting_and_simplicity():
     assert np.abs(jittered.points - 0.5).max() <= 1e-9
 
 
+def oracle_dedupe(coords, jitter, rng, scale):
+    """Reference simplicity check: a lexsort by (x1, x2[, t]) and adjacent rows."""
+    order = np.lexsort(coords.T[::-1])
+    dup = np.all(np.diff(coords[order], axis=0) == 0.0, axis=1)
+    if not dup.any():
+        return coords
+    if not jitter:
+        raise ValueError(f"{int(dup.sum())} duplicate event(s); pass jitter=True to perturb them")
+    if rng is None:
+        rng = np.random.default_rng(0)
+    out = coords.copy()
+    dup_idx = order[1:][dup]
+    out[dup_idx] += rng.uniform(-1e-9, 1e-9, size=(len(dup_idx), coords.shape[1])) * scale
+    return oracle_dedupe(out, False, None, scale)
+
+
+def oracle_pattern_points(points, window, jitter=False, rng=None):
+    """Reference constructor order: deduplicate, then a second lexsort by (t, x1, x2)."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    scale = max(
+        window.x_range[1] - window.x_range[0], window.y_range[1] - window.y_range[0], window.duration
+    )
+    pts = oracle_dedupe(pts, jitter, rng, scale)
+    return pts[np.lexsort((pts[:, 1], pts[:, 0], pts[:, 2]))]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pattern_single_sort_matches_two_lexsorts(seed):
+    rng = np.random.default_rng(seed)
+    window = Window((0, 2), (0, 1), (0, 5))
+    # coarse values force ties on every key and exact duplicates; -0.0 equals 0.0
+    pts = rng.integers(0, 4, size=(300, 3)) * np.array([0.5, 0.25, 1.25])
+    pts[(pts == 0) & (rng.uniform(size=pts.shape) < 0.5)] = -0.0
+    distinct = np.unique(pts, axis=0)
+    for points in (pts, distinct, distinct[::-1], pts[:1]):
+        for jitter, draw in ((False, None), (True, None), (True, seed + 100)):
+            fresh = (lambda: None) if draw is None else (lambda: np.random.default_rng(draw))
+            try:
+                want = oracle_pattern_points(points, window, jitter, fresh())
+            except ValueError as exc:
+                with pytest.raises(ValueError) as info:
+                    SpaceTimePattern(points, window, jitter, fresh())
+                assert str(info.value) == str(exc)
+                continue
+            got = SpaceTimePattern(points, window, jitter, fresh()).points
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert len(got) == len(points) and np.all(np.diff(got[:, 2]) >= 0)
+    with pytest.raises(ValueError, match=r"^\d+ duplicate event\(s\)"):
+        SpaceTimePattern(pts, window)
+
+
+def test_spatial_pattern_jitter_matches_reference():
+    rng = np.random.default_rng(7)
+    window = Window((0, 1), (0, 1), (0, 1))
+    xy = rng.integers(0, 5, size=(200, 2)) / 4.0
+    got = SpatialPattern(xy, window, jitter=True, rng=np.random.default_rng(1)).points
+    want = oracle_dedupe(xy, True, np.random.default_rng(1), 1.0)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    with pytest.raises(ValueError, match="duplicate"):
+        SpatialPattern(xy, window)
+
+
 def test_pattern_rejects_outside():
     with pytest.raises(ValueError):
         SpaceTimePattern([(1.5, 0.5, 0.5)], UNIT)

@@ -132,6 +132,15 @@ class TestQuadrat:
         assert p == pytest.approx(chi2.sf(300.0, 3))
         assert p < 1e-6
 
+    def test_p_value_is_the_chi2_tail(self):
+        for seed in range(20):
+            rng = substream(seed, 2)
+            xy = rng.uniform(size=(int(rng.integers(500, 2000)), 2)) ** rng.uniform(1.0, 1.5)
+            pat = SpatialPattern(xy, UNIT)
+            for nx, ny in ((2, 2), (3, 2), (5, 5)):
+                stat, p = quadrat_test(pat, (nx, ny))
+                assert p == float(chi2.sf(stat, nx * ny - 1))
+
     def test_empty_pattern_rejected(self):
         with pytest.raises(ValueError):
             quadrat_test(SpatialPattern(np.empty((0, 2)), UNIT))

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from stpp import intensity
 from stpp.core import GridSpec, PolygonMask, SpatialPattern, TemporalPattern, Window, project, substream
 from stpp.intensity import (
     KernelSpec,
@@ -188,7 +190,59 @@ class TestThinningMonotonicity:
         assert abs(np.mean(ratios) - pi0) < 3 * se
 
 
+def oracle_voronoi(pattern, resolution):
+    """Reference raster: every in-mask cell centre in one k-d tree query."""
+    window = pattern.window
+    grid = GridSpec.spatial(window, resolution, resolution)
+    mask = window.raster(grid)
+    if mask is None:
+        mask = np.ones(grid.shape, dtype=bool)
+    gx, gy = np.meshgrid(grid.centers(0), grid.centers(1), indexing="ij")
+    _, owner = cKDTree(pattern.points).query(np.column_stack([gx[mask], gy[mask]]), workers=-1)
+    areas = np.bincount(owner, minlength=len(pattern)) * grid.cell_volume
+    with np.errstate(divide="ignore"):
+        values = 1.0 / areas
+    field = np.zeros(grid.shape)
+    field[mask] = values[owner]
+    assignment = np.full(grid.shape, -1, dtype=np.int64)
+    assignment[mask] = owner
+    return areas, values, field, assignment, mask
+
+
+POLYGON = Window(
+    (0, 1), (0, 1), (0, 1), PolygonMask([(0.05, 0.0), (1.0, 0.1), (0.9, 1.0), (0.0, 0.85)])
+)
+# leaves whole raster rows (x < 0.3, x > 0.7) outside the mask
+TRIANGLE = Window((0, 1), (0, 1), (0, 1), PolygonMask([(0.3, 0.2), (0.7, 0.2), (0.5, 0.8)]))
+
+
 class TestVoronoi:
+    @pytest.mark.parametrize(
+        "window", [UNIT, POLYGON, TRIANGLE], ids=["rectangle", "polygon", "triangle"]
+    )
+    @pytest.mark.parametrize("block", [1, 200, 1 << 20])
+    def test_row_blocks_match_single_query(self, monkeypatch, window, block):
+        monkeypatch.setattr(intensity, "_RASTER_BLOCK", block)
+        rng = substream(3, 9)
+        xy = rng.uniform(size=(400, 2))
+        # generators on every 8th cell centre of the 64-cell raster, so the
+        # centres halfway between them are exact ties
+        lattice = (np.arange(0, 64, 8) + 0.5) / 64
+        xy = np.vstack([xy, np.column_stack([np.repeat(lattice, 8), np.tile(lattice, 8)])])
+        pat = SpatialPattern(xy[window.contains_xy(xy)], window)
+        for resolution in (64, 67):
+            est, cells = voronoi_intensity(pat, resolution=resolution)
+            areas, values, field, assignment, mask = oracle_voronoi(pat, resolution)
+            assert np.array_equal(cells.areas, areas)
+            assert np.array_equal(cells.values, values)
+            assert np.array_equal(cells.assignment, assignment)
+            assert np.array_equal(cells.raster_mask, mask)
+            assert np.array_equal(est.field.values.view(np.int64), field.view(np.int64))
+            assert np.array_equal(est.field.mask, mask)
+            assert (cells.assignment[mask] >= 0).all() and (cells.assignment[~mask] == -1).all()
+            if window is not UNIT:
+                assert not mask.all()
+
     def test_single_point_is_uniform(self):
         pat = SpatialPattern([(0.4, 0.6)], UNIT)
         est, cells = voronoi_intensity(pat)
