@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import GridSpec, SpatialPattern, TemporalPattern, substream
 from .simulate import RetentionSpec, thin_spatial
-from .intensity import _MIN_CORRECTION, _spatial_rows
+from .intensity import _MIN_CORRECTION, _spatial_corrections
 
 __all__ = [
     "BandwidthSearch",
@@ -89,7 +89,7 @@ def inverse_residual_loss(lam_at_points, area: float) -> float:
 
 def _corrections(xy, b, window, grid):
     """Diggle corrections of the points, floored at the smallest one allowed."""
-    return np.maximum(_spatial_rows(xy, grid, window, b)[2], _MIN_CORRECTION)
+    return np.maximum(_spatial_corrections(xy, grid, window, b), _MIN_CORRECTION)
 
 
 def _sq_distances(train_xy, eval_xy):

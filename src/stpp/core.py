@@ -133,18 +133,17 @@ class RasterMask:
 class VoronoiRegionMask:
     """Union of Voronoi cells of a generator set, used as a window mask.
 
-    Containment is exact (nearest-generator membership); the area is taken
-    from a raster assignment computed at construction so that it stays
+    Containment is exact (nearest-generator membership in ``tree``, a
+    ``scipy.spatial.cKDTree`` over the generators); the area is taken from
+    a raster assignment computed at construction so that it stays
     consistent with the per-cell areas of the tessellation it came from.
     """
 
-    def __init__(self, generators, member, area, raster_xs, raster_ys, raster_mask):
-        from scipy.spatial import cKDTree
-
-        self.generators = np.asarray(generators, dtype=float)
+    def __init__(self, tree, member, area, raster_xs, raster_ys, raster_mask):
+        self.generators = tree.data
         self.member = np.asarray(member, dtype=bool)
         self.area = float(area)
-        self._tree = cKDTree(self.generators)
+        self._tree = tree
         self._raster_xs = np.asarray(raster_xs)
         self._raster_ys = np.asarray(raster_ys)
         self._raster_mask = np.asarray(raster_mask, dtype=bool)

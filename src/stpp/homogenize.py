@@ -145,7 +145,7 @@ def homogenize(
     keep = rng.uniform(size=len(pattern)) < retain_p
 
     region = VoronoiRegionMask(
-        cells.generators,
+        cells.tree,
         ls.member,
         ls.area,
         cells.grid.centers(0),
@@ -168,7 +168,5 @@ def homogenize(
 
 
 def _member_raster(cells: VoronoiCells, member: np.ndarray) -> np.ndarray:
-    grid = np.zeros(cells.assignment.shape, dtype=bool)
-    assigned = cells.assignment >= 0
-    grid[assigned] = member[cells.assignment[assigned]]
-    return grid
+    # unassigned raster cells hold -1, which picks the appended False
+    return np.append(member, False)[cells.assignment]

@@ -17,6 +17,17 @@ catalogue).
 ``_spatial_rows`` and ``_spacetime_rows`` are the one place the per-event
 Diggle-corrected kernel rows are built; the separability engine and the
 spatial bandwidth selector reuse them rather than rebuilding the kernel.
+
+Memory: the kernel estimators sum over events one chunk at a time, a
+chunk being as many events as fit ``_CHUNK_BYTES`` (128 MiB) of their
+kernel rows, so each needs one chunk of rows plus its grid whatever n is.
+The corrections alone (``diggle_correction``, the spatial bandwidth
+selector) come from the same chunked pass as an O(n) vector.  The
+separability engine keeps the rows of all events, because each
+permutation re-pairs them; it and ``estimate_lambda_st`` check their need
+against a cap up front and raise ``MemoryError`` before building rows.
+With n at most one chunk the sums are the unchunked ones bit for bit;
+beyond it they are reordered over chunks (1e-12 relative by test).
 """
 
 from __future__ import annotations
@@ -24,10 +35,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import GridSpec, ScalarField, SpatialPattern, TemporalPattern, Window
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 __all__ = [
     "KernelSpec",
@@ -41,6 +56,13 @@ __all__ = [
 ]
 
 _MIN_CORRECTION = 1e-12
+
+# bytes of per-event kernel rows the first-order estimators build at a
+# time; their sums over events run one chunk of rows at a time
+_CHUNK_BYTES = 1 << 27
+
+# default cap on the memory of space-time kernel rows and a 3D field
+_MEMORY_CAP_MB = 2048.0
 
 # raster cell centres queried at a time by voronoi_intensity
 _RASTER_BLOCK = 1 << 20
@@ -71,32 +93,57 @@ class IntensityEstimate:
         return self.field.integrate()
 
 
+def _chunks(n, width):
+    """Slices covering range(n), each of at most as many events as fit
+    ``_CHUNK_BYTES`` of float64 rows ``width`` cells wide."""
+    rows = max(1, _CHUNK_BYTES // (8 * width))
+    return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
+
+
 def _gauss_factors(points_1d, centers, step, b):
-    """(n, ncells) matrix of 1D Gaussian kernel values times the cell width."""
-    z = (np.asarray(centers)[None, :] - np.asarray(points_1d)[:, None]) / b
-    return np.exp(-0.5 * z * z) * (step / (b * math.sqrt(2.0 * math.pi)))
+    """(n, ncells) matrix of 1D Gaussian kernel values times the cell width.
+
+    Built in place in one (n, ncells) array; equal bit for bit to
+    ``exp(-0.5 * z * z) * c`` since scaling by -0.5 is exact.
+    """
+    g = np.subtract(np.asarray(centers)[None, :], np.asarray(points_1d)[:, None])
+    g /= b
+    g *= g
+    g *= -0.5
+    np.exp(g, out=g)
+    g *= step / (b * math.sqrt(2.0 * math.pi))
+    return g
 
 
-def _spatial_rows(xy, grid: GridSpec, window: Window, b):
+def _spatial_rows(xy, grid: GridSpec, mask, b):
     """Per-event kernel factor rows on a spatial grid and their corrections.
 
     Returns gx (n, nx) and gy (n, ny), whose outer product per event is
-    its kernel times the cell area, the Diggle corrections e (n,) by
-    quadrature over the window, and the window's raster (None if unmasked).
+    its kernel times the cell area, and the Diggle corrections e (n,) by
+    quadrature over the window, whose raster on the grid is ``mask``
+    (None if unmasked).
     """
     gx = _gauss_factors(xy[:, 0], grid.centers(0), grid.step[0], b)
     gy = _gauss_factors(xy[:, 1], grid.centers(1), grid.step[1], b)
-    mask = window.raster(grid)
     if mask is None:
         e = gx.sum(axis=1) * gy.sum(axis=1)
     else:
         # e_i = gx_i^T M gy_i over the masked grid
         e = np.einsum("ij,ij->i", gx @ mask.astype(float), gy)
-    return gx, gy, e, mask
+    return gx, gy, e
 
 
-def _spacetime_rows(pattern, grid: GridSpec, b_s, b_t):
-    """Per-event corrected kernel rows on a space-time grid.
+def _spatial_corrections(xy, grid: GridSpec, window: Window, b) -> np.ndarray:
+    """Diggle corrections e (n,) of the points, one chunk of kernel rows at a time."""
+    mask = window.raster(grid)
+    e = np.empty(len(xy))
+    for rows in _chunks(len(xy), grid.shape[0] + grid.shape[1]):
+        e[rows] = _spatial_rows(xy[rows], grid, mask, b)[2]
+    return e
+
+
+def _spacetime_rows(x, t, window: Window, grid: GridSpec, b_s, b_t):
+    """Corrected kernel rows on a space-time grid of the events (x, t).
 
     Returns S (n, nx*ny), each event's spatial kernel divided by its
     correction, T (n, nt), the same for the temporal kernel, the scaled
@@ -104,16 +151,28 @@ def _spacetime_rows(pattern, grid: GridSpec, b_s, b_t):
     S, the corrections e_s and e_t, and the spatial raster (None if
     unmasked).  No bandwidth or underflow check is made here.
     """
-    window = pattern.window
     nx, ny, nt = grid.shape
     spatial = GridSpec.spatial(window, nx, ny)
-    gx, gy, e_s, mask = _spatial_rows(pattern.x, spatial, window, b_s)
-    e_t = temporal_corrections(pattern.t, window, b_t)
-    gx = gx / (e_s[:, None] * spatial.cell_volume)
-    S = (gx[:, :, None] * gy[:, None, :]).reshape(len(pattern), nx * ny)
-    T = _gauss_factors(pattern.t, grid.centers(2), 1.0, b_t)
+    mask = window.raster(spatial)
+    gx, gy, e_s = _spatial_rows(x, spatial, mask, b_s)
+    e_t = temporal_corrections(t, window, b_t)
+    gx /= e_s[:, None] * spatial.cell_volume
+    S = (gx[:, :, None] * gy[:, None, :]).reshape(len(x), nx * ny)
+    T = _gauss_factors(t, grid.centers(2), 1.0, b_t)
     T /= e_t[:, None]
     return S, T, gx, gy, e_s, e_t, mask
+
+
+def _check_memory(rows, grid: GridSpec, cap_mb):
+    """Raise MemoryError, before any work, if ``rows`` events' space-time
+    rows S and T plus a field on the 3D grid need more than ``cap_mb`` MB."""
+    nx, ny, nt = grid.shape
+    need_mb = (rows * (nx * ny + nt) + nx * ny * nt) * 8 / 1e6
+    if need_mb > cap_mb:
+        raise MemoryError(
+            f"3D estimation needs about {need_mb:.0f} MB > cap {cap_mb:.0f} MB; "
+            "use a coarser grid"
+        )
 
 
 def _check_resolvable(b, grid: GridSpec, axes):
@@ -147,7 +206,7 @@ def diggle_correction(center, kernel: KernelSpec, window: Window, grid=None) -> 
         if grid is None:
             grid = GridSpec.spatial(window, 256, 256)
         _check_resolvable(b, grid, (0, 1))
-        w = float(_spatial_rows(xy, grid, window, b)[2][0])
+        w = float(_spatial_corrections(xy, grid, window, b)[0])
     if w < _MIN_CORRECTION:
         raise ValueError(f"edge-correction weight {w:g} below {_MIN_CORRECTION:g}")
     return min(w, 1.0)
@@ -173,6 +232,9 @@ def estimate_lambda_s(
     kernel : KernelSpec
     grid : GridSpec, optional
         Evaluation grid (default 256 x 256 over the window).
+
+    Memory is one chunk of (m, nx + ny) factor rows, at most
+    ``_CHUNK_BYTES``, plus the grid.
     """
     window = pattern.window
     if grid is None:
@@ -182,11 +244,15 @@ def estimate_lambda_s(
         field = ScalarField(grid, np.zeros(grid.shape), window.raster(grid))
         return IntensityEstimate(field, (kernel.bandwidth,), empty=True)
     _check_resolvable(kernel.bandwidth, grid, (0, 1))
-    gx, gy, e, mask = _spatial_rows(pattern.points, grid, window, kernel.bandwidth)
-    if (e < _MIN_CORRECTION).any():
-        raise ValueError("edge-correction weight underflow at a data point")
-    cellvol = grid.cell_volume
-    values = (gx / (e[:, None] * cellvol)).T @ gy  # kernel values / e, on the grid
+    mask = window.raster(grid)
+    values = np.zeros(grid.shape)
+    for rows in _chunks(len(pattern), grid.shape[0] + grid.shape[1]):
+        gx, gy, e = _spatial_rows(pattern.points[rows], grid, mask, kernel.bandwidth)
+        if (e < _MIN_CORRECTION).any():
+            raise ValueError("edge-correction weight underflow at a data point")
+        gx /= e[:, None] * grid.cell_volume
+        values += gx.T @ gy  # kernel values / e, on the grid
+        del gx, gy  # before the next chunk's rows are built
     if mask is not None:
         values = np.where(mask, values, 0.0)
     field = ScalarField(grid, values, mask)
@@ -199,7 +265,9 @@ def estimate_lambda_t(
     """Diggle-corrected Gaussian kernel estimate of the temporal intensity.
 
     The correction uses the exact Gaussian interval mass; the default grid
-    has 1000 cells over the observation period.
+    has 1000 cells over the observation period.  Memory is one chunk of
+    (m, nt) kernel rows, at most ``_CHUNK_BYTES``, plus the grid and the
+    O(n) corrections.
     """
     window = pattern.window
     if grid is None:
@@ -213,8 +281,10 @@ def estimate_lambda_t(
     e = temporal_corrections(pattern.times, window, b)
     if (e < _MIN_CORRECTION).any():
         raise ValueError("edge-correction weight underflow at a data point")
-    gt = _gauss_factors(pattern.times, grid.centers(0), 1.0, b)  # density values
-    values = (1.0 / e) @ gt
+    values = np.zeros(grid.shape)
+    for rows in _chunks(len(pattern), grid.shape[0]):
+        # density values; each chunk's rows are freed before the next is built
+        values += (1.0 / e[rows]) @ _gauss_factors(pattern.times[rows], grid.centers(0), 1.0, b)
     return IntensityEstimate(ScalarField(grid, values), (kernel.bandwidth,))
 
 
@@ -224,7 +294,7 @@ def estimate_lambda_st(
     kernel_t: KernelSpec,
     grid: GridSpec | None = None,
     retention=None,
-    memory_cap_mb: float = 2048.0,
+    memory_cap_mb: float = _MEMORY_CAP_MB,
 ) -> IntensityEstimate:
     """Product-kernel estimate of the space-time intensity on a 3D grid.
 
@@ -233,17 +303,17 @@ def estimate_lambda_st(
     interval mass).  If the pattern was obtained by constant-retention
     thinning, pass the retention to divide the field by pi0 and recover
     the parent intensity.
+
+    Memory is one chunk of (m, nx*ny + nt) kernel rows, at most
+    ``_CHUNK_BYTES``, plus the 3D grid; when those need more than
+    ``memory_cap_mb`` MB, ``MemoryError`` is raised before any work.
     """
     window = pattern.window
     if grid is None:
         grid = GridSpec.spacetime(window, 64, 64, 250)
     nx, ny, nt = grid.shape
-    need_mb = (len(pattern) * (nx * ny + nt) + nx * ny * nt) * 8 / 1e6
-    if need_mb > memory_cap_mb:
-        raise MemoryError(
-            f"3D estimation needs about {need_mb:.0f} MB > cap {memory_cap_mb:.0f} MB; "
-            "use a coarser grid"
-        )
+    chunks = _chunks(len(pattern), nx * ny + nt)
+    _check_memory(chunks[0].stop if chunks else 0, grid, memory_cap_mb)  # the largest chunk
     pi0 = 1.0
     if retention is not None:
         if getattr(retention, "pi0", None) is None:
@@ -257,12 +327,17 @@ def estimate_lambda_st(
             field, (kernel_s.bandwidth, kernel_t.bandwidth), empty=True
         )
     _check_resolvable(kernel_s.bandwidth, grid, (0, 1))
-    S, T, _, _, e_s, e_t, mask2d = _spacetime_rows(
-        pattern, grid, kernel_s.bandwidth, kernel_t.bandwidth
-    )
-    if (e_s < _MIN_CORRECTION).any() or (e_t < _MIN_CORRECTION).any():
-        raise ValueError("edge-correction weight underflow at a data point")
-    values = (S.T @ T).reshape(nx, ny, nt) / pi0
+    values = np.zeros((nx * ny, nt))
+    for rows in chunks:
+        S, T, gx, gy, e_s, e_t, mask2d = _spacetime_rows(
+            pattern.x[rows], pattern.t[rows], window, grid,
+            kernel_s.bandwidth, kernel_t.bandwidth,
+        )
+        if (e_s < _MIN_CORRECTION).any() or (e_t < _MIN_CORRECTION).any():
+            raise ValueError("edge-correction weight underflow at a data point")
+        values += S.T @ T
+        del S, T, gx, gy  # before the next chunk's rows are built
+    values = values.reshape(nx, ny, nt) / pi0
     if mask2d is not None:
         values = np.where(mask2d[:, :, None], values, 0.0)
     field = ScalarField(grid, values, mask2d)
@@ -280,15 +355,20 @@ class VoronoiCells:
     ``areas`` come from a raster assignment of grid cells to their nearest
     generator; ``values`` are 1/area (inf where a generator captured no
     raster cell).  ``assignment`` maps each masked-in raster cell to its
-    generator index.
+    generator index.  ``tree`` is the k-d tree over the generators that
+    made the assignment, kept for nearest-generator queries.
     """
 
-    generators: np.ndarray
+    tree: cKDTree
     areas: np.ndarray
     values: np.ndarray
     grid: GridSpec
     assignment: np.ndarray
     raster_mask: np.ndarray
+
+    @property
+    def generators(self) -> np.ndarray:
+        return self.tree.data
 
     @property
     def total_area(self) -> float:
@@ -343,5 +423,5 @@ def voronoi_intensity(
     estimate = IntensityEstimate(
         ScalarField(grid, field_values, mask), (), diggle_corrected=False
     )
-    cells = VoronoiCells(pattern.points, areas, values, grid, assignment, mask)
+    cells = VoronoiCells(tree, areas, values, grid, assignment, mask)
     return estimate, cells

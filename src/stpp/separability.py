@@ -19,7 +19,13 @@ import numpy as np
 
 from .core import GridSpec, ScalarField, SpaceTimePattern, _trusted, substream
 from .inference import CurveSet, EnvelopeResult, combined_erl_test
-from .intensity import IntensityEstimate, KernelSpec, _spacetime_rows
+from .intensity import (
+    _MEMORY_CAP_MB,
+    IntensityEstimate,
+    KernelSpec,
+    _check_memory,
+    _spacetime_rows,
+)
 
 __all__ = [
     "SeparabilityStats",
@@ -112,15 +118,19 @@ class _SeparabilityEngine:
     by ``intensity._spacetime_rows``).  The spatial rows depend only on
     locations and the temporal rows only on times, so a permutation
     replicate just re-pairs rows.  Curves then reduce to one matrix-vector
-    product per replicate instead of a full 3D field.
+    product per replicate instead of a full 3D field.  The rows of all n
+    events are held at once, so the same up-front memory check as
+    :func:`estimate_lambda_st` raises ``MemoryError`` when they would not
+    fit.
     """
 
     def __init__(self, pattern, kernel_s, kernel_t, grid):
         window = pattern.window
         nx, ny, nt = grid.shape
         n = len(pattern)
+        _check_memory(n, grid, _MEMORY_CAP_MB)
         self.S, self.T, gx, gy, _, _, mask2d = _spacetime_rows(
-            pattern, grid, kernel_s.bandwidth, kernel_t.bandwidth
+            pattern.x, pattern.t, window, grid, kernel_s.bandwidth, kernel_t.bandwidth
         )
         if mask2d is None:
             mask2d = np.ones((nx, ny), dtype=bool)

@@ -577,25 +577,59 @@ class TestRun:
         assert rows[0] == ["x1", "x2"]
         assert len(rows) - 1 == report["retained"]
 
-    def test_homogenize_identical_across_threads(self, tmp_path):
+    @pytest.mark.parametrize(
+        "task, extra, names, positive",
+        [
+            (
+                "homogenize",
+                {"homogenize": {"target_count": 400}},
+                ["pattern_homogenized.csv"],
+                "retained",
+            ),
+            (
+                "intensity",
+                {
+                    "emit_spacetime": True,
+                    "pi0": 0.5,
+                    "grids": {"spatial": [24, 20], "temporal": 50, "spacetime": [12, 10, 20]},
+                    "bandwidth": {"spatial": 0.1},
+                },
+                ["intensity_s.csv", "intensity_t.csv", "intensity_st.csv"],
+                "integral_st",
+            ),
+            (
+                "separability",
+                {
+                    "pi0": 0.5,
+                    "test": {"B": 19},
+                    "grids": {"spacetime": [12, 10, 20]},
+                    "bandwidth": {"spatial": 0.1},
+                },
+                ["curves_St.csv", "curves_Ss.csv"],
+                "p_value",
+            ),
+        ],
+        ids=["homogenize", "intensity", "separability"],
+    )
+    def test_identical_across_threads(self, tmp_path, task, extra, names, positive):
         _, cfg = write_config(tmp_path, simulate={"lambda": 3000})
         cfg["output_dir"] = str(tmp_path / "data")
         out = run(cfg, "simulate")
         outputs = []
         for threads in ("1", "2"):
             cfg_path, _ = write_config(
-                tmp_path, name=f"hom{threads}.json",
+                tmp_path, name=f"{task}{threads}.json",
                 input=str(out / "pattern.csv"),
-                output_dir=str(tmp_path / f"hom{threads}"),
-                homogenize={"target_count": 400},
+                output_dir=str(tmp_path / f"{task}{threads}"),
+                **extra,
             )
-            assert main(["homogenize", "--config", str(cfg_path), "--threads", threads]) == 0
+            assert main([task, "--config", str(cfg_path), "--threads", threads]) == 0
             outputs.append(
-                [(tmp_path / f"hom{threads}" / name).read_bytes()
-                 for name in ("pattern_homogenized.csv", "report.json")]
+                [(tmp_path / f"{task}{threads}" / name).read_bytes()
+                 for name in names + ["report.json"]]
             )
         assert outputs[0] == outputs[1]
-        assert json.loads(outputs[0][1])["retained"] > 0
+        assert json.loads(outputs[0][-1])[positive] > 0
 
     def test_prop2_task(self, tmp_path):
         _, cfg = write_config(tmp_path)
@@ -646,6 +680,32 @@ class TestMain:
         cfg_path, _ = write_config(tmp_path, simulate={"lambda": 10})
         assert main(["simulate", "--config", str(cfg_path)]) == 2
         assert "error: out of memory: Unable to allocate" in capsys.readouterr().err
+
+    def test_oversized_separability_grid_exits_2_before_building_rows(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def built(*args, **kwargs):
+            raise AssertionError("kernel rows built")
+
+        monkeypatch.setattr("stpp.separability._spacetime_rows", built)
+        monkeypatch.setattr("stpp.separability.substream", built)
+        _, cfg = write_config(tmp_path, simulate={"lambda": 600})
+        cfg["output_dir"] = str(tmp_path / "data")
+        out = run(cfg, "simulate")
+        # 600 events' rows on a 700 x 700 spatial grid need about 2.4 GB
+        cfg_path, _ = write_config(
+            tmp_path, name="sep.json",
+            input=str(out / "pattern.csv"),
+            output_dir=str(tmp_path / "sep"),
+            pi0=1.0,
+            test={"B": 19},
+            grids={"spacetime": [700, 700, 10]},
+            bandwidth={"temporal": 0.05, "spatial": 0.1},
+        )
+        assert main(["separability", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: 3D estimation needs about")
+        assert "coarser grid" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("projection", ["degree", "km", None])
     def test_unknown_projection_exits_2(self, tmp_path, capsys, projection):

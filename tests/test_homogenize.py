@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.spatial
+from scipy.spatial import cKDTree
 
 from stpp.core import SpatialPattern, Window, substream
 from stpp.homogenize import HomogenizeConfig, homogenize, level_set, minimize_loss
@@ -93,7 +95,7 @@ class TestMinimizeLoss:
         n = 100
         grid = GridSpec.spatial(UNIT, 16, 16)
         cells = VoronoiCells(
-            generators=np.random.default_rng(0).uniform(size=(n, 2)),
+            tree=cKDTree(np.random.default_rng(0).uniform(size=(n, 2))),
             areas=np.full(n, 1.0 / n),
             values=np.full(n, float(n)),
             grid=grid,
@@ -141,7 +143,7 @@ class TestHomogenize:
         n = 150
         grid = GridSpec.spatial(UNIT, 16, 16)
         cells = VoronoiCells(
-            generators=substream(0, 3).uniform(size=(n, 2)),
+            tree=cKDTree(substream(0, 3).uniform(size=(n, 2))),
             areas=np.full(n, 1.0 / n),
             values=np.full(n, float(n)),
             grid=grid,
@@ -188,6 +190,23 @@ class TestHomogenize:
         assert sub.window.mask is not None
         assert sub.window.area == pytest.approx(report.level_area)
         # retained points lie inside the level-set region
+        assert sub.window.contains_xy(sub.points).all()
+
+    def test_one_tree_build_per_call(self, monkeypatch):
+        # the Voronoi estimate's k-d tree also serves the level-set mask
+        # and the quadrat test's tile areas
+        builds = []
+
+        class CountingTree(cKDTree):
+            def __init__(self, *args, **kwargs):
+                builds.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
+        pat = simulate_poisson_spatial(300.0, UNIT, 8)
+        sub, report = homogenize(pat, HomogenizeConfig(target_count=100.0, seed=2))
+        assert len(builds) == 1
+        assert np.isfinite(report.quadrat_statistic)
         assert sub.window.contains_xy(sub.points).all()
 
     def test_expected_retained_count(self):

@@ -1,20 +1,36 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from stpp import intensity
-from stpp.core import GridSpec, PolygonMask, SpatialPattern, TemporalPattern, Window, project, substream
+from stpp import bandwidth, intensity
+from stpp.core import (
+    GridSpec,
+    PolygonMask,
+    SpaceTimePattern,
+    SpatialPattern,
+    TemporalPattern,
+    Window,
+    project,
+    substream,
+)
 from stpp.intensity import (
     KernelSpec,
     diggle_correction,
     estimate_lambda_s,
     estimate_lambda_st,
     estimate_lambda_t,
+    temporal_corrections,
     voronoi_intensity,
 )
 from stpp.simulate import IntensityModel, RetentionSpec, simulate_poisson, thin
 
 UNIT = Window((0, 1), (0, 1), (0, 1))
+POLYGON = Window(
+    (0, 1), (0, 1), (0, 1), PolygonMask([(0.05, 0.0), (1.0, 0.1), (0.9, 1.0), (0.0, 0.85)])
+)
 
 
 def test_kernel_spec_validation():
@@ -209,9 +225,6 @@ def oracle_voronoi(pattern, resolution):
     return areas, values, field, assignment, mask
 
 
-POLYGON = Window(
-    (0, 1), (0, 1), (0, 1), PolygonMask([(0.05, 0.0), (1.0, 0.1), (0.9, 1.0), (0.0, 0.85)])
-)
 # leaves whole raster rows (x < 0.3, x > 0.7) outside the mask
 TRIANGLE = Window((0, 1), (0, 1), (0, 1), PolygonMask([(0.3, 0.2), (0.7, 0.2), (0.5, 0.8)]))
 
@@ -267,3 +280,166 @@ class TestVoronoi:
     def test_needs_a_point(self):
         with pytest.raises(ValueError):
             voronoi_intensity(SpatialPattern(np.empty((0, 2)), UNIT))
+
+
+# Reference estimators: every event's kernel rows in one dense array, as
+# the estimators computed them before they summed over chunks of events.
+
+
+def oracle_gauss_factors(points_1d, centers, step, b):
+    z = (np.asarray(centers)[None, :] - np.asarray(points_1d)[:, None]) / b
+    return np.exp(-0.5 * z * z) * (step / (b * math.sqrt(2.0 * math.pi)))
+
+
+def oracle_spatial_rows(xy, grid, window, b):
+    gx = oracle_gauss_factors(xy[:, 0], grid.centers(0), grid.step[0], b)
+    gy = oracle_gauss_factors(xy[:, 1], grid.centers(1), grid.step[1], b)
+    mask = window.raster(grid)
+    if mask is None:
+        e = gx.sum(axis=1) * gy.sum(axis=1)
+    else:
+        e = np.einsum("ij,ij->i", gx @ mask.astype(float), gy)
+    return gx, gy, e, mask
+
+
+def oracle_lambda_s(pattern, b, grid):
+    gx, gy, e, mask = oracle_spatial_rows(pattern.points, grid, pattern.window, b)
+    values = (gx / (e[:, None] * grid.cell_volume)).T @ gy
+    return values if mask is None else np.where(mask, values, 0.0)
+
+
+def oracle_lambda_t(pattern, b, grid):
+    e = temporal_corrections(pattern.times, pattern.window, b)
+    return (1.0 / e) @ oracle_gauss_factors(pattern.times, grid.centers(0), 1.0, b)
+
+
+def oracle_lambda_st(pattern, b_s, b_t, grid, pi0):
+    window = pattern.window
+    nx, ny, nt = grid.shape
+    spatial = GridSpec.spatial(window, nx, ny)
+    gx, gy, e_s, mask = oracle_spatial_rows(pattern.x, spatial, window, b_s)
+    gx = gx / (e_s[:, None] * spatial.cell_volume)
+    S = (gx[:, :, None] * gy[:, None, :]).reshape(len(pattern), nx * ny)
+    T = oracle_gauss_factors(pattern.t, grid.centers(2), 1.0, b_t)
+    T /= temporal_corrections(pattern.t, window, b_t)[:, None]
+    values = (S.T @ T).reshape(nx, ny, nt) / pi0
+    return values if mask is None else np.where(mask[:, :, None], values, 0.0)
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def chunk_pattern(window, seed, n=400):
+    rng = substream(seed, 13)
+    pts = rng.uniform(size=(3 * n, 3))
+    pts = pts[window.contains_xy(pts[:, :2])][:n]
+    return SpaceTimePattern(pts, window)
+
+
+# chunk byte budgets: one event per chunk, a few events per chunk on the
+# grids below, and the default (one chunk for every pattern here)
+BUDGETS = [1, 4000, intensity._CHUNK_BYTES]
+
+
+class TestChunkedEstimators:
+    def test_gauss_factors_bit_equal_with_underflow(self):
+        rng = substream(4, 2)
+        centers = (np.arange(300) + 0.5) / 300
+        # points far outside the grid make whole rows underflow to 0
+        points = np.concatenate([rng.uniform(size=200), [-40.0, 55.0, 1e160, -1e200]])
+        for b, step in ((0.05, 1.0), (0.003, 1.0 / 300), (1e-155, 2.0)):
+            with np.errstate(over="ignore"):
+                got = intensity._gauss_factors(points, centers, step, b)
+                want = oracle_gauss_factors(points, centers, step, b)
+            assert np.array_equal(bits(got), bits(want))
+            assert (got[-4:] == 0).all()
+            assert (got[:200] > 0).any(axis=1).all() == (b > 1e-100)
+
+    @pytest.mark.parametrize("window", [UNIT, POLYGON], ids=["rectangle", "polygon"])
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_lambda_s(self, monkeypatch, window, budget):
+        monkeypatch.setattr(intensity, "_CHUNK_BYTES", budget)
+        sp, _ = project(chunk_pattern(window, 1))
+        grid = GridSpec.spatial(window, 40, 30)
+        est = estimate_lambda_s(sp, KernelSpec(0.06), grid)
+        want = oracle_lambda_s(sp, 0.06, grid)
+        if budget == BUDGETS[-1]:
+            assert np.array_equal(bits(est.field.values), bits(want))
+        np.testing.assert_allclose(est.field.values, want, rtol=1e-12, atol=0)
+        assert est.integrate() == pytest.approx(len(sp), rel=1e-9)
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_lambda_t(self, monkeypatch, budget):
+        monkeypatch.setattr(intensity, "_CHUNK_BYTES", budget)
+        _, tp = project(chunk_pattern(UNIT, 2))
+        grid = GridSpec.temporal(UNIT, 50)
+        est = estimate_lambda_t(tp, KernelSpec(0.03), grid)
+        want = oracle_lambda_t(tp, 0.03, grid)
+        if budget == BUDGETS[-1]:
+            assert np.array_equal(bits(est.field.values), bits(want))
+        np.testing.assert_allclose(est.field.values, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("window", [UNIT, POLYGON], ids=["rectangle", "polygon"])
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_lambda_st(self, monkeypatch, window, budget):
+        monkeypatch.setattr(intensity, "_CHUNK_BYTES", budget)
+        pat = chunk_pattern(window, 3)
+        grid = GridSpec.spacetime(window, 12, 10, 20)
+        est = estimate_lambda_st(
+            pat, KernelSpec(0.1), KernelSpec(0.05), grid, retention=RetentionSpec.constant(0.5)
+        )
+        want = oracle_lambda_st(pat, 0.1, 0.05, grid, 0.5)
+        if budget == BUDGETS[-1]:
+            assert np.array_equal(bits(est.field.values), bits(want))
+        np.testing.assert_allclose(est.field.values, want, rtol=1e-12, atol=0)
+
+    def test_memory_cap_counts_one_chunk(self, monkeypatch):
+        # 3 events' rows plus the field fit 0.1 MB; all 400 events' rows do not
+        monkeypatch.setattr(intensity, "_CHUNK_BYTES", 4000)
+        pat = chunk_pattern(UNIT, 3)
+        grid = GridSpec.spacetime(UNIT, 12, 10, 20)
+        est = estimate_lambda_st(pat, KernelSpec(0.1), KernelSpec(0.05), grid, memory_cap_mb=0.1)
+        assert est.integrate() == pytest.approx(len(pat), rel=5e-3)
+        monkeypatch.setattr(intensity, "_CHUNK_BYTES", BUDGETS[-1])
+        with pytest.raises(MemoryError, match="coarser"):
+            estimate_lambda_st(pat, KernelSpec(0.1), KernelSpec(0.05), grid, memory_cap_mb=0.1)
+
+    @pytest.mark.parametrize("window", [UNIT, POLYGON], ids=["rectangle", "polygon"])
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_corrections(self, monkeypatch, window, budget):
+        monkeypatch.setattr(intensity, "_CHUNK_BYTES", budget)
+        xy = chunk_pattern(window, 4).x
+        grid = GridSpec.spatial(window, 32, 32)
+        for b in (0.01, 0.05, 0.2):
+            got = bandwidth._corrections(xy, b, window, grid)
+            want = np.maximum(oracle_spatial_rows(xy, grid, window, b)[2], 1e-12)
+            if budget == BUDGETS[-1]:
+                assert np.array_equal(bits(got), bits(want))
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        center = xy[7]
+        w = diggle_correction(center, KernelSpec(0.05), window, grid)
+        want = oracle_spatial_rows(center.reshape(1, 2), grid, window, 0.05)[2][0]
+        assert w == min(want, 1.0)
+
+    def test_memory_bounded_by_one_chunk(self):
+        # at 5e4 events one (n, 256) factor array is 102 MB and the (n, 1000)
+        # temporal rows 400 MB; one chunk of rows is at most _CHUNK_BYTES
+        n = 50_000
+        rng = substream(6, 1)
+        sp = SpatialPattern(rng.uniform(size=(n, 2)), UNIT)
+        tp = TemporalPattern(rng.uniform(size=n), UNIT)
+        runs = [
+            (estimate_lambda_s, sp, KernelSpec(0.05), GridSpec.spatial(UNIT, 256, 256)),
+            (estimate_lambda_t, tp, KernelSpec(0.01), GridSpec.temporal(UNIT, 1000)),
+        ]
+        for estimate, pattern, kernel, grid in runs:
+            bound = 1.25 * intensity._CHUNK_BYTES + 16 * math.prod(grid.shape) + 64 * n
+            tracemalloc.start()
+            try:
+                est = estimate(pattern, kernel, grid)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert est.integrate() == pytest.approx(n, rel=1e-3)
+            assert peak < bound, (estimate.__name__, peak / 1e6, bound / 1e6)
