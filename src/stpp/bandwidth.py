@@ -1,7 +1,10 @@
 """Bandwidth selection.
 
 Temporal bandwidths use the Sheather-Jones solve-the-equation plug-in rule
-for a Gaussian kernel.  Spatial bandwidths minimize the squared
+for a Gaussian kernel, solved by :func:`_brentq`, a statement-for-statement
+port of scipy's C ``brentq`` that returns the same root as
+``scipy.optimize.brentq`` (the tests' oracle) without importing
+``scipy.optimize``.  Spatial bandwidths minimize the squared
 inverse-residual loss
 
     L(b) = ( sum over data points of 1 / lambda_hat(x; b)  -  |W| )^2
@@ -16,6 +19,7 @@ costs one ``exp`` over the fold's distance block.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -197,6 +201,80 @@ def normal_reference_bandwidth(x) -> float:
     return 1.06 * scale * len(x) ** (-0.2)
 
 
+def _ieee_div(num: float, den: float) -> float:
+    """``num / den`` with C's result (+-inf or nan) where Python raises."""
+    try:
+        return num / den
+    except ZeroDivisionError:
+        return num * math.copysign(math.inf, den)
+
+
+def _brentq(f, a: float, b: float, xtol: float) -> float:
+    """Root of ``f`` in the bracket [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    Follows scipy's ``brentq.c`` step for step in doubles, so the root is
+    the one ``scipy.optimize.brentq`` returns.  Raises ValueError when f
+    has the same sign at both ends or returns nan, RuntimeError when 100
+    steps do not converge; the relative tolerance is scipy's 4 eps.
+    """
+    rtol, maxiter = 4 * sys.float_info.epsilon, 100
+
+    def fx(x):
+        value = float(f(x))
+        if math.isnan(value):
+            raise ValueError(f"the function value at x={x} is NaN; solver cannot continue")
+        return value
+
+    xpre, xcur, xtol = float(a), float(b), float(xtol)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = fx(xpre), fx(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    # zeros returned above and nan raised, so comparing with 0 is C's signbit
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = _ieee_div(-fcur * (xcur - xpre), fcur - fpre)
+            else:
+                # extrapolate
+                dpre = _ieee_div(fpre - fcur, xpre - xcur)
+                dblk = _ieee_div(fblk - fcur, xblk - xcur)
+                stry = _ieee_div(-fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre))
+            limit = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = fx(xcur)
+    raise RuntimeError(f"failed to converge after {maxiter} iterations, value is {xcur:f}")
+
+
 def select_bandwidth_temporal(times: TemporalPattern | np.ndarray) -> float:
     """Sheather-Jones solve-the-equation plug-in bandwidth (Gaussian kernel).
 
@@ -205,8 +283,6 @@ def select_bandwidth_temporal(times: TemporalPattern | np.ndarray) -> float:
     pilot bandwidth alpha2(h) tied to h through two direct plug-in stages.
     Functionals are linearly binned: O(n + M log M), M <= 2^20 bins of h0/200.
     """
-    from scipy.optimize import brentq
-
     x = times.times if isinstance(times, TemporalPattern) else np.asarray(times, float)
     n = len(x)
     if len(np.unique(x)) < 10:
@@ -265,4 +341,4 @@ def select_bandwidth_temporal(times: TemporalPattern | np.ndarray) -> float:
             fhi = objective(hi)
     else:
         raise ValueError("failed to bracket the plug-in equation root")
-    return float(brentq(objective, lo, hi, xtol=1e-12 * h0))
+    return _brentq(objective, lo, hi, xtol=1e-12 * h0)

@@ -5,6 +5,11 @@ homogeneity test.
 The envelope machinery only assumes that the observed curve and its B
 replicates are exchangeable under the null, so the returned p-values are
 exact Monte-Carlo p-values taking values k/(B+1).
+
+Pointwise ranks come from :func:`_rank_columns`, one stable sort per
+column in numpy; it returns the values and dtypes of
+``scipy.stats.rankdata(a, method, axis=0)``, which the tests use as its
+oracle, without importing ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -68,17 +73,39 @@ class EnvelopeResult:
         return self.p_value <= self.alpha
 
 
+def _rank_columns(a: np.ndarray, method: str) -> np.ndarray:
+    """1-based ranks within each column of ``a``.
+
+    Tied values share the smallest rank of their group (``"min"``, int64)
+    or the mean of its ranks (``"average"``, float64).
+    """
+    n = len(a)
+    order = np.argsort(a, axis=0, kind="stable")
+    ordered = np.take_along_axis(a, order, axis=0)
+    pos = np.arange(n)[:, None]
+    first = np.ones(a.shape, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    # sorted position of the first and of the last member of each tie group
+    start = np.maximum.accumulate(np.where(first, pos, 0), axis=0)
+    if method == "min":
+        values = start + 1
+    else:
+        last = np.ones(a.shape, dtype=bool)
+        last[:-1] = first[1:]
+        end = np.minimum.accumulate(np.where(last, pos, n - 1)[::-1], axis=0)[::-1]
+        values = (start + end) / 2 + 1
+    ranks = np.empty_like(values)
+    np.put_along_axis(ranks, order, values, axis=0)
+    return ranks
+
+
 def _pointwise_extreme_ranks(curves: np.ndarray) -> np.ndarray:
     """Two-sided pointwise ranks: min of rank from below and from above.
 
     Ties share the minimum attainable rank, so tied curves are equally
     extreme.
     """
-    from scipy.stats import rankdata
-
-    lo = rankdata(curves, method="min", axis=0)
-    hi = rankdata(-curves, method="min", axis=0)
-    return np.minimum(lo, hi)
+    return np.minimum(_rank_columns(curves, "min"), _rank_columns(-curves, "min"))
 
 
 def _erl_order(curves: np.ndarray):
@@ -93,16 +120,14 @@ def _erl_order(curves: np.ndarray):
     sorted_ranks = np.sort(ranks, axis=1)
     s = len(curves)
     order = np.lexsort(sorted_ranks.T[::-1])
+    rows = sorted_ranks[order]
+    # tied rank vectors are adjacent in lexicographic order; each tie group
+    # shares the measure (index of its last member + 1) / s
+    last = np.ones(s, dtype=bool)
+    last[:-1] = (rows[1:] != rows[:-1]).any(axis=1)
+    end = np.minimum.accumulate(np.where(last, np.arange(s), s - 1)[::-1])[::-1]
     measures = np.empty(s)
-    i = 0
-    while i < s:
-        j = i
-        while j + 1 < s and np.array_equal(
-            sorted_ranks[order[j + 1]], sorted_ranks[order[i]]
-        ):
-            j += 1
-        measures[order[i : j + 1]] = (j + 1) / s
-        i = j + 1
+    measures[order] = (end + 1) / s
     return measures, order
 
 
@@ -158,10 +183,8 @@ def combined_erl_test(curve_sets, alpha: float = 0.05) -> EnvelopeResult:
     bs = {cs.n_replicates for cs in curve_sets}
     if len(bs) != 1:
         raise ValueError(f"components disagree on replicate count: {sorted(bs)}")
-    from scipy.stats import rankdata
-
     stacked = [cs.stacked() for cs in curve_sets]
-    transformed = np.hstack([rankdata(c, method="average", axis=0) for c in stacked])
+    transformed = np.hstack([_rank_columns(c, "average") for c in stacked])
     measures, order = _erl_order(transformed)
     p = float(measures[0])
     original = np.hstack(stacked)

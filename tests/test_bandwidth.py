@@ -1,10 +1,13 @@
+import importlib.util
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from stpp import bandwidth
 from stpp.bandwidth import (
     BandwidthSearch,
     cvl_loss,
@@ -295,6 +298,142 @@ class TestSheatherJones:
             select_bandwidth_temporal(np.ones(100))
         with pytest.raises(ValueError):
             select_bandwidth_temporal(np.arange(5, dtype=float))
+
+
+def bench_times(seed=1, n=10_000):
+    """Event times of the benchmark's planar catalogue, parsed as the CLI parses them."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "catalogue.py"
+    spec = importlib.util.spec_from_file_location("bench_catalogue", path)
+    catalogue = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(catalogue)
+    _, data = catalogue.planar(seed, n)
+    return np.array([float(line.split(b",")[2]) for line in data.splitlines()[1:]])
+
+
+def step(x, at=1e-250):
+    return -1.0 if x < at else 1.0
+
+
+def solve_both(f, a, b, xtol):
+    """(_brentq, scipy brentq) results, or the exception type each raised."""
+    out = []
+    for solver in (lambda: bandwidth._brentq(f, a, b, xtol), lambda: brentq(f, a, b, xtol=xtol)):
+        try:
+            out.append(solver())
+        except (ValueError, RuntimeError) as exc:
+            out.append(type(exc))
+    return out
+
+
+class TestBrentq:
+    def test_matches_scipy_on_sheather_jones(self, monkeypatch):
+        solve = bandwidth._brentq
+        calls = []
+
+        def recording(f, a, b, xtol):
+            root = solve(f, a, b, xtol)
+            calls.append((root, brentq(f, a, b, xtol=xtol)))
+            return root
+
+        monkeypatch.setattr(bandwidth, "_brentq", recording)
+        rng = substream(30, 0)
+        samples = [bench_times()]
+        for n in (100, 1000, 5000):
+            for _ in range(4):
+                samples += [
+                    rng.normal(size=n),
+                    np.concatenate([rng.normal(-3, 0.5, n // 2), rng.normal(3, 0.5, n - n // 2)]),
+                    rng.lognormal(0.0, 1.5, n),
+                    rng.pareto(3.0, n),
+                    clustered_times(n, rng),
+                ]
+        for x in samples:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                h = select_bandwidth_temporal(x)
+            root, want = calls[-1]
+            assert h == root == want
+        assert len(calls) == len(samples)
+
+    def test_matches_scipy_on_synthetic_brackets(self):
+        functions = [
+            lambda x: x**3 - 2 * x - 5,
+            lambda x: math.cos(x) - x,
+            lambda x: math.exp(x) - 3.0,
+            lambda x: 1e-3 * math.atan(x - 0.3),
+            lambda x: (x - 1.1) ** 5,
+            lambda x: math.tanh(50.0 * (x - 0.7)),
+            lambda x: step(x, 0.123456789),
+            lambda x: math.inf if x < 0.5 else 0.5 - x,
+        ]
+        rng = substream(31, 0)
+        for xtol in np.geomspace(1e-14, 1e-2, 13):
+            for f in functions:
+                for _ in range(10):
+                    a, b = rng.uniform(-3.0, 0.1), rng.uniform(1.2, 4.0)
+                    got, want = solve_both(f, a, b, xtol)
+                    assert got == want
+
+    def test_zero_at_an_end_returns_it(self):
+        assert bandwidth._brentq(lambda x: x - 1.0, 1.0, 3.0, 1e-12) == 1.0
+        assert bandwidth._brentq(lambda x: x - 3.0, 1.0, 3.0, 1e-12) == 3.0
+        assert solve_both(lambda x: x - 1.0, 1.0, 3.0, 1e-12) == [1.0, 1.0]
+
+    def test_same_sign_raises(self):
+        with pytest.raises(ValueError, match="different signs"):
+            bandwidth._brentq(lambda x: x * x + 1.0, -1.0, 2.0, 1e-12)
+        assert solve_both(lambda x: x * x + 1.0, -1.0, 2.0, 1e-12) == [ValueError] * 2
+
+    def test_nan_raises(self):
+        with pytest.raises(ValueError, match="NaN"):
+            bandwidth._brentq(lambda x: math.nan if x > 1.0 else -1.0, 0.0, 2.0, 1e-12)
+
+        def hole(x):  # nan around the root, which the first secant step lands in
+            return math.nan if 0.4 < x < 0.6 else x - 0.5
+
+        with pytest.raises(ValueError, match="NaN"):
+            bandwidth._brentq(hole, 0.0, 1.0, 1e-12)
+        assert solve_both(hole, 0.0, 1.0, 1e-12) == [ValueError] * 2
+
+    def test_no_convergence_in_100_steps_raises(self):
+        # a sign change that bisection needs about 1800 halvings to pin down
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return step(x)
+
+        with pytest.raises(RuntimeError, match="100 iterations"):
+            bandwidth._brentq(counted, -1e300, 1e300, 1e-300)
+        ours, calls[:] = list(calls), []
+        with pytest.raises(RuntimeError):
+            brentq(counted, -1e300, 1e300, xtol=1e-300)
+        assert ours == calls and len(calls) == 2 + 100
+
+    def test_zero_denominator_step(self, monkeypatch):
+        # slopes near 1e-200 underflow, so their product divides by zero
+        divide = bandwidth._ieee_div
+        zero_denominators = []
+
+        def counting(num, den):
+            zero_denominators.append(den == 0)
+            return divide(num, den)
+
+        monkeypatch.setattr(bandwidth, "_ieee_div", counting)
+
+        def tiny(x):
+            return 1e-200 * (x**3 - 2.0)
+
+        got, want = solve_both(tiny, 0.0, 2.0, 1e-12)
+        assert any(zero_denominators)
+        assert got == want == pytest.approx(2.0 ** (1 / 3), rel=1e-12)
+
+    def test_ieee_div(self):
+        assert bandwidth._ieee_div(1.0, 0.0) == math.inf
+        assert bandwidth._ieee_div(1.0, -0.0) == -math.inf
+        assert bandwidth._ieee_div(-2.0, 0.0) == -math.inf
+        assert math.isnan(bandwidth._ieee_div(0.0, 0.0))
+        assert bandwidth._ieee_div(3.0, 2.0) == 1.5
 
 
 def test_default_candidates_bracket():

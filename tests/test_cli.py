@@ -722,15 +722,47 @@ class TestMain:
             assert context["mode"] == mode
         assert build_window(GEO)[1]["mode"] == "lonlat"
 
-    def test_import_leaves_scipy_stats_and_optimize_unloaded(self):
+    def test_import_leaves_scipy_stats_and_optimize_unloaded(self, tmp_path):
+        # every task runs in one fresh interpreter; temporal bandwidths are
+        # left to Sheather-Jones so its root solve runs too
+        window = {"x1": [0, 1], "x2": [0, 1], "t": [0, 1]}
+        data = {"window": window, "output_dir": str(tmp_path / "data"), "seed": 3,
+                "simulate": {"lambda": 2000}}
+        tasks = {
+            "simulate": {},
+            "intensity": {"grids": {"spatial": [8, 8], "temporal": 20},
+                          "bandwidth": {"spatial": 0.1}},
+            "separability": {"pi0": 0.5, "test": {"B": 19},
+                             "grids": {"spacetime": [8, 8, 10]},
+                             "bandwidth": {"spatial": 0.1}},
+            "ripley-k": {"pi0": 0.5, "test": {"B": 19},
+                         "kgrid": {"n_r": 5, "n_tau": 5}},
+            "homogenize": {"homogenize": {"target_count": 300}},
+            "prop2-check": {"prop2": {"lam_floor": 500.0, "p": 0.05, "r": 0.1, "tau": 0.05,
+                                      "lambda": 3000.0, "seeds": 2, "thinnings": 1}},
+        }
+        (tmp_path / "data.json").write_text(json.dumps(data))
+        for task, extra in tasks.items():
+            cfg = {"window": window, "input": str(tmp_path / "data" / "pattern.csv"),
+                   "output_dir": str(tmp_path / task), "seed": 4, **extra}
+            (tmp_path / f"{task}.json").write_text(json.dumps(cfg))
         code = (
-            "import sys, stpp.cli; "
+            "import sys, warnings; from stpp.cli import main; "
+            "warnings.simplefilter('ignore'); "
+            f"codes = [main(['simulate', '--config', {str(tmp_path / 'data.json')!r}])]; "
+            f"codes += [main([t, '--config', {str(tmp_path)!r} + '/' + t + '.json']) "
+            f"for t in {list(tasks)!r}]; "
+            "print(codes); "
             "print(sorted(m for m in sys.modules "
             "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'optimize'])))"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.splitlines()[-2:] == [str([0] * 7), "[]"]
+        for task in tasks:
+            assert (tmp_path / task / "report.json").exists()
+        report = json.loads((tmp_path / "intensity" / "report.json").read_text())
+        assert report["bandwidth_temporal"] > 0
 
     def test_console_entry_point(self, tmp_path):
         cfg_path, _ = write_config(tmp_path, simulate={"lambda": 10})

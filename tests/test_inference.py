@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
-from scipy.stats import chi2
+from scipy.stats import chi2, rankdata
 
+from stpp import inference
 from stpp.core import SpatialPattern, Window, project, substream
 from stpp.inference import CurveSet, combined_erl_test, erl_test, quadrat_test
 from stpp.simulate import IntensityModel, simulate_poisson
@@ -111,6 +114,91 @@ class TestCombined:
             [CurveSet(ARGS, obs1, reps1), CurveSet(ARGS, obs2, reps2)]
         )
         assert res.p_value == pytest.approx(1 / 200)
+
+
+def tie_heavy(rng, rows, cols, levels=3):
+    """Curves on a few levels, with signed zeros, so most columns carry ties."""
+    a = rng.integers(-(levels // 2), levels - levels // 2, size=(rows, cols)).astype(float)
+    return np.where(a == 0, rng.choice([0.0, -0.0], size=a.shape), a)
+
+
+def loop_erl_order(curves):
+    """Tie groups of the lexsorted rank vectors found one curve at a time."""
+    ranks = inference._pointwise_extreme_ranks(curves)
+    sorted_ranks = np.sort(ranks, axis=1)
+    s = len(curves)
+    order = np.lexsort(sorted_ranks.T[::-1])
+    measures = np.empty(s)
+    i = 0
+    while i < s:
+        j = i
+        while j + 1 < s and np.array_equal(sorted_ranks[order[j + 1]], sorted_ranks[order[i]]):
+            j += 1
+        measures[order[i : j + 1]] = (j + 1) / s
+        i = j + 1
+    return measures, order
+
+
+def assert_same_result(got, want):
+    for field in ("args", "observed", "central", "lower", "upper", "measures",
+                  "reject_pointwise"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert got.p_value == want.p_value
+
+
+class TestRankColumns:
+    @pytest.mark.parametrize("method", ["min", "average"])
+    @pytest.mark.parametrize("shape", [(2, 7), (1, 4), (30, 1), (200, 25)])
+    def test_matches_rankdata(self, method, shape):
+        rng = substream(10, 0)
+        samples = [tie_heavy(rng, *shape, levels=levels) for levels in (1, 2, 3, 50)]
+        for a in samples + [rng.normal(size=shape)]:
+            want = rankdata(a, method=method, axis=0)
+            got = inference._rank_columns(a, method)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("method", ["min", "average"])
+    def test_signed_zeros_and_all_tied_columns(self, method):
+        a = np.array([[0.0, 2.0, 1.0], [-0.0, 2.0, -1.0], [0.0, 2.0, -0.0], [-0.0, 2.0, 0.0]])
+        got = inference._rank_columns(a, method)
+        assert np.array_equal(got, rankdata(a, method=method, axis=0))
+        expected_tied = 1 if method == "min" else 2.5
+        assert (got[:, :2] == expected_tied).all()
+
+
+class TestErlOracle:
+    def test_vectorised_tie_groups_match_loop(self):
+        rng = substream(12, 0)
+        for _ in range(300):
+            s, m = int(rng.integers(2, 60)), int(rng.integers(1, 6))
+            curves = tie_heavy(rng, s, m, levels=int(rng.integers(1, 4)))
+            measures, order = inference._erl_order(curves)
+            want_measures, want_order = loop_erl_order(curves)
+            assert np.array_equal(order, want_order)
+            assert np.array_equal(measures, want_measures)
+
+    def test_matches_scipy_ranks(self, monkeypatch):
+        rng = substream(13, 0)
+        cases = []
+        for b in (1, 19, 99):
+            for make in (null_curves, lambda r, n: tie_heavy(r, n, len(ARGS))):
+                reps1, reps2 = make(rng, b), 5.0 + make(rng, b)
+                obs1, obs2 = make(rng, 1)[0], 5.0 + make(rng, 1)[0]
+                cases.append((CurveSet(ARGS, obs1, reps1), CurveSet(ARGS, obs2, reps2)))
+
+        def run_all():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                return [(erl_test(a), combined_erl_test([a, b])) for a, b in cases]
+
+        got = run_all()
+        monkeypatch.setattr(inference, "_rank_columns",
+                            lambda a, method: rankdata(a, method=method, axis=0))
+        want = run_all()
+        for (single, combined), (single_ref, combined_ref) in zip(got, want):
+            assert_same_result(single, single_ref)
+            assert_same_result(combined, combined_ref)
 
 
 class TestQuadrat:
