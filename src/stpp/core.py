@@ -8,6 +8,8 @@ happens at ingestion time) and times are nonnegative reals.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,8 +158,144 @@ class VoronoiRegionMask:
     def raster(self, xs, ys) -> np.ndarray:
         if np.array_equal(xs, self._raster_xs) and np.array_equal(ys, self._raster_ys):
             return self._raster_mask
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        return self.contains(np.column_stack([gx.ravel(), gy.ravel()])).reshape(gx.shape)
+        return self.member[_owner_grid(self._tree, xs, ys, None, _RASTER_BLOCK)]
+
+
+# raster cells per row block of an owner grid; small blocks keep what each
+# worker thread allocates, and its allocator then holds, to a few MB
+_RASTER_BLOCK = 1 << 17
+# side of the square tiles whose owners _nearest_owners resolves together,
+# and how many generators nearest a tile's centre it fetches
+_TILE = 4
+_TILE_CANDIDATES = 16
+# relative slack on a tile's candidate radius d1 + 2r, and the relative gap
+# under which a cell's two best squared distances count as a tie
+_RADIUS_SLACK = 1e-9
+_TIE_MARGIN = 1e-12
+# cell x candidate squared distances evaluated at a time
+_EVAL_BLOCK = 1 << 18
+
+
+def _nearest_owners(tree, xs, ys, inside) -> np.ndarray:
+    """Nearest generator of every cell centre of ``xs`` x ``ys``, as ``tree.query``.
+
+    Returns an int64 (len(xs), len(ys)) grid of indices into ``tree.data``,
+    -1 where the boolean grid ``inside`` is False (None: every cell).
+
+    The grid is cut into tiles of at most 4 x 4 cells.  One query fetches
+    the k = min(16, n) generators nearest each tile's centre; d1 is the
+    nearest distance and r the largest centre-to-cell distance.  A cell's
+    owner g satisfies |c - g| <= |c - g1|, so by the triangle inequality
+    it lies within d1 + 2r of the centre.  If the k-th distance exceeds
+    that radius (times 1 + 1e-9), or k = n, the sorted prefix within the
+    radius holds every possible owner, ties included, and each cell takes
+    the candidate of least ``dx*dx + dy*dy``, the sum ``cKDTree`` compares.
+    Generators outside the radius are at least 1e-9 relatively farther
+    from every cell than g1.  Every cell of the other tiles, and every
+    cell whose two best candidates lie within a relative 1e-12 (far above
+    the few ulps between two evaluations of one sum), is queried on its
+    own, so exact ties resolve by ``cKDTree``'s own traversal and the grid
+    equals one ``tree.query`` of all centres.  On a raster coarser than
+    the generators, where a tile's disc of radius 2r holds more than k of
+    them on average, no tile can resolve and every cell is queried on its
+    own from the start.
+
+    Memory: besides the grid, about 50 bytes per cell (the tiles' k
+    nearest neighbours, the owners and the cells left to query) and at
+    most ``_EVAL_BLOCK`` squared distances at a time.  Queries run on one
+    thread, so callers may run blocks in parallel.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    nx, ny = len(xs), len(ys)
+    owners = np.full((nx, ny), -1, dtype=np.int64)
+    if inside is None:
+        inside = np.ones((nx, ny), dtype=bool)
+    # cell rows and columns of each tile, padded by repeating the last one
+    ri = np.minimum(np.arange(0, nx, _TILE)[:, None] + np.arange(_TILE), nx - 1)
+    ci = np.minimum(np.arange(0, ny, _TILE)[:, None] + np.arange(_TILE), ny - 1)
+    a, b = np.nonzero(inside[ri[:, :, None, None], ci[None, None]].any(axis=(1, 3)))
+    if len(a) == 0:
+        return owners
+    ri, ci = ri[a], ci[b]
+    x0, x1 = xs[ri[:, 0]], xs[ri[:, -1]]
+    y0, y1 = ys[ci[:, 0]], ys[ci[:, -1]]
+    cx, cy = (x0 + x1) * 0.5, (y0 + y1) * 0.5
+    # the farthest cell of a tile from its centre is a corner cell
+    r = np.hypot(np.maximum(cx - x0, x1 - cx), np.maximum(cy - y0, y1 - cy))
+    k = min(_TILE_CANDIDATES, tree.n)
+    pending = np.zeros((nx, ny), dtype=bool)
+    if k < tree.n and tree.n * math.pi * (2.0 * r.max()) ** 2 > k * np.prod(tree.maxes - tree.mins):
+        # a raster coarser than the generators: the candidate disc of a
+        # tile holds more than k of them on average, so tiles cannot resolve
+        pending[:] = True
+    else:
+        _resolve_tiles(tree, xs, ys, ri, ci, cx, cy, r, k, owners, pending)
+    i, j = np.nonzero(pending & inside)
+    if len(i):
+        owners[i, j] = tree.query(np.column_stack([xs[i], ys[j]]), workers=1)[1]
+    owners[~inside] = -1
+    return owners
+
+
+def _resolve_tiles(tree, xs, ys, ri, ci, cx, cy, r, k, owners, pending):
+    """The tile pass of ``_nearest_owners``.
+
+    Tile t covers cell rows ``ri[t]`` and columns ``ci[t]`` around centre
+    (cx[t], cy[t]) within r[t].  Writes the owners of the cells of resolved
+    tiles and marks in ``pending`` the cells left for a query of their own.
+    """
+    dist, idx = tree.query(np.column_stack([cx, cy]), k=k, workers=1)
+    dist, idx = dist.reshape(-1, k), idx.reshape(-1, k)
+    radius = (dist[:, 0] + 2.0 * r) * (1.0 + _RADIUS_SLACK)
+    resolved = dist[:, -1] > radius if k < tree.n else np.ones(len(dist), dtype=bool)
+    prefix = (dist <= radius[:, None]).sum(axis=1)
+    pending[ri[~resolved, :, None], ci[~resolved, None, :]] = True
+    single = resolved & (prefix == 1)
+    owners[ri[single, :, None], ci[single, None, :]] = idx[single, :1, None]
+    data = tree.data
+    for length in np.unique(prefix[resolved & (prefix > 1)]):
+        tiles = np.flatnonzero(resolved & (prefix == length))
+        step = max(1, _EVAL_BLOCK // (_TILE * _TILE * length))
+        for s in range(0, len(tiles), step):
+            t = tiles[s:s + step]
+            cand = idx[t, :length].T
+            dx = data[cand, 0][:, :, None, None] - xs[ri[t]][None, :, :, None]
+            dy = data[cand, 1][:, :, None, None] - ys[ci[t]][None, :, None, :]
+            sq = dx * dx + dy * dy  # (candidate, tile, tile row, tile column)
+            limit = sq.min(axis=0) * (1.0 + _TIE_MARGIN)
+            own = np.empty(limit.shape, dtype=np.int64)
+            near = np.zeros(limit.shape, dtype=np.int8)
+            for g, d in zip(cand, sq):
+                close = d <= limit
+                near += close
+                np.copyto(own, g[:, None, None], where=close)
+            rows, cols = np.broadcast_arrays(ri[t, :, None], ci[t, None, :])
+            owners[rows, cols] = own
+            tie = near > 1
+            pending[rows[tie], cols[tie]] = True
+
+
+def _owner_grid(tree, xs, ys, inside, block_cells) -> np.ndarray:
+    """``_nearest_owners`` of a whole grid, in blocks of whole rows.
+
+    Blocks of about ``block_cells`` cells run on ``os.cpu_count()`` threads,
+    the count ``workers=-1`` uses; each queries on one thread, so its numpy
+    work runs in parallel too.  Every block writes its own rows, so the
+    grid does not depend on the thread count.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    owners = np.empty((len(xs), len(ys)), dtype=np.int64)
+    step = max(1, block_cells // len(ys))
+
+    def assign(rows):
+        block = None if inside is None else inside[rows]
+        owners[rows] = _nearest_owners(tree, xs[rows], ys, block)
+
+    with ThreadPoolExecutor(os.cpu_count() or 1) as pool:
+        list(pool.map(assign, [slice(s, s + step) for s in range(0, len(xs), step)]))
+    return owners
 
 
 @dataclass(frozen=True)
@@ -458,7 +596,8 @@ class ScalarField:
                     mask = np.broadcast_to(mask[:, :, None], grid.shape)
                 else:
                     raise ValueError("mask shape incompatible with grid")
-        if not np.isfinite(values[mask]).all():
+        # boolean temporaries only: values[mask] would copy the field
+        if (mask & ~np.isfinite(values)).any():
             raise ValueError("field values must be finite on masked-in cells")
         self.grid = grid
         self.values = values

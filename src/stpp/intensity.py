@@ -39,7 +39,15 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import GridSpec, ScalarField, SpatialPattern, TemporalPattern, Window
+from .core import (
+    GridSpec,
+    ScalarField,
+    SpatialPattern,
+    TemporalPattern,
+    Window,
+    _RASTER_BLOCK,
+    _owner_grid,
+)
 
 if TYPE_CHECKING:
     from scipy.spatial import cKDTree
@@ -63,9 +71,6 @@ _CHUNK_BYTES = 1 << 27
 
 # default cap on the memory of space-time kernel rows and a 3D field
 _MEMORY_CAP_MB = 2048.0
-
-# raster cell centres queried at a time by voronoi_intensity
-_RASTER_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -386,11 +391,15 @@ def voronoi_intensity(
     is max(256, sqrt(16 n)) cells per axis, so dense patterns keep about
     16 raster cells per generator.
 
-    The raster is queried in blocks of whole rows, about ``_RASTER_BLOCK``
-    cell centres at a time, so besides the k-d tree the memory is one
-    block of centres plus the grid-shaped owner array, the mask and the
-    field: at 10^6 events (a 4000 x 4000 raster) 16 MB per block and
-    128 MB each for the owners and the field.
+    Owners come from ``core._nearest_owners`` and equal one
+    ``cKDTree.query`` of every in-mask cell centre, exact ties included
+    (see there for the argument).  The raster runs in blocks of whole rows,
+    about ``_RASTER_BLOCK`` cells each, on ``os.cpu_count()`` threads, and
+    does not depend on the thread count.  Besides the k-d tree the memory
+    is about 50 bytes per cell of each running block, plus the grid-shaped
+    owner array, the mask and the field, and the in-mask owners copied once
+    to count them: at 10^6 events (a 4000 x 4000 raster) about 6 MB per
+    block and 128 MB each for the owners, the copy and the field.
     """
     from scipy.spatial import cKDTree
 
@@ -406,15 +415,8 @@ def voronoi_intensity(
     if mask is None:
         mask = np.ones(grid.shape, dtype=bool)
     tree = cKDTree(pattern.points)
-    assignment = np.full(grid.shape, -1, dtype=np.int64)
-    counts = np.zeros(n, dtype=np.int64)
-    rows = max(1, _RASTER_BLOCK // resolution)
-    for start in range(0, resolution, rows):
-        inside = mask[start:start + rows]
-        i, j = np.nonzero(inside)
-        _, owner = tree.query(np.column_stack([xs[start + i], ys[j]]), workers=-1)
-        assignment[start:start + rows][inside] = owner
-        counts += np.bincount(owner, minlength=n)
+    assignment = _owner_grid(tree, xs, ys, mask, _RASTER_BLOCK)
+    counts = np.bincount(assignment[mask], minlength=n)
     areas = counts * grid.cell_volume
     with np.errstate(divide="ignore"):
         values = 1.0 / areas  # inf marks generators that captured no raster cell

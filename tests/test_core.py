@@ -189,6 +189,26 @@ def test_scalar_field_shape_checks():
         ScalarField(grid, np.full((8, 8), np.nan))
 
 
+def test_scalar_field_checks_finiteness_on_masked_in_cells_only():
+    grid = GridSpec.spatial(UNIT, 8, 8)
+    mask = np.zeros(grid.shape, dtype=bool)
+    mask[2:5, 3:7] = True
+    for bad in (np.inf, -np.inf, np.nan):
+        values = np.where(mask, 1.0, bad)
+        assert ScalarField(grid, values, mask).integrate() == pytest.approx(12 / 64)
+        values = values.copy()
+        values[3, 4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ScalarField(grid, values, mask)
+    grid3 = GridSpec.spacetime(UNIT, 8, 8, 5)
+    values3 = np.where(mask[:, :, None], 1.0, np.nan) * np.ones(grid3.shape)
+    ScalarField(grid3, values3, mask)
+    values3 = values3.copy()
+    values3[3, 4, 2] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        ScalarField(grid3, values3, mask)
+
+
 def test_scalar_field_lookup():
     grid = GridSpec.temporal(UNIT, 10)
     f = ScalarField(grid, np.arange(10, dtype=float))

@@ -5,13 +5,16 @@ import pytest
 import scipy.spatial
 from scipy.spatial import cKDTree
 
-from stpp.core import SpatialPattern, Window, substream
+from stpp.core import GridSpec, PolygonMask, SpatialPattern, Window, substream
 from stpp.homogenize import HomogenizeConfig, homogenize, level_set, minimize_loss
 from stpp.inference import quadrat_test
 from stpp.intensity import voronoi_intensity
 from stpp.simulate import simulate_poisson_spatial
 
 UNIT = Window((0, 1), (0, 1), (0, 1))
+POLYGON = Window(
+    (0, 1), (0, 1), (0, 1), PolygonMask([(0.05, 0.0), (1.0, 0.1), (0.9, 1.0), (0.0, 0.85)])
+)
 
 
 def poisson_cells(lam, seed):
@@ -208,6 +211,22 @@ class TestHomogenize:
         assert len(builds) == 1
         assert np.isfinite(report.quadrat_statistic)
         assert sub.window.contains_xy(sub.points).all()
+
+    @pytest.mark.parametrize("window", [UNIT, POLYGON], ids=["rectangle", "polygon"])
+    def test_region_raster_on_another_grid_matches_contains(self, window):
+        # the quadrat test rasterizes the level-set region on its own 512^2
+        # grid, not on the Voronoi estimate's
+        pat = simulate_poisson_spatial(300.0, window, 8)
+        sub, _ = homogenize(pat, HomogenizeConfig(target_count=100.0, seed=2))
+        region = sub.window.mask
+        for shape in ((512, 512), (67, 53)):
+            grid = GridSpec.spatial(window, *shape)
+            gx, gy = np.meshgrid(grid.centers(0), grid.centers(1), indexing="ij")
+            oracle = region.contains(np.column_stack([gx.ravel(), gy.ravel()]))
+            raster = region.raster(grid.centers(0), grid.centers(1))
+            assert raster.shape == shape
+            assert np.array_equal(raster, oracle.reshape(shape))
+            assert 0 < raster.sum() < raster.size
 
     def test_expected_retained_count(self):
         # E[retained] tracks the target over seeds

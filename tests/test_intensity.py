@@ -1,11 +1,13 @@
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from stpp import bandwidth, intensity
+from stpp import bandwidth, core, intensity
 from stpp.core import (
     GridSpec,
     PolygonMask,
@@ -280,6 +282,155 @@ class TestVoronoi:
     def test_needs_a_point(self):
         with pytest.raises(ValueError):
             voronoi_intensity(SpatialPattern(np.empty((0, 2)), UNIT))
+
+
+def tie_generators(window, near_pairs=0):
+    """An 8 x 8 lattice on every 8th centre of the 64-cell raster plus 300
+    uniform points on the right half, inside ``window``.  On the 64-cell
+    raster the left half's centres midway between lattice points are exact
+    ties (413 in the unit square); ``near_pairs`` of the uniform points get
+    a twin within 1e-9."""
+    rng = substream(3, 9)
+    xy = rng.uniform(size=(300, 2)) * [0.5, 1.0] + [0.5, 0.0]
+    twins = xy[:near_pairs] + rng.uniform(-7e-10, 7e-10, size=(near_pairs, 2))
+    lattice = (np.arange(0, 64, 8) + 0.5) / 64
+    grid = np.column_stack([np.repeat(lattice, 8), np.tile(lattice, 8)])
+    xy = np.vstack([xy, twins, grid])
+    return SpatialPattern(xy[window.contains_xy(xy)], window)
+
+
+def first_generators(window, n):
+    """The first ``n`` of a seeded uniform stream that fall inside ``window``."""
+    xy = substream(5, n).uniform(size=(400, 2))
+    return SpatialPattern(xy[window.contains_xy(xy)][:n], window)
+
+
+def assert_voronoi_matches_oracle(pattern, resolution):
+    est, cells = voronoi_intensity(pattern, resolution=resolution)
+    areas, values, field, assignment, mask = oracle_voronoi(pattern, resolution)
+    assert np.array_equal(cells.assignment, assignment)
+    assert np.array_equal(cells.areas, areas)
+    assert np.array_equal(cells.values, values)
+    assert np.array_equal(cells.raster_mask, mask)
+    assert np.array_equal(est.field.values.view(np.int64), field.view(np.int64))
+    return cells
+
+
+class QueryLog(cKDTree):
+    """k-d tree that keeps the k and the points of every query."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.log = []
+
+    def query(self, x, k=1, **kwargs):
+        self.log.append((k, np.array(x)))
+        return super().query(x, k=k, **kwargs)
+
+
+class TestNearestOwners:
+    """``core._nearest_owners`` against one k-d tree query per cell centre."""
+
+    WINDOWS = pytest.mark.parametrize(
+        "window", [UNIT, POLYGON, TRIANGLE], ids=["rectangle", "polygon", "triangle"]
+    )
+
+    @WINDOWS
+    @pytest.mark.parametrize("candidates", [1, 2, 16])
+    def test_every_path_matches_single_query(self, monkeypatch, window, candidates):
+        # one candidate never resolves a tile, so every cell falls back;
+        # two resolve some tiles; 16 is the default
+        monkeypatch.setattr(core, "_TILE_CANDIDATES", candidates)
+        pat = tie_generators(window, near_pairs=40)
+        for resolution in (64, 67):
+            assert_voronoi_matches_oracle(pat, resolution)
+
+    @WINDOWS
+    @pytest.mark.parametrize("n", [1, 3, 15])
+    @pytest.mark.parametrize("candidates", [2, 16])
+    def test_fewer_generators_than_candidates(self, monkeypatch, window, n, candidates):
+        monkeypatch.setattr(core, "_TILE_CANDIDATES", candidates)
+        pat = first_generators(window, n)
+        assert len(pat) == n
+        cells = assert_voronoi_matches_oracle(pat, 67)
+        if n == 1:
+            assert (cells.assignment[cells.raster_mask] == 0).all()
+
+    @pytest.mark.parametrize("candidates", [1, 16])
+    def test_ties_and_unresolved_tiles_are_queried_per_cell(self, monkeypatch, candidates):
+        monkeypatch.setattr(core, "_TILE_CANDIDATES", candidates)
+        tree = QueryLog(tie_generators(UNIT, near_pairs=40).points)
+        centres = (np.arange(64) + 0.5) / 64
+        owners = core._nearest_owners(tree, centres, centres, None)
+        gx, gy = np.meshgrid(centres, centres, indexing="ij")
+        cells = np.column_stack([gx.ravel(), gy.ravel()])
+        _, oracle = cKDTree(tree.data).query(cells)
+        assert np.array_equal(owners.ravel(), oracle)
+
+        dist, _ = cKDTree(tree.data).query(cells, k=2)
+        ties = cells[dist[:, 0] == dist[:, 1]]
+        # tile centres sit on cell corners, so queried cell centres are
+        # the cells that fell back
+        every = {tuple(c) for c in cells}
+        queried = {tuple(c) for k, x in tree.log if k == 1 for c in x} & every
+        assert len(ties) == 413
+        assert {tuple(c) for c in ties} <= queried
+        if candidates == 1:
+            assert queried == every
+        else:
+            assert any(k == 16 for k, _ in tree.log)
+            assert len(queried) < len(cells) // 2
+
+    def test_raster_coarser_than_generators_queries_every_cell(self):
+        # about 11 generators per cell: no 4 x 4 tile could resolve
+        tree = QueryLog(substream(6, 1).uniform(size=(3000, 2)))
+        xs, ys = (np.arange(16) + 0.5) / 16, (np.arange(17) + 0.5) / 17
+        owners = core._nearest_owners(tree, xs, ys, None)
+        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        _, oracle = cKDTree(tree.data).query(np.column_stack([gx.ravel(), gy.ravel()]))
+        assert np.array_equal(owners.ravel(), oracle)
+        assert [(k, len(x)) for k, x in tree.log] == [(1, 16 * 17)]
+
+    def test_cells_outside_are_minus_one_and_empty_blocks_skip_queries(self):
+        tree = QueryLog(tie_generators(UNIT).points)
+        centres = (np.arange(67) + 0.5) / 67
+        inside = np.zeros((67, 67), dtype=bool)
+        assert (core._nearest_owners(tree, centres, centres, inside) == -1).all()
+        assert tree.log == []
+        inside[30:40, 5] = True
+        owners = core._nearest_owners(tree, centres, centres, inside)
+        _, oracle = tree.query(np.column_stack([centres[30:40], np.full(10, centres[5])]))
+        assert np.array_equal(owners[30:40, 5], oracle)
+        assert (owners[~inside] == -1).all()
+
+    @WINDOWS
+    def test_thread_count_does_not_change_the_grid(self, monkeypatch, window):
+        # 67 cells per block: one row of the 67-cell raster each; eight
+        # workers (more than the cores) switching threads every microsecond
+        # must not lose or mix any block's rows
+        monkeypatch.setattr(intensity, "_RASTER_BLOCK", 67)
+        pools = []
+
+        class Pool(ThreadPoolExecutor):
+            def __init__(self, workers):
+                pools.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(core, "ThreadPoolExecutor", Pool)
+        pat = tie_generators(window, near_pairs=40)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 3, 8):
+                monkeypatch.setattr(core.os, "cpu_count", lambda: workers)
+                runs.append(assert_voronoi_matches_oracle(pat, 67))
+        finally:
+            sys.setswitchinterval(interval)
+        assert pools == [1, 3, 8]
+        for run in runs[1:]:
+            assert np.array_equal(run.assignment, runs[0].assignment)
+            assert np.array_equal(run.areas, runs[0].areas)
 
 
 # Reference estimators: every event's kernel rows in one dense array, as
