@@ -61,7 +61,6 @@ class BandwidthSearch:
     repeats: int = 50
     seed: int = 0
     grid: GridSpec | None = None
-    average: str = "arithmetic"  # or "geometric"
 
     def __post_init__(self):
         c = np.asarray(self.candidates, dtype=float)
@@ -74,8 +73,6 @@ class BandwidthSearch:
             raise ValueError("repeats must be >= 1")
         if not (0 < self.retention <= 1):
             raise ValueError("retention must be in (0, 1]")
-        if self.average not in ("arithmetic", "geometric"):
-            raise ValueError("average must be 'arithmetic' or 'geometric'")
 
 
 def inverse_residual_loss(lam_at_points, area: float) -> float:
@@ -183,9 +180,6 @@ def select_bandwidth_spatial(pattern: SpatialPattern, search: BandwidthSearch) -
         chosen.append(search.candidates[int(np.argmin(losses))])
     if not chosen:
         raise ValueError("all repeats were discarded; use a larger retention or pattern")
-    chosen = np.asarray(chosen)
-    if search.average == "geometric":
-        return float(np.exp(np.mean(np.log(chosen))))
     return float(np.mean(chosen))
 
 

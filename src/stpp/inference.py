@@ -196,15 +196,14 @@ def combined_erl_test(curve_sets, alpha: float = 0.05) -> EnvelopeResult:
     return EnvelopeResult(args, observed, central, lower, upper, p, measures, reject, alpha)
 
 
-def _tile_areas(window, nx: int, ny: int) -> np.ndarray:
-    """Areas of an nx-by-ny tiling intersected with the (masked) window."""
-    if window.mask is None:
+def _tile_areas(window, fine: GridSpec, inside, nx: int, ny: int) -> np.ndarray:
+    """Areas of an nx-by-ny tiling intersected with the window, whose
+    raster on the square grid ``fine`` is ``inside`` (None if unmasked)."""
+    if inside is None:
         ax = (window.x_range[1] - window.x_range[0]) / nx
         ay = (window.y_range[1] - window.y_range[0]) / ny
         return np.full((nx, ny), ax * ay)
-    res = 512
-    fine = GridSpec.spatial(window, res, res)
-    inside = window.raster(fine)
+    res = fine.shape[0]
     # tile index of each raster cell center, matching histogram2d binning
     ix = np.clip(((np.arange(res) + 0.5) * nx / res).astype(int), 0, nx - 1)
     iy = np.clip(((np.arange(res) + 0.5) * ny / res).astype(int), 0, ny - 1)
@@ -238,9 +237,11 @@ def quadrat_test(pattern: SpatialPattern, tiles=None) -> tuple[float, float]:
         nx = ny = k
     else:
         nx, ny = tiles
+    fine = GridSpec.spatial(window, 512, 512)
+    inside = window.raster(fine)
     coarsened = False
     while True:
-        areas = _tile_areas(window, nx, ny)
+        areas = _tile_areas(window, fine, inside, nx, ny)
         total = areas.sum()
         expected = n * areas / total
         nonzero = areas > 0

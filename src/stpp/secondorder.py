@@ -327,14 +327,12 @@ def average_K(est: KEstimate, grid: KGrid | None = None) -> tuple[np.ndarray, np
 class SeriesDiagnostics:
     """Inputs of the truncated F/G/J series under the Poisson reference.
 
-    ``lam_floor`` plays the role of the lower intensity bound; on real
-    data only an estimated floor is available, which this type flags.
+    ``lam_floor`` plays the role of the lower intensity bound.
     """
 
     lam_floor: float
     pi0: float
     order: int = 30
-    estimated_floor: bool = False
 
     def __post_init__(self):
         if self.lam_floor < 0:

@@ -24,6 +24,7 @@ from .intensity import (
     IntensityEstimate,
     KernelSpec,
     _check_memory,
+    _chunks,
     _spacetime_rows,
 )
 
@@ -112,16 +113,15 @@ def permute_null(pattern: SpaceTimePattern, B: int, seed) -> list[SpaceTimePatte
 
 
 class _SeparabilityEngine:
-    """Shared kernel matrices for fast S_t / S_s curves over permutations.
+    """Shared kernel rows for the S_t / S_s curves of many pairings.
 
     Reuses the corrected kernel rows of :func:`estimate_lambda_st` (built
-    by ``intensity._spacetime_rows``).  The spatial rows depend only on
-    locations and the temporal rows only on times, so a permutation
-    replicate just re-pairs rows.  Curves then reduce to one matrix-vector
-    product per replicate instead of a full 3D field.  The rows of all n
-    events are held at once, so the same up-front memory check as
-    :func:`estimate_lambda_st` raises ``MemoryError`` when they would not
-    fit.
+    by ``intensity._spacetime_rows``).  The spatial rows S depend only on
+    locations and the temporal rows T only on times, so a permutation
+    replicate just re-pairs rows, and the curves of a block of pairings
+    are two matrix products, one of which reads S once for the block.
+    The rows of all n events are held at once, so the same up-front
+    memory check as :func:`estimate_lambda_st` raises ``MemoryError``.
     """
 
     def __init__(self, pattern, kernel_s, kernel_t, grid):
@@ -149,13 +149,15 @@ class _SeparabilityEngine:
         self.inv_lam_s = _safe_ratio(np.ones(nx * ny), lam_s_flat)
         self.t_args = grid.centers(2)
 
-    def curves(self, perm=None):
-        """S_t and S_s curves for the (permuted) pairing of rows."""
-        T = self.T if perm is None else self.T[perm]
-        v = self.v if perm is None else self.v[perm]
-        s_t = (self.u @ T) * self.inv_lam_t
-        s_s = (self.S.T @ v) * self.inv_lam_s
-        return s_t, s_s[self.mask2d.ravel()]
+    def curves(self, perms):
+        """S_t (k, nt) and in-mask S_s (k, cells) curves of k pairings; row
+        b of ``perms`` pairs event i's location with event perms[b, i]'s time."""
+        scattered = np.zeros(perms.shape)
+        scattered[np.arange(len(perms))[:, None], perms] = self.u
+        s_t = (scattered @ self.T) * self.inv_lam_t
+        del scattered  # so at most one (k, n) float array is alive
+        s_s = (self.v[perms] @ self.S) * self.inv_lam_s
+        return s_t, s_s[:, self.mask2d.ravel()]
 
 
 def separability_test(
@@ -177,14 +179,15 @@ def separability_test(
     if grid is None:
         grid = GridSpec.spacetime(pattern.window, 32, 32, 100)
     engine = _SeparabilityEngine(pattern, kernel_s, kernel_t, grid)
-    s_t_obs, s_s_obs = engine.curves()
     n = len(pattern)
-    st_reps = np.empty((B, len(s_t_obs)))
-    ss_reps = np.empty((B, len(s_s_obs)))
-    for b in range(B):
-        rng = substream(seed, b)
-        perm = rng.permutation(n)
-        st_reps[b], ss_reps[b] = engine.curves(perm)
-    cs_t = CurveSet(engine.t_args, s_t_obs, st_reps)
-    cs_s = CurveSet(np.arange(len(s_s_obs), dtype=float), s_s_obs, ss_reps)
+    # row 0 is the observed pairing and row 1 + b the permutation drawn
+    # from substream b; blocks of rows keep each (rows, n) array in a chunk
+    blocks = [
+        engine.curves(np.array([substream(seed, b - 1).permutation(n) if b else np.arange(n)
+                                for b in range(rows.start, rows.stop)]))
+        for rows in _chunks(B + 1, max(n, 1))
+    ]
+    s_t, s_s = (np.vstack(parts) for parts in zip(*blocks))
+    cs_t = CurveSet(engine.t_args, s_t[0], s_t[1:])
+    cs_s = CurveSet(np.arange(s_s.shape[1], dtype=float), s_s[0], s_s[1:])
     return combined_erl_test([cs_t, cs_s], alpha=alpha)

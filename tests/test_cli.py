@@ -608,8 +608,21 @@ class TestRun:
                 ["curves_St.csv", "curves_Ss.csv"],
                 "p_value",
             ),
+            (
+                "ripley-k",
+                {
+                    "intensity": "kernel",
+                    "pi0": 0.5,
+                    "test": {"B": 19},
+                    "grids": {"spacetime": [12, 10, 20]},
+                    "bandwidth": {"spatial": 0.1},
+                    "kgrid": {"n_r": 5, "n_tau": 5},
+                },
+                ["curves_Kt.csv", "curves_Ks.csv"],
+                "bandwidth_temporal",
+            ),
         ],
-        ids=["homogenize", "intensity", "separability"],
+        ids=["homogenize", "intensity", "separability", "ripley-k"],
     )
     def test_identical_across_threads(self, tmp_path, task, extra, names, positive):
         _, cfg = write_config(tmp_path, simulate={"lambda": 3000})

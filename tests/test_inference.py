@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import chi2, rankdata
 
 from stpp import inference
-from stpp.core import SpatialPattern, Window, project, substream
+from stpp.core import PolygonMask, SpatialPattern, Window, project, substream
 from stpp.inference import CurveSet, combined_erl_test, erl_test, quadrat_test
 from stpp.simulate import IntensityModel, simulate_poisson
 
@@ -238,6 +238,23 @@ class TestQuadrat:
         pat = SpatialPattern(rng.uniform(size=(30, 2)), UNIT)
         with pytest.warns(UserWarning, match="coarsen"):
             quadrat_test(pat, (10, 10))
+
+    def test_window_rasterized_once(self, monkeypatch):
+        # coarsening from 10x10 re-tiles the same raster, never re-rasterizes
+        window = Window((0, 1), (0, 1), (0, 1), PolygonMask([(0, 0), (1, 0), (0.5, 1)]))
+        xy = substream(2, 3).uniform(size=(200, 2))
+        pat = SpatialPattern(xy[window.contains_xy(xy)], window)
+        calls = []
+        raster = Window.raster
+
+        def counted_raster(w, grid):
+            calls.append(grid)
+            return raster(w, grid)
+
+        monkeypatch.setattr(Window, "raster", counted_raster)
+        with pytest.warns(UserWarning, match="coarsen"):
+            quadrat_test(pat, (10, 10))
+        assert len(calls) == 1
 
     def test_tile_relabel_invariance(self):
         # mirroring the pattern relabels tiles without changing the statistic

@@ -240,8 +240,10 @@ class TestVoronoi:
         monkeypatch.setattr(intensity, "_RASTER_BLOCK", block)
         rng = substream(3, 9)
         xy = rng.uniform(size=(400, 2))
-        # generators on every 8th cell centre of the 64-cell raster, so the
-        # centres halfway between them are exact ties
+        # 400 uniform points plus generators on every 8th cell centre of
+        # the 64-cell raster; at any row block size the owners, areas and
+        # field equal one query over the whole raster.  No raster centre
+        # has two equally near generators here: TestNearestOwners has ties
         lattice = (np.arange(0, 64, 8) + 0.5) / 64
         xy = np.vstack([xy, np.column_stack([np.repeat(lattice, 8), np.tile(lattice, 8)])])
         pat = SpatialPattern(xy[window.contains_xy(xy)], window)

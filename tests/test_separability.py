@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from stpp import intensity, separability
 from stpp.core import GridSpec, PolygonMask, ScalarField, SpaceTimePattern, Window, project, substream
+from stpp.inference import CurveSet, combined_erl_test
 from stpp.intensity import (
     IntensityEstimate,
     KernelSpec,
@@ -31,6 +33,25 @@ def estimates(pattern, grid, ks=KS, kt=KT):
     lam_t = estimate_lambda_t(tp, kt, GridSpec.temporal(pattern.window, nt))
     lam_st = estimate_lambda_st(pattern, ks, kt, grid)
     return lam_st, lam_s, lam_t
+
+
+def observed_curves(eng, n):
+    """The engine's S_t and S_s curves of the observed pairing."""
+    s_t, s_s = eng.curves(np.arange(n)[None])
+    return s_t[0], s_s[0]
+
+
+def oracle_curves(pat, ks, kt, grid, perms):
+    """S_t and in-mask S_s of each re-pairing of the pattern's times, one
+    full space-time estimate per row of ``perms``."""
+    _, lam_s, lam_t = estimates(pat, grid, ks, kt)  # marginals unchanged by permutation
+    s_t, s_s = [], []
+    for perm in perms:
+        rep = SpaceTimePattern(np.column_stack([pat.x, pat.t[perm]]), pat.window)
+        stats = compute_S(rep, estimate_lambda_st(rep, ks, kt, grid), lam_s, lam_t)
+        s_t.append(stats.s_t.values)
+        s_s.append(stats.s_s.values[stats.s_s.mask])
+    return np.array(s_t), np.array(s_s)
 
 
 class TestComputeS:
@@ -89,8 +110,8 @@ class TestComputeS:
         def discrepancy(lam, seed):
             pat = simulate_poisson(IntensityModel.const(lam), UNIT, seed)
             sub = thin(pat, RetentionSpec.constant(0.5), substream(seed, 1))
-            full = _SeparabilityEngine(pat, ks, kt, grid).curves()[0]
-            thinned = _SeparabilityEngine(sub, ks, kt, grid).curves()[0]
+            full = observed_curves(_SeparabilityEngine(pat, ks, kt, grid), len(pat))[0]
+            thinned = observed_curves(_SeparabilityEngine(sub, ks, kt, grid), len(sub))[0]
             return np.abs(thinned - full).mean()
 
         small = np.mean([discrepancy(300, s) for s in range(10)])
@@ -119,7 +140,7 @@ class TestEngine:
         grid = GridSpec.spacetime(window, 10, 14, 22)
         stats = compute_S(pat, *estimates(pat, grid))
         eng = _SeparabilityEngine(pat, KS, KT, grid)
-        s_t, s_s = eng.curves()
+        s_t, s_s = observed_curves(eng, len(pat))
         mask = stats.s_s.mask
         assert np.array_equal(eng.mask2d, mask)
         assert np.allclose(s_t, stats.s_t.values)
@@ -130,20 +151,58 @@ class TestEngine:
         grid = GridSpec.spacetime(UNIT, 8, 8, 16)
         ks, kt = KernelSpec(0.12), KernelSpec(0.08)
         eng = _SeparabilityEngine(pat, ks, kt, grid)
-        rng = substream(0, 5)
-        perm = rng.permutation(len(pat))
-        s_t_fast, s_s_fast = eng.curves(perm)
+        perms = np.array([substream(0, 5).permutation(len(pat))])
+        s_t_fast, s_s_fast = eng.curves(perms)
+        s_t, s_s = oracle_curves(pat, ks, kt, grid, perms)
+        assert np.allclose(s_t_fast, s_t)
+        assert np.allclose(s_s_fast, s_s)
 
-        rep_pts = np.column_stack([pat.x, pat.t[perm]])
-        rep = SpaceTimePattern(rep_pts, UNIT)
-        sp, tp = project(pat)  # marginals unchanged by permutation
-        nx, ny, nt = grid.shape
-        lam_s = estimate_lambda_s(sp, ks, GridSpec.spatial(UNIT, nx, ny))
-        lam_t = estimate_lambda_t(tp, kt, GridSpec.temporal(UNIT, nt))
-        lam_st = estimate_lambda_st(rep, ks, kt, grid)
-        stats = compute_S(rep, lam_st, lam_s, lam_t)
-        assert np.allclose(s_t_fast, stats.s_t.values)
-        assert np.allclose(s_s_fast, stats.s_s.values.ravel())
+    @pytest.mark.parametrize("window", [UNIT, POLYGON], ids=["rectangle", "polygon"])
+    def test_blocks_match_recomputation(self, monkeypatch, window):
+        # three pairings per block, so the observed curves and 7 replicates
+        # take three calls; each row must match its own full recomputation
+        pat = simulate_poisson(IntensityModel.const(300), window, 15)
+        n = len(pat)
+        grid = GridSpec.spacetime(window, 8, 10, 16)
+        ks, kt = KernelSpec(0.12), KernelSpec(0.08)
+        monkeypatch.setattr(intensity, "_CHUNK_BYTES", 3 * 8 * n)
+        calls, sets = [], []
+        engine_curves = _SeparabilityEngine.curves
+
+        def counted_curves(eng, perms):
+            calls.append(len(perms))
+            return engine_curves(eng, perms)
+
+        def kept_erl_test(curve_sets, alpha):
+            sets.extend(curve_sets)
+            return combined_erl_test(curve_sets, alpha)
+
+        monkeypatch.setattr(_SeparabilityEngine, "curves", counted_curves)
+        monkeypatch.setattr(separability, "combined_erl_test", kept_erl_test)
+        separability_test(pat, ks, kt, B=7, grid=grid, seed=16)
+        assert calls == [3, 3, 2]
+        perms = [np.arange(n)] + [substream(16, b).permutation(n) for b in range(7)]
+        for curve_set, oracle in zip(sets, oracle_curves(pat, ks, kt, grid, perms)):
+            fast = np.vstack([curve_set.observed, curve_set.replicates])
+            np.testing.assert_allclose(fast, oracle, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("window", [UNIT, POLYGON], ids=["rectangle", "polygon"])
+    @pytest.mark.parametrize("rows", [4, None], ids=["blocks", "one-block"])
+    def test_p_value_matches_permutation_loop(self, monkeypatch, window, rows):
+        pat = simulate_poisson(IntensityModel.const(300), window, 17)
+        n = len(pat)
+        grid = GridSpec.spacetime(window, 8, 10, 16)
+        ks, kt = KernelSpec(0.12), KernelSpec(0.08)
+        if rows:
+            monkeypatch.setattr(intensity, "_CHUNK_BYTES", rows * 8 * n)
+        res = separability_test(pat, ks, kt, B=39, grid=grid, seed=18)
+        perms = [np.arange(n)] + [substream(18, b).permutation(n) for b in range(39)]
+        s_t, s_s = oracle_curves(pat, ks, kt, grid, perms)
+        oracle = combined_erl_test([
+            CurveSet(grid.centers(2), s_t[0], s_t[1:]),
+            CurveSet(np.arange(s_s.shape[1], dtype=float), s_s[0], s_s[1:]),
+        ], alpha=0.05)
+        assert res.p_value == oracle.p_value
 
 
 class TestPermuteNull:
@@ -188,8 +247,8 @@ class TestSeparabilityTest:
         reps = []
         for b in range(60):
             rng = substream(10, b)
-            s_t, _ = eng.curves(rng.permutation(len(pat)))
-            reps.append(s_t)
+            s_t, _ = eng.curves(rng.permutation(len(pat))[None])
+            reps.append(s_t[0])
         reps = np.array(reps)
         lo = np.quantile(reps, 0.025, axis=0)
         hi = np.quantile(reps, 0.975, axis=0)
