@@ -11,9 +11,9 @@ inverse-residual loss
 
 evaluated by k-fold cross-validation on a thinned subsample, repeated and
 averaged, which is what makes the selector affordable on large patterns.
-Per repeat, the Diggle corrections are computed once per candidate and
-the train x test distances once per fold, so each (fold, candidate) pair
-costs one ``exp`` over the fold's distance block.
+Per repeat, one pass over the subsample gives the Diggle corrections at
+every candidate, and per fold one ``exp`` over a (candidates x train x
+test) block gives every candidate's kernel values.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import numpy as np
 
 from .core import GridSpec, SpatialPattern, TemporalPattern, substream
 from .simulate import RetentionSpec, thin_spatial
+from . import intensity
 from .intensity import _MIN_CORRECTION, _spatial_corrections
 
 __all__ = [
@@ -35,7 +36,6 @@ __all__ = [
     "inverse_residual_loss",
     "select_bandwidth_spatial",
     "select_bandwidth_temporal",
-    "normal_reference_bandwidth",
 ]
 
 
@@ -75,22 +75,20 @@ class BandwidthSearch:
             raise ValueError("retention must be in (0, 1]")
 
 
-def inverse_residual_loss(lam_at_points, area: float) -> float:
+def inverse_residual_loss(lam_at_points, area: float):
     """Squared inverse-residual loss given intensity values at data points.
 
     Returns +inf when any value is nonpositive (candidate rejected), and
     also when tiny positive values overflow the inverse sum or its square.
+    A 2D array gives the loss of each row, as an array.
     """
     lam = np.asarray(lam_at_points, dtype=float)
-    if len(lam) == 0 or (lam <= 0).any():
-        return math.inf
-    with np.errstate(over="ignore"):
-        return float((np.sum(1.0 / lam) - area) ** 2)
-
-
-def _corrections(xy, b, window, grid):
-    """Diggle corrections of the points, floored at the smallest one allowed."""
-    return np.maximum(_spatial_corrections(xy, grid, window, b), _MIN_CORRECTION)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # libm pow, as a float64 scalar's ``** 2``; an array's is x * x,
+        # which differs from it in the last bit for some x
+        loss = np.float_power(np.sum(1.0 / lam, axis=-1) - area, 2)
+    loss = np.where((lam <= 0).any(axis=-1) | (lam.shape[-1] == 0), math.inf, loss)
+    return float(loss) if lam.ndim == 1 else loss
 
 
 def _sq_distances(train_xy, eval_xy):
@@ -101,16 +99,11 @@ def _sq_distances(train_xy, eval_xy):
     )
 
 
-def _kernel_sum(d2, e, b):
-    """Corrected kernel intensity at the columns of ``d2`` from its rows."""
-    k = np.exp(-0.5 * d2 / (b * b)) / (2.0 * math.pi * b * b)
-    return (1.0 / e) @ k
-
-
 def _lambda_at_points(train_xy, eval_xy, b, window, grid, loo: bool):
     """Diggle-corrected kernel intensity of the train set at eval points."""
-    e = _corrections(train_xy, b, window, grid)
-    lam = _kernel_sum(_sq_distances(train_xy, eval_xy), e, b)
+    e = np.maximum(_spatial_corrections(train_xy, grid, window.raster(grid), b), _MIN_CORRECTION)
+    k = np.exp(-0.5 * _sq_distances(train_xy, eval_xy) / (b * b)) / (2.0 * math.pi * b * b)
+    lam = (1.0 / e) @ k
     if loo:
         lam -= (1.0 / (2.0 * math.pi * b * b)) / e
     return lam
@@ -138,6 +131,35 @@ def cvl_loss(pattern: SpatialPattern, b: float, eval_points=None, grid=None) -> 
     return inverse_residual_loss(lam, window.area)
 
 
+def _fold_lambdas(xy, e, fold_ids, candidates):
+    """Held-out kernel intensities of each fold at each candidate bandwidth.
+
+    ``e`` (k, n) holds the floored Diggle corrections of the points ``xy``
+    at the k candidates.  Yields ``(f, js, lam)``: ``lam[i]`` is the
+    intensity at the points of fold f from all other points at bandwidth
+    ``candidates[js][i]``, equal bit for bit to ``cvl_loss``'s.  One
+    ``exp`` per block of candidates covers a fold, the candidates of a
+    block being as many as fit ``_CHUNK_BYTES`` of train x test kernel
+    values; the products keep one vector-matrix product per candidate.
+    """
+    hold = np.zeros(len(xy), dtype=bool)
+    for f, fold in enumerate(fold_ids):
+        hold[:] = False
+        hold[fold] = True
+        h = -0.5 * _sq_distances(xy[~hold], xy[hold])
+        # compress keeps C order; a strided row of e[:, ~hold] would take
+        # another BLAS path for its product, with other last bits
+        w = 1.0 / e.compress(~hold, axis=1)
+        size = max(1, intensity._CHUNK_BYTES // h.nbytes)
+        for start in range(0, len(candidates), size):
+            js = slice(start, start + size)
+            c = candidates[js, None, None]
+            k = h / (c * c)
+            np.exp(k, out=k)
+            k /= 2.0 * math.pi * c * c
+            yield f, js, np.stack([wj @ kj for wj, kj in zip(w[js], k)])
+
+
 def select_bandwidth_spatial(pattern: SpatialPattern, search: BandwidthSearch) -> float:
     """Cross-validated spatial bandwidth on thinned subsamples.
 
@@ -147,10 +169,17 @@ def select_bandwidth_spatial(pattern: SpatialPattern, search: BandwidthSearch) -
     returned value averages the per-repeat argmins.
 
     The result equals calling ``cvl_loss`` per fold and candidate, bit for
-    bit; memory peaks at a few train x test blocks of one fold.
+    bit.  The window is rasterized once; per repeat, one pass over the
+    subsample gives every candidate's corrections (a point's correction
+    depends only on its own position, so they serve the training set of
+    every fold), and ``_fold_lambdas`` the held-out intensities.  Memory
+    peaks at a fold's train x test distances plus one block of kernel
+    values, at most ``_CHUNK_BYTES`` unless one candidate's exceeds it.
     """
     window = pattern.window
     grid = search.grid or GridSpec.spatial(window, 128, 128)
+    mask = window.raster(grid)
+    candidates = search.candidates
     retention = RetentionSpec.constant(search.retention)
     chosen = []
     for r in range(search.repeats):
@@ -165,34 +194,18 @@ def select_bandwidth_spatial(pattern: SpatialPattern, search: BandwidthSearch) -
         if min(len(f) for f in fold_ids) == 0:
             warnings.warn(f"repeat {r}: empty fold, discarded")
             continue
-        # a point's correction depends only on its own position, so one pass
-        # per candidate serves the training set of every fold
-        e = [_corrections(sub.points, b, window, grid) for b in search.candidates]
-        losses = np.zeros(len(search.candidates))
-        for fold in fold_ids:
-            hold = np.zeros(n_sub, dtype=bool)
-            hold[fold] = True
-            d2 = _sq_distances(sub.points[~hold], sub.points[hold])
-            for j, b in enumerate(search.candidates):
-                lam = _kernel_sum(d2, e[j][~hold], b)
-                losses[j] += inverse_residual_loss(lam, window.area)
+        e = np.maximum(_spatial_corrections(sub.points, grid, mask, candidates), _MIN_CORRECTION)
+        losses = np.zeros(len(candidates))
+        for _, js, lam in _fold_lambdas(sub.points, e, fold_ids, candidates):
+            losses[js] += inverse_residual_loss(lam, window.area)
         losses /= search.folds
-        chosen.append(search.candidates[int(np.argmin(losses))])
+        chosen.append(candidates[int(np.argmin(losses))])
     if not chosen:
         raise ValueError("all repeats were discarded; use a larger retention or pattern")
     return float(np.mean(chosen))
 
 
 _HERMITE = {4: (1.0, -6.0, 3.0), 6: (1.0, -15.0, 45.0, -15.0)}  # phi^(r)(u) = P_r(u^2) phi(u)
-
-
-def normal_reference_bandwidth(x) -> float:
-    """1.06 * min(sd, IQR/1.349) * n^(-1/5) Gaussian reference rule."""
-    x = np.asarray(x, dtype=float)
-    sd = x.std(ddof=1)
-    q75, q25 = np.percentile(x, [75, 25])
-    scale = min(sd, (q75 - q25) / 1.349)
-    return 1.06 * scale * len(x) ** (-0.2)
 
 
 def _ieee_div(num: float, den: float) -> float:

@@ -13,7 +13,8 @@ seed and version so a run can be reproduced exactly.
 import os
 
 # Replicate farms parallelize over worker threads; BLAS must not introduce
-# its own thread-count-dependent reduction orders underneath them.
+# its own thread-count-dependent reduction orders underneath them.  This
+# runs before numpy starts its BLAS, since ``import stpp`` loads no numpy.
 for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

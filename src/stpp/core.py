@@ -356,6 +356,25 @@ class Window:
         return self.mask.raster(grid.centers(0), grid.centers(1))
 
 
+def _lexsort_rows(coords, keys):
+    """``np.lexsort`` of the rows of ``coords`` by the columns ``keys``, primary first.
+
+    One stable argsort of the primary key, then a lexsort of only the rows
+    that tie on it, by all keys and lastly their position, so runs of equal
+    keys keep their input order exactly as in the one full lexsort.
+    """
+    order = np.argsort(coords[:, keys[0]], kind="stable")
+    primary = coords[order, keys[0]]
+    tie = primary[1:] == primary[:-1]
+    if tie.any():
+        in_run = np.zeros(len(order), dtype=bool)
+        in_run[1:] = tie
+        in_run[:-1] |= tie
+        rows = order[in_run]
+        order[in_run] = rows[np.lexsort([rows] + [coords[rows, k] for k in reversed(keys)])]
+    return order
+
+
 def _dedupe_or_jitter(coords, keys, jitter, rng, scale):
     """``coords`` without exact duplicates, and its lexsort order by ``keys``.
 
@@ -364,7 +383,7 @@ def _dedupe_or_jitter(coords, keys, jitter, rng, scale):
     moves all but the first of each run by at most 1e-9 * scale, drawing
     the perturbations in (x1, x2[, t]) order.
     """
-    order = np.lexsort([coords[:, k] for k in reversed(keys)])
+    order = _lexsort_rows(coords, keys)
     sorted_coords = coords[order]
     dup = np.all(sorted_coords[1:] == sorted_coords[:-1], axis=1)
     if not dup.any():

@@ -22,7 +22,8 @@ Memory: the kernel estimators sum over events one chunk at a time, a
 chunk being as many events as fit ``_CHUNK_BYTES`` (128 MiB) of their
 kernel rows, so each needs one chunk of rows plus its grid whatever n is.
 The corrections alone (``diggle_correction``, the spatial bandwidth
-selector) come from the same chunked pass as an O(n) vector.  The
+selector) come from the same pass as an O(n) vector, or a (k, n) array
+for k bandwidths at once, in blocks of at most ``_CORRECTION_BYTES``.  The
 separability engine keeps the rows of all events, because each
 permutation re-pairs them; it and ``estimate_lambda_st`` check their need
 against a cap up front and raise ``MemoryError`` before building rows.
@@ -69,6 +70,11 @@ _MIN_CORRECTION = 1e-12
 # time; their sums over events run one chunk of rows at a time
 _CHUNK_BYTES = 1 << 27
 
+# bytes of kernel rows the corrections pass builds at a time, if less than
+# _CHUNK_BYTES: each block is reduced to one number per row at once, so
+# small blocks cost nothing and keep a batch of bandwidths' rows small
+_CORRECTION_BYTES = 1 << 21
+
 # default cap on the memory of space-time kernel rows and a 3D field
 _MEMORY_CAP_MB = 2048.0
 
@@ -98,20 +104,23 @@ class IntensityEstimate:
         return self.field.integrate()
 
 
-def _chunks(n, width):
+def _chunks(n, width, budget=None):
     """Slices covering range(n), each of at most as many events as fit
-    ``_CHUNK_BYTES`` of float64 rows ``width`` cells wide."""
-    rows = max(1, _CHUNK_BYTES // (8 * width))
+    ``budget`` (default ``_CHUNK_BYTES``) of float64 rows ``width`` cells wide."""
+    rows = max(1, (budget or _CHUNK_BYTES) // (8 * width))
     return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
 
 
 def _gauss_factors(points_1d, centers, step, b):
     """(n, ncells) matrix of 1D Gaussian kernel values times the cell width.
 
-    Built in place in one (n, ncells) array; equal bit for bit to
-    ``exp(-0.5 * z * z) * c`` since scaling by -0.5 is exact.
+    A vector of k bandwidths gives the (k, n, ncells) stack of them.  Built
+    in place in one array; equal bit for bit to ``exp(-0.5 * z * z) * c``
+    since scaling by -0.5 is exact.
     """
-    g = np.subtract(np.asarray(centers)[None, :], np.asarray(points_1d)[:, None])
+    b = np.asarray(b, dtype=float)[..., None, None]
+    g = np.empty(b.shape[:-2] + (len(points_1d), len(centers)))
+    np.subtract(np.asarray(centers)[None, :], np.asarray(points_1d)[:, None], out=g)
     g /= b
     g *= g
     g *= -0.5
@@ -126,24 +135,36 @@ def _spatial_rows(xy, grid: GridSpec, mask, b):
     Returns gx (n, nx) and gy (n, ny), whose outer product per event is
     its kernel times the cell area, and the Diggle corrections e (n,) by
     quadrature over the window, whose raster on the grid is ``mask``
-    (None if unmasked).
+    (None if unmasked).  A vector of k bandwidths adds a leading axis of
+    length k to each.
     """
     gx = _gauss_factors(xy[:, 0], grid.centers(0), grid.step[0], b)
     gy = _gauss_factors(xy[:, 1], grid.centers(1), grid.step[1], b)
     if mask is None:
-        e = gx.sum(axis=1) * gy.sum(axis=1)
+        e = gx.sum(axis=-1) * gy.sum(axis=-1)
     else:
         # e_i = gx_i^T M gy_i over the masked grid
-        e = np.einsum("ij,ij->i", gx @ mask.astype(float), gy)
+        e = np.einsum("...ij,...ij->...i", gx @ mask.astype(float), gy)
     return gx, gy, e
 
 
-def _spatial_corrections(xy, grid: GridSpec, window: Window, b) -> np.ndarray:
-    """Diggle corrections e (n,) of the points, one chunk of kernel rows at a time."""
-    mask = window.raster(grid)
-    e = np.empty(len(xy))
-    for rows in _chunks(len(xy), grid.shape[0] + grid.shape[1]):
-        e[rows] = _spatial_rows(xy[rows], grid, mask, b)[2]
+def _spatial_corrections(xy, grid: GridSpec, mask, b) -> np.ndarray:
+    """Diggle corrections e (n,) of the points, one chunk of kernel rows at a time.
+
+    ``mask`` is the window's raster on the grid (None if unmasked).  A
+    vector of k bandwidths gives e (k, n) from one pass over the points,
+    each row equal bit for bit to the pass at that bandwidth alone.
+    """
+    e = np.empty(np.shape(b) + (len(xy),))
+    width = np.size(b) * (grid.shape[0] + grid.shape[1])
+    chunks = _chunks(len(xy), width, min(_CHUNK_BYTES, _CORRECTION_BYTES))
+    if len(chunks) > 1 and chunks[-1].start == len(xy) - 1:
+        # a one-row block takes numpy's vector-matrix product, whose sums
+        # differ in the last bit from the matrix product's that every
+        # other row gets; so no block of many has one row
+        chunks[-2:] = [slice(chunks[-2].start, len(xy))]
+    for rows in chunks:
+        e[..., rows] = _spatial_rows(xy[rows], grid, mask, b)[2]
     return e
 
 
@@ -211,7 +232,7 @@ def diggle_correction(center, kernel: KernelSpec, window: Window, grid=None) -> 
         if grid is None:
             grid = GridSpec.spatial(window, 256, 256)
         _check_resolvable(b, grid, (0, 1))
-        w = float(_spatial_corrections(xy, grid, window, b)[0])
+        w = float(_spatial_corrections(xy, grid, window.raster(grid), b)[0])
     if w < _MIN_CORRECTION:
         raise ValueError(f"edge-correction weight {w:g} below {_MIN_CORRECTION:g}")
     return min(w, 1.0)

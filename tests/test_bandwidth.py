@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from stpp import bandwidth
+from stpp import bandwidth, intensity
 from stpp.bandwidth import (
     BandwidthSearch,
     cvl_loss,
     default_candidates,
     inverse_residual_loss,
-    normal_reference_bandwidth,
     select_bandwidth_spatial,
     select_bandwidth_temporal,
 )
@@ -24,6 +23,15 @@ UNIT = Window((0, 1), (0, 1), (0, 1))
 POLYGON = Window(
     (0, 1), (0, 1), (0, 1), PolygonMask([(0.05, 0.0), (1.0, 0.1), (0.9, 1.0), (0.0, 0.85)])
 )
+
+
+def normal_reference_bandwidth(x) -> float:
+    """1.06 * min(sd, IQR/1.349) * n^(-1/5) Gaussian reference rule."""
+    x = np.asarray(x, dtype=float)
+    sd = x.std(ddof=1)
+    q75, q25 = np.percentile(x, [75, 25])
+    scale = min(sd, (q75 - q25) / 1.349)
+    return 1.06 * scale * len(x) ** (-0.2)
 
 
 def poisson_spatial(lam, seed, window=UNIT):
@@ -41,6 +49,14 @@ class TestInverseResidualLoss:
         n = 50
         loss = inverse_residual_loss(np.full(n, 2 * n / 1.0), 1.0)
         assert loss == pytest.approx(1.0 / 4)
+
+    def test_rows_match_one_dimensional_calls(self):
+        lam = np.array([[1.0, 2.0, 4.0], [1.0, 0.0, 3.0], [1e-320, 1.0, 1.0], [-1.0, 2.0, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            losses = inverse_residual_loss(lam, 0.5)
+        assert list(losses) == [inverse_residual_loss(row, 0.5) for row in lam]
+        assert list(np.isinf(losses)) == [False, True, True, True]
 
     def test_zero_value_gives_sentinel(self):
         assert inverse_residual_loss(np.array([1.0, 0.0]), 1.0) == math.inf
@@ -130,6 +146,44 @@ class TestSelectSpatial:
             chosen.append(candidates[int(np.argmin(losses / 5))])
         assert len(set(chosen)) > 1  # the average, not one argmin, is compared
         assert got == float(np.mean(chosen))
+
+    @pytest.mark.parametrize("window", [UNIT, POLYGON], ids=["rectangle", "polygon"])
+    @pytest.mark.parametrize("group", [1, 3, 16])
+    def test_batched_folds_match_cvl_loss(self, monkeypatch, window, group):
+        # every (fold, candidate) intensity and loss of the batched pass is
+        # the cvl_loss route's, whether the 16 candidates of a fold go in
+        # blocks of 1, of 3 or all together
+        pat = poisson_spatial(800, 3, window)
+        candidates = np.geomspace(0.02, 0.3, 16)
+        grid = GridSpec.spatial(window, 64, 64)
+        sub = thin_spatial(pat, RetentionSpec.constant(0.5), substream(11, 0))
+        folds = np.array_split(substream(11, 1).permutation(len(sub)), 5)
+        want = {}
+        for f, fold in enumerate(folds):
+            hold = np.zeros(len(sub), dtype=bool)
+            hold[fold] = True
+            train = SpatialPattern.__new__(SpatialPattern)
+            train.points = sub.points[~hold]
+            train.window = window
+            for j, b in enumerate(candidates):
+                lam = bandwidth._lambda_at_points(
+                    train.points, sub.points[hold], b, window, grid, loo=False
+                )
+                want[f, j] = lam, cvl_loss(train, b, eval_points=sub.points[hold], grid=grid)
+
+        block = max(8 * (len(sub) - len(f)) * len(f) for f in folds)
+        monkeypatch.setattr(intensity, "_CHUNK_BYTES", group * block)
+        e = intensity._spatial_corrections(sub.points, grid, window.raster(grid), candidates)
+        e = np.maximum(e, intensity._MIN_CORRECTION)
+        seen = []
+        for f, js, lam in bandwidth._fold_lambdas(sub.points, e, folds, candidates):
+            assert len(lam) == min(group, 16 - js.start)
+            losses = inverse_residual_loss(lam, window.area)
+            for i, j in enumerate(range(16)[js]):
+                assert np.array_equal(lam[i], want[f, j][0]), (f, j)
+                assert losses[i] == want[f, j][1], (f, j)
+                seen.append((f, j))
+        assert seen == sorted(want)
 
     def test_scale_equivariance_within_one_step(self):
         pat = poisson_spatial(1200, 4)

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -28,6 +29,13 @@ def write_config(tmp_path, name="config.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return path, cfg
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def env_without_blas():
+    return {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
 
 
 def read_csv(path):
@@ -776,6 +784,55 @@ class TestMain:
             assert (tmp_path / task / "report.json").exists()
         report = json.loads((tmp_path / "intensity" / "report.json").read_text())
         assert report["bandwidth_temporal"] > 0
+
+    def test_import_stpp_leaves_numpy_unloaded(self):
+        code = (
+            "import sys, stpp; print('numpy' in sys.modules); "
+            "from stpp import Window; print(Window.__module__); "
+            "import stpp.core; print(stpp.core.Window is Window)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "stpp.core", "True"]
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+    def test_cli_pins_blas_to_one_thread(self):
+        # the pin holds only if numpy, and with it BLAS, starts after stpp.cli runs
+        code = (
+            "import stpp.cli, numpy as np; a = np.ones((500, 500)); a @ a; "
+            "print(next(line.split()[1] for line in open('/proc/self/status') "
+            "if line.startswith('Threads:')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env_without_blas()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "1"
+
+    def test_separability_outputs_independent_of_blas_env(self, tmp_path):
+        _, cfg = write_config(tmp_path, simulate={"lambda": 3000})
+        cfg["output_dir"] = str(tmp_path / "data")
+        out = run(cfg, "simulate")
+        outputs = []
+        for blas in (None, "1"):
+            name = f"sep-{blas}"
+            cfg_path, _ = write_config(
+                tmp_path, name=f"{name}.json", input=str(out / "pattern.csv"),
+                output_dir=str(tmp_path / name), pi0=0.5, test={"B": 19},
+                grids={"spacetime": [12, 10, 20]},
+                bandwidth={"search": {"retention": 0.5, "repeats": 3}},
+            )
+            env = env_without_blas()
+            if blas is not None:
+                env.update(dict.fromkeys(BLAS_VARS, blas))
+            proc = subprocess.run(
+                [sys.executable, "-m", "stpp.cli", "separability", "--config", str(cfg_path)],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append([(tmp_path / name / f).read_bytes()
+                            for f in ("curves_St.csv", "curves_Ss.csv", "report.json")])
+        assert outputs[0] == outputs[1]
 
     def test_console_entry_point(self, tmp_path):
         cfg_path, _ = write_config(tmp_path, simulate={"lambda": 10})

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from stpp import core
 from stpp.core import (
     GridSpec,
     PolygonMask,
@@ -118,6 +119,19 @@ def test_pattern_single_sort_matches_two_lexsorts(seed):
             assert len(got) == len(points) and np.all(np.diff(got[:, 2]) >= 0)
     with pytest.raises(ValueError, match=r"^\d+ duplicate event\(s\)"):
         SpaceTimePattern(pts, window)
+
+
+@pytest.mark.parametrize("keys", [(2, 0, 1), (0, 1)], ids=["spacetime", "spatial"])
+def test_lexsort_rows_matches_full_lexsort(keys):
+    # the primary-key argsort plus a lexsort of its tied runs is np.lexsort's order
+    rng = np.random.default_rng(3)
+    coarse = rng.integers(0, 6, size=(2000, 3)) * 0.25
+    coarse[(coarse == 0) & (rng.uniform(size=coarse.shape) < 0.5)] = -0.0
+    whole_seconds = np.column_stack([rng.uniform(size=(2000, 2)), rng.integers(0, 500, 2000)])
+    distinct = rng.uniform(size=(500, 3))
+    for coords in (coarse, whole_seconds, distinct, np.zeros((40, 3)), coarse[:1], coarse[:0]):
+        want = np.lexsort([coords[:, k] for k in reversed(keys)])
+        assert np.array_equal(core._lexsort_rows(coords, keys), want)
 
 
 def test_spatial_pattern_jitter_matches_reference():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from stpp import bandwidth, core, intensity
+from stpp import core, intensity
 from stpp.core import (
     GridSpec,
     PolygonMask,
@@ -564,8 +564,9 @@ class TestChunkedEstimators:
         monkeypatch.setattr(intensity, "_CHUNK_BYTES", budget)
         xy = chunk_pattern(window, 4).x
         grid = GridSpec.spatial(window, 32, 32)
-        for b in (0.01, 0.05, 0.2):
-            got = bandwidth._corrections(xy, b, window, grid)
+        bs = (0.01, 0.05, 0.2)
+        e = intensity._spatial_corrections(xy, grid, window.raster(grid), np.array(bs))
+        for b, got in zip(bs, np.maximum(e, 1e-12)):
             want = np.maximum(oracle_spatial_rows(xy, grid, window, b)[2], 1e-12)
             if budget == BUDGETS[-1]:
                 assert np.array_equal(bits(got), bits(want))
@@ -574,6 +575,18 @@ class TestChunkedEstimators:
         w = diggle_correction(center, KernelSpec(0.05), window, grid)
         want = oracle_spatial_rows(center.reshape(1, 2), grid, window, 0.05)[2][0]
         assert w == min(want, 1.0)
+
+    @pytest.mark.parametrize("rows", [2, 3, 4, 5])
+    def test_corrections_independent_of_blocks(self, monkeypatch, rows):
+        # 61 points leave one row after the last full block of each size;
+        # it joins that block, so every block size gives the one-block bits
+        xy = chunk_pattern(POLYGON, 4, n=61).x
+        grid = GridSpec.spatial(POLYGON, 32, 32)
+        bs = np.array([0.01, 0.05, 0.2])
+        want = intensity._spatial_corrections(xy, grid, POLYGON.raster(grid), bs)
+        monkeypatch.setattr(intensity, "_CORRECTION_BYTES", rows * 8 * len(bs) * 64)
+        got = intensity._spatial_corrections(xy, grid, POLYGON.raster(grid), bs)
+        assert np.array_equal(bits(got), bits(want))
 
     def test_memory_bounded_by_one_chunk(self):
         # at 5e4 events one (n, 256) factor array is 102 MB and the (n, 1000)
