@@ -386,6 +386,8 @@ def run(config: dict, task: str, seed=None, threads=1, force=False, skip_bad=Fal
         raise ValueError(f"unknown task {task!r}; choose from {', '.join(TASKS)}")
     seed = int(config.get("seed", 0) if seed is None else seed)
     window, context = build_window(config)
+    if task in ("separability", "ripley-k"):
+        _replicate_count(config)  # before any output exists or any work is done
     out_dir = Path(config.get("output_dir", "stpp-output"))
     if out_dir.exists() and any(out_dir.iterdir()) and not force:
         raise FileExistsError(f"output directory {out_dir} is not empty; use --force")
@@ -499,7 +501,7 @@ def _task_intensity(pattern, config, seed, report, out_dir, outputs):
 
 def _task_separability(pattern, config, seed, report, out_dir, outputs):
     test_cfg = config.get("test", {})
-    B = int(test_cfg.get("B", 199))
+    B = _replicate_count(config)
     alpha = float(test_cfg.get("alpha", 0.05))
     # the analysis can be repeated on several independent subsamples to
     # check the robustness of the conclusion; curves come from the first
@@ -529,7 +531,7 @@ def _task_separability(pattern, config, seed, report, out_dir, outputs):
 
 def _task_ripley_k(pattern, config, seed, report, out_dir, outputs, threads):
     test_cfg = config.get("test", {})
-    B = int(test_cfg.get("B", 199))
+    B = _replicate_count(config)
     alpha = float(test_cfg.get("alpha", 0.05))
     sub, pi0 = _thinned(pattern, config, seed, report)
     window = sub.window
@@ -628,6 +630,14 @@ def _task_prop2(config, report):
     )
     report["residual_ratio"] = res["ratio"]
     report["residuals"] = {str(k): v for k, v in res["residuals"].items()}
+
+
+def _replicate_count(config: dict) -> int:
+    """The config's ``test.B`` (default 199), which must be an integer >= 1."""
+    B = config.get("test", {}).get("B", 199)
+    if isinstance(B, bool) or not isinstance(B, int) or B < 1:
+        raise ValueError(f"test.B must be an integer >= 1, got {B!r}")
+    return B
 
 
 def _thread_count(flag: str | None) -> int:

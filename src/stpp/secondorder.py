@@ -10,14 +10,17 @@ restricted to pairs inside the cylinder {||x - x'|| <= r, |t - t'| <= tau};
 under a Poisson model K(r, tau) equals the cylinder volume 2 tau pi r^2.
 The one-dimensional averages calibrate to 2 tau and pi r^2 under Poisson.
 
-One enumerator, ``_close_pairs``, serves both K estimators and F/G: a
-``searchsorted`` window on the sorted times, narrowed to the 3 x 3 square
-cells of side >= r around each point, then the exact cut, in chunks of
-``_PAIR_CHUNK`` candidates.  Time is O(n log n + C) for C ~ 9 n^2 r^2 tau /
-(|W| |T|) candidates; memory is bounded by the chunk.  K matches an
-all-pairs sum to 1e-12 of the surface's scale and F/G match it exactly
-(tested); the former k-d tree enumeration gave K within 3e-14 and the same
-F/G.
+One enumerator, ``_close_pairs``, serves both K estimators and F/G.  The
+events are sorted by (square cell of side >= r, time).  For each of the
+3 x 3 cells around its own, a reference point finds the run of events in
+its time window with one binary search per bound; the points search in
+cell order, so each of the 9 rows of searches is sorted.  Chunks of
+``_PAIR_CHUNK`` candidates are expanded from the runs with ``np.repeat``
+and cut in two stages on coordinates held in cell order: |dx_1| <= r,
+then ||dx|| <= r and |dt| <= tau on the survivors.  Time is
+O(n log n + C) for C ~ 9 n^2 r^2 tau / (|W| |T|) candidates; memory is
+bounded by the chunk.  K matches an all-pairs sum to 1e-12 of the
+surface's scale and F/G match it exactly (tested).
 
 The truncated series and residual checks quantify how constant-retention
 thinning pushes the empty-space / nearest-neighbour summaries toward their
@@ -176,6 +179,8 @@ def _close_pairs(x, t, r, tau, qx=None, qt=None):
     (qx, qt) and j the events.  The candidates of a reference point are the
     events in its time window, a range of indices into the sorted times,
     that lie in its own or one of the 8 adjacent square cells of side >= r.
+    They come in the order (reference point, cell, index) and are split
+    into chunks of ``_PAIR_CHUNK`` candidates before the exact cut.
     """
     self_pairs = qx is None
     if self_pairs:
@@ -185,12 +190,13 @@ def _close_pairs(x, t, r, tau, qx=None, qt=None):
     # the window is padded by a few ulps and the exact |dt| <= tau applied
     # afterwards, so rounding in t +- tau can neither add nor drop a pair
     pad = 4 * np.finfo(float).eps * (np.abs(qt) + tau)
-    t_lo = np.arange(1, len(t) + 1) if self_pairs else np.searchsorted(t, qt - tau - pad)
     t_hi = np.searchsorted(t, qt + tau + pad, side="right")
     # cells a little wider than r, so rounding cannot put a close pair two
     # cells apart; a spare empty column stops neighbour keys wrapping around
-    origin = np.minimum(x.min(axis=0), qx.min(axis=0))
-    span = (np.maximum(x.max(axis=0), qx.max(axis=0)) - origin).max()
+    origin, top = x.min(axis=0), x.max(axis=0)
+    if not self_pairs:
+        origin, top = np.minimum(origin, qx.min(axis=0)), np.maximum(top, qx.max(axis=0))
+    span = (top - origin).max()
     side = max(r * (1 + 1e-9) + 1e-9 * span, span / _MAX_CELLS, np.finfo(float).tiny)
     width = int(span // side) + 2
 
@@ -203,21 +209,51 @@ def _close_pairs(x, t, r, tau, qx=None, qt=None):
     n, key = len(t), cell(x)
     order = np.argsort(key, kind="stable")
     ranked = key[order] * n + order
-    neighbours = (np.arange(-1, 2)[:, None] * width + np.arange(-1, 2)).ravel()
-    block = (cell(qx)[:, None] + neighbours) * n
-    lo = np.searchsorted(ranked, block + t_lo[:, None]).ravel()
-    counts = np.searchsorted(ranked, block + t_hi[:, None]).ravel() - lo
+    # each reference point looks up (cell + neighbour) * n + time bound for
+    # its 9 neighbour cells; in (cell, bound) order of the reference points
+    # every neighbour's row of needles is sorted
+    if self_pairs:
+        qorder, base, t_lo = order, ranked - order, order + 1  # the pairs j > i
+    else:
+        base = cell(qx) * n
+        t_lo = np.searchsorted(t, qt - tau - pad)
+        qorder = np.argsort(base + t_lo, kind="stable")
+        base, t_lo = base[qorder], t_lo[qorder]
+    shifts = np.array([a * width + b for a in (-1, 0, 1) for b in (-1, 0, 1)])[:, None] * n
+    needles = (base + np.stack((t_lo, t_hi[qorder])))[:, None] + shifts
+    bounds = np.empty((2, len(qt), 9), dtype=np.int64)
+    bounds[:, qorder] = np.searchsorted(ranked, needles).transpose(0, 2, 1)
+    lo, counts = bounds[0].ravel(), (bounds[1] - bounds[0]).ravel()
     ends = np.cumsum(counts)
     total = int(ends[-1])
+    # candidate c, counted over all rows, of row k is the event at position
+    # to_ranked[k] + c of ranked; the events' coordinates are held in the
+    # same order
+    to_ranked = lo - (ends - counts)
+    ex, ey, et = x[:, 0][order], x[:, 1][order], t[order]
+    qx0, qx1 = qx[:, 0], qx[:, 1]
     for start in range(0, total, _PAIR_CHUNK):
-        pos = np.arange(start, min(start + _PAIR_CHUNK, total))
-        row = np.searchsorted(ends, pos, side="right")
-        i, j = row // len(neighbours), order[lo[row] + pos - (ends[row] - counts[row])]
-        dx = np.abs(x[j] - qx[i])
-        ds = np.hypot(dx[:, 0], dx[:, 1])
-        dt = np.abs(t[j] - qt[i])
-        near = (ds <= r) & (dt <= tau)
-        yield i[near], j[near], dx[near], ds[near], dt[near]
+        stop = min(start + _PAIR_CHUNK, total)
+        first, last = np.searchsorted(ends, (start, stop - 1), side="right")
+        rows = slice(first, last + 1)
+        # the runs of these rows, less the parts in the chunks either side
+        skip = start - int(ends[first] - counts[first])
+        part = slice(skip, skip + stop - start)
+        pos = np.repeat(to_ranked[rows], counts[rows])[part] + np.arange(start, stop)
+        i = np.repeat(np.arange(first, last + 1) // 9, counts[rows])[part]
+        # the exact cut in two stages; hypot(a, b) >= a, so the first drops
+        # only candidates that the second would drop
+        d0 = ex[pos] - qx0[i]
+        np.abs(d0, out=d0)
+        k = np.flatnonzero(d0 <= r)
+        pos, i, d0 = pos[k], i[k], d0[k]
+        d1 = ey[pos] - qx1[i]
+        np.abs(d1, out=d1)
+        ds = np.hypot(d0, d1)
+        dt = et[pos] - qt[i]
+        np.abs(dt, out=dt)
+        k = np.flatnonzero((ds <= r) & (dt <= tau))
+        yield i[k], order[pos[k]], np.column_stack((d0[k], d1[k])), ds[k], dt[k]
 
 
 def _boundary_distances(pattern: SpaceTimePattern, raster):

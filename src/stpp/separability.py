@@ -1,4 +1,4 @@
-"""First-order separability: S statistics, permutation nulls and the test.
+"""First-order separability: the permutation test on the S statistics.
 
 The statistic compares the space-time intensity against the separable
 factorization built from the marginal estimates,
@@ -13,37 +13,19 @@ the null the replicate curves are exchangeable with the observed one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import GridSpec, ScalarField, SpaceTimePattern, _trusted, substream
+from .core import GridSpec, SpaceTimePattern, substream
 from .inference import CurveSet, EnvelopeResult, combined_erl_test
 from .intensity import (
     _MEMORY_CAP_MB,
-    IntensityEstimate,
     KernelSpec,
     _check_memory,
     _chunks,
     _spacetime_rows,
 )
 
-__all__ = [
-    "SeparabilityStats",
-    "compute_S",
-    "permute_null",
-    "separability_test",
-]
-
-
-@dataclass
-class SeparabilityStats:
-    """S statistics on the estimation grids: 3D field plus its averages."""
-
-    s_st: ScalarField
-    s_s: ScalarField
-    s_t: ScalarField
-    expected_count: float
+__all__ = ["separability_test"]
 
 
 def _safe_ratio(num, den):
@@ -51,64 +33,6 @@ def _safe_ratio(num, den):
     out = np.zeros(np.broadcast_shapes(num.shape, den.shape))
     ok = den > 0
     np.divide(num, den, out=out, where=ok)
-    return out
-
-
-def compute_S(
-    pattern: SpaceTimePattern,
-    lam_st: IntensityEstimate,
-    lam_s: IntensityEstimate,
-    lam_t: IntensityEstimate,
-    include_zero_cells: bool = True,
-) -> SeparabilityStats:
-    """Cellwise S statistics from plugged-in intensity estimates.
-
-    The three estimates must share grids: ``lam_st`` on (nx, ny, nt),
-    ``lam_s`` on (nx, ny) and ``lam_t`` on (nt,).  The expected total
-    count is estimated by the observed n.  Averages over W and T use the
-    masked grid quadrature; cells zeroed by the a/0 = 0 convention are
-    included by default, or dropped from the averaging measure with
-    ``include_zero_cells=False``.
-    """
-    f3, f2, f1 = lam_st.field, lam_s.field, lam_t.field
-    if f3.grid.shape[:2] != f2.grid.shape or f3.grid.shape[2] != f1.grid.shape[0]:
-        raise ValueError("intensity estimates live on incompatible grids")
-    n = float(len(pattern))
-    den = f2.values[:, :, None] * f1.values[None, None, :]
-    s_st = n * _safe_ratio(f3.values, den)
-    mask2d = f2.mask
-    s_st = np.where(mask2d[:, :, None], s_st, 0.0)
-    cell_area = f2.grid.cell_volume
-    dt = f1.grid.cell_volume
-    if include_zero_cells:
-        area = mask2d.sum() * cell_area
-        duration = f1.grid.shape[0] * dt
-        s_t = s_st.sum(axis=(0, 1)) * cell_area / area
-        s_s = s_st.sum(axis=2) * dt / duration
-    else:
-        defined = (den > 0) & mask2d[:, :, None]
-        with np.errstate(invalid="ignore"):
-            s_t = s_st.sum(axis=(0, 1)) / np.maximum(defined.sum(axis=(0, 1)), 1)
-            s_s = s_st.sum(axis=2) / np.maximum(defined.sum(axis=2), 1)
-    return SeparabilityStats(
-        ScalarField(f3.grid, s_st, f3.mask),
-        ScalarField(f2.grid, np.where(mask2d, s_s, 0.0), mask2d),
-        ScalarField(f1.grid, s_t),
-        n,
-    )
-
-
-def permute_null(pattern: SpaceTimePattern, B: int, seed) -> list[SpaceTimePattern]:
-    """B null replicates pairing fixed locations with permuted times."""
-    if B < 1:
-        raise ValueError("B must be >= 1")
-    out = []
-    for b in range(B):
-        rng = substream(seed, b)
-        perm = rng.permutation(len(pattern))
-        pts = np.column_stack([pattern.x, pattern.t[perm]])
-        pts = pts[np.lexsort((pts[:, 1], pts[:, 0], pts[:, 2]))]
-        out.append(_trusted(SpaceTimePattern, pts, pattern.window))
     return out
 
 

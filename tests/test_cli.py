@@ -858,6 +858,21 @@ class TestMain:
         assert err.startswith("error: STPP_THREADS must be an integer >= 1")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("B", [0, -3, 2.7])
+    @pytest.mark.parametrize("task", ["separability", "ripley-k"])
+    def test_bad_replicate_count_exits_2(self, tmp_path, capsys, task, B):
+        _, cfg = write_config(tmp_path, simulate={"lambda": 200})
+        cfg["output_dir"] = str(tmp_path / "data")
+        out = run(cfg, "simulate")
+        cfg_path, _ = write_config(
+            tmp_path, name="bad.json", input=str(out / "pattern.csv"), pi0=0.5,
+            test={"B": B}, bandwidth={"temporal": 0.05, "spatial": 0.1},
+        )
+        assert main([task, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: test.B must be an integer >= 1, got {B!r}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("raw", ["0", "two", "-3"])
     def test_bad_threads_flag_exits_2(self, tmp_path, capsys, monkeypatch, raw):
         monkeypatch.setenv("STPP_THREADS", "2")

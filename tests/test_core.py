@@ -248,7 +248,7 @@ def test_simulation_paths_keep_invariants():
     assert type(sub) is SpaceTimePattern and not sub.points.flags.writeable
 
     # the close-pair enumerator of the K and F/G estimators relies on this order
-    from stpp.separability import permute_null
+    from test_separability import permute_null
     from stpp.simulate import ClusterModel, simulate_cluster
 
     model = ClusterModel(kappa=50.0, mean_offspring=10.0, sigma=0.03, sigma_t=0.03)

@@ -59,6 +59,47 @@ def brute_force_K(pattern, lam, grid, correction="translation", correction_cap=2
     return k, 0
 
 
+def frozen_close_pairs(x, t, r, tau, qx=None, qt=None):
+    """The pair enumerator as first written: one searchsorted per candidate
+    for its row, 2-D gathers and a single exact cut.  Test-only oracle; it
+    splits at the same ``secondorder._PAIR_CHUNK`` candidates."""
+    self_pairs = qx is None
+    if self_pairs:
+        qx, qt = x, t
+    if len(x) == 0 or len(qx) == 0:
+        return
+    pad = 4 * np.finfo(float).eps * (np.abs(qt) + tau)
+    t_lo = np.arange(1, len(t) + 1) if self_pairs else np.searchsorted(t, qt - tau - pad)
+    t_hi = np.searchsorted(t, qt + tau + pad, side="right")
+    origin = np.minimum(x.min(axis=0), qx.min(axis=0))
+    span = (np.maximum(x.max(axis=0), qx.max(axis=0)) - origin).max()
+    side = max(r * (1 + 1e-9) + 1e-9 * span, span / secondorder._MAX_CELLS, np.finfo(float).tiny)
+    width = int(span // side) + 2
+
+    def cell(p):
+        c = ((p - origin) // side).astype(np.int64)
+        return c[:, 0] * width + c[:, 1]
+
+    n, key = len(t), cell(x)
+    order = np.argsort(key, kind="stable")
+    ranked = key[order] * n + order
+    neighbours = (np.arange(-1, 2)[:, None] * width + np.arange(-1, 2)).ravel()
+    block = (cell(qx)[:, None] + neighbours) * n
+    lo = np.searchsorted(ranked, block + t_lo[:, None]).ravel()
+    counts = np.searchsorted(ranked, block + t_hi[:, None]).ravel() - lo
+    ends = np.cumsum(counts)
+    total = int(ends[-1])
+    for start in range(0, total, secondorder._PAIR_CHUNK):
+        pos = np.arange(start, min(start + secondorder._PAIR_CHUNK, total))
+        row = np.searchsorted(ends, pos, side="right")
+        i, j = row // len(neighbours), order[lo[row] + pos - (ends[row] - counts[row])]
+        dx = np.abs(x[j] - qx[i])
+        ds = np.hypot(dx[:, 0], dx[:, 1])
+        dt = np.abs(t[j] - qt[i])
+        near = (ds <= r) & (dt <= tau)
+        yield i[near], j[near], dx[near], ds[near], dt[near]
+
+
 def brute_force_covered(pattern, xy, tt, r, tau, exclude_self):
     """Share of the query points with a cylinder neighbour, from all pairs."""
     ds = np.hypot(*np.abs(pattern.x[None, :, :] - xy[:, None, :]).transpose(2, 0, 1))
@@ -293,6 +334,56 @@ class TestEstimateK:
             estimate_K(pat, vals[:-1], grid)
         with pytest.raises(ValueError, match=rf"\({len(pat)},\)"):
             estimate_K(pat, vals.tolist()[:-1], grid, correction="border")
+
+
+def enumerator_cases():
+    """(x, t, r, tau, query) inputs of the pair enumerator; query is () or (qx, qt)."""
+    rng = substream(4, 30)
+    x, t = rng.uniform(0, 1, (700, 2)), np.sort(rng.uniform(0, 1, 700))
+    qx, qt = rng.uniform(0.1, 0.9, (300, 2)), rng.uniform(0, 1, 300)
+    tied = np.round(t, 2)  # about 7 events per distinct time
+    far = x * 1e4 + (6e5, 4.9e6)
+    outside = rng.uniform(-0.5, 1.5, (300, 2)), rng.uniform(-0.2, 1.2, 300)
+    # binary lattices: many pairs lie exactly at ||dx|| = r or |dt| = tau
+    grid_x = np.stack(np.meshgrid(np.arange(8) / 8, np.arange(8) / 8), -1).reshape(-1, 2)
+    lattice = np.repeat(grid_x, 4, axis=0), np.tile(np.arange(4) / 16, 64)
+    lattice = lattice[0][np.argsort(lattice[1], kind="stable")], np.sort(lattice[1])
+    return {
+        "self": (x, t, 0.1, 0.05, ()),
+        "query": (x, t, 0.1, 0.05, (qx, qt)),
+        "tied-times": (x, tied, 0.1, 0.02, ()),
+        "tied-query": (x, tied, 0.1, 0.02, (qx, np.round(qt, 2))),
+        "far-offset": (far, t * 3e7, 1e3, 5e5, ()),
+        "far-offset-query": (far, t * 3e7, 1e3, 5e5, (qx * 1e4 + (6e5, 4.9e6), qt * 3e7)),
+        "one-cell": (x, t, 1.5, 0.1, ()),
+        "tau-zero": (x, tied, 0.2, 0.0, ()),
+        "tau-zero-query": (x, tied, 0.2, 0.0, (qx, np.round(qt, 2))),
+        "n0": (np.empty((0, 2)), np.empty(0), 0.1, 0.05, ()),
+        "n0-query": (np.empty((0, 2)), np.empty(0), 0.1, 0.05, (qx, qt)),
+        "n1": (x[:1], t[:1], 0.1, 0.05, ()),
+        "n1-query": (x[:1], t[:1], 0.5, 0.5, (qx, qt)),
+        "n2": (np.array([[0.5, 0.5], [0.55, 0.5]]), np.array([0.3, 0.31]), 0.1, 0.05, ()),
+        "outside-box": (x, t, 0.1, 0.05, outside),
+        "lattice": (*lattice, 0.125, 0.0625, ()),
+        "lattice-query": (*lattice, 0.125, 0.0625, (grid_x + 0.0625, np.full(64, 0.125))),
+    }
+
+
+class TestClosePairs:
+    @pytest.mark.parametrize("chunk", [5, 97, None], ids=["chunk5", "chunk97", "default"])
+    @pytest.mark.parametrize("case", sorted(enumerator_cases()))
+    def test_same_chunks_as_frozen_enumerator(self, case, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(secondorder, "_PAIR_CHUNK", chunk)
+        x, t, r, tau, query = enumerator_cases()[case]
+        got = list(secondorder._close_pairs(x, t, r, tau, *query))
+        want = list(frozen_close_pairs(x, t, r, tau, *query))
+        assert len(got) == len(want)
+        for chunk_got, chunk_want in zip(got, want):
+            for a, b in zip(chunk_got, chunk_want, strict=True):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        if case in ("self", "query", "tied-times", "far-offset", "one-cell", "lattice"):
+            assert sum(len(c[0]) for c in want) > 0
 
 
 class TestAverageK:
