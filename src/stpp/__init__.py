@@ -22,9 +22,9 @@ import importlib
 __version__ = "0.1.0"
 
 _CORE_NAMES = frozenset({
-    "GridSpec", "PolygonMask", "RasterMask", "ScalarField", "SpaceTimePattern",
-    "SpatialPattern", "TemporalPattern", "Window", "ball_volume", "count_in",
-    "project", "substream",
+    "GridSpec", "PolygonMask", "ScalarField", "SpaceTimePattern",
+    "SpatialPattern", "TemporalPattern", "Window", "ball_volume", "project",
+    "substream",
 })
 _SUBMODULES = frozenset({
     "core", "simulate", "intensity", "bandwidth", "separability",

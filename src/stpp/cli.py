@@ -386,8 +386,11 @@ def run(config: dict, task: str, seed=None, threads=1, force=False, skip_bad=Fal
         raise ValueError(f"unknown task {task!r}; choose from {', '.join(TASKS)}")
     seed = int(config.get("seed", 0) if seed is None else seed)
     window, context = build_window(config)
+    # before any output exists or any work is done
     if task in ("separability", "ripley-k"):
-        _replicate_count(config)  # before any output exists or any work is done
+        _replicate_count(config)
+    if task in ("intensity", "separability", "ripley-k"):
+        _retention(config)
     out_dir = Path(config.get("output_dir", "stpp-output"))
     if out_dir.exists() and any(out_dir.iterdir()) and not force:
         raise FileExistsError(f"output directory {out_dir} is not empty; use --force")
@@ -460,9 +463,9 @@ def _task_simulate(config, window, seed, report):
 
 
 def _thinned(pattern, config, seed, report):
-    pi0 = float(config.get("pi0", 0.025))
+    pi0 = _retention(config)
     report["pi0"] = pi0
-    if pi0 >= 1.0:
+    if pi0 == 1.0:
         return pattern, 1.0
     sub = thin(pattern, RetentionSpec.constant(pi0), substream(seed, 7))
     report["n_subsample"] = len(sub)
@@ -640,6 +643,14 @@ def _replicate_count(config: dict) -> int:
     return B
 
 
+def _retention(config: dict) -> float:
+    """The config's ``pi0`` (default 0.025), which must be a number in (0, 1]."""
+    pi0 = config.get("pi0", 0.025)
+    if isinstance(pi0, bool) or not isinstance(pi0, (int, float)) or not 0 < pi0 <= 1:
+        raise ValueError(f"pi0 must be a number in (0, 1], got {pi0!r}")
+    return float(pi0)
+
+
 def _thread_count(flag: str | None) -> int:
     """The ``--threads`` value, else ``STPP_THREADS``, else 1, as an integer >= 1."""
     if flag is None:
@@ -673,6 +684,8 @@ def main(argv=None) -> int:
         threads = _thread_count(args.threads)
         with open(args.config) as fh:
             config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError(f"{args.config}: the configuration must be a JSON object")
         out = run(
             config, args.task,
             seed=args.seed, threads=threads,
@@ -684,7 +697,7 @@ def main(argv=None) -> int:
         message = f"missing config key {exc}"
     except MemoryError as exc:
         message = f"out of memory: {exc}"
-    except (ValueError, FileExistsError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         message = str(exc)
     else:
         print(out)

@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "PolygonMask",
-    "RasterMask",
     "VoronoiRegionMask",
     "Window",
     "SpaceTimePattern",
@@ -26,7 +25,6 @@ __all__ = [
     "ScalarField",
     "as_rng",
     "ball_volume",
-    "count_in",
     "project",
     "substream",
 ]
@@ -105,33 +103,6 @@ class PolygonMask:
         return self.contains(np.column_stack([gx.ravel(), gy.ravel()])).reshape(gx.shape)
 
 
-class RasterMask:
-    """Spatial mask given directly as a boolean grid over cell centers."""
-
-    def __init__(self, xs, ys, grid, cell_area):
-        self.xs = np.asarray(xs, dtype=float)
-        self.ys = np.asarray(ys, dtype=float)
-        self.grid = np.asarray(grid, dtype=bool)
-        if self.grid.shape != (len(self.xs), len(self.ys)):
-            raise ValueError("raster grid shape does not match axis lengths")
-        self.cell_area = float(cell_area)
-        self.area = float(self.grid.sum() * self.cell_area)
-
-    def contains(self, xy) -> np.ndarray:
-        xy = np.atleast_2d(np.asarray(xy, dtype=float))
-        sx = self.xs[1] - self.xs[0] if len(self.xs) > 1 else 2 * (self.xs[0] or 1.0)
-        sy = self.ys[1] - self.ys[0] if len(self.ys) > 1 else 2 * (self.ys[0] or 1.0)
-        i = np.clip(np.round((xy[:, 0] - self.xs[0]) / sx).astype(int), 0, len(self.xs) - 1)
-        j = np.clip(np.round((xy[:, 1] - self.ys[0]) / sy).astype(int), 0, len(self.ys) - 1)
-        return self.grid[i, j]
-
-    def raster(self, xs, ys) -> np.ndarray:
-        if np.array_equal(xs, self.xs) and np.array_equal(ys, self.ys):
-            return self.grid
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        return self.contains(np.column_stack([gx.ravel(), gy.ravel()])).reshape(gx.shape)
-
-
 class VoronoiRegionMask:
     """Union of Voronoi cells of a generator set, used as a window mask.
 
@@ -142,7 +113,6 @@ class VoronoiRegionMask:
     """
 
     def __init__(self, tree, member, area, raster_xs, raster_ys, raster_mask):
-        self.generators = tree.data
         self.member = np.asarray(member, dtype=bool)
         self.area = float(area)
         self._tree = tree
@@ -310,7 +280,7 @@ class Window:
     x_range: tuple[float, float]
     y_range: tuple[float, float]
     t_range: tuple[float, float]
-    mask: PolygonMask | RasterMask | VoronoiRegionMask | None = None
+    mask: PolygonMask | VoronoiRegionMask | None = None
 
     def __post_init__(self):
         (a1, b1), (a2, b2), (t0, t1) = self.x_range, self.y_range, self.t_range
@@ -515,20 +485,9 @@ def project(pattern: SpaceTimePattern) -> tuple[SpatialPattern, TemporalPattern]
     return sp, TemporalPattern(pattern.t, pattern.window)
 
 
-def count_in(pattern: SpaceTimePattern, x_range, y_range, t_range) -> int:
-    """Number of events with x in A and t in B for a box region A x B."""
-    (a1, b1), (a2, b2), (t0, t1) = x_range, y_range, t_range
-    if b1 < a1 or b2 < a2 or t1 < t0:
-        raise ValueError("malformed region")
-    if len(pattern) == 0:
-        return 0
-    p = pattern.points
-    inside = (
-        (p[:, 0] >= a1) & (p[:, 0] <= b1)
-        & (p[:, 1] >= a2) & (p[:, 1] <= b2)
-        & (p[:, 2] >= t0) & (p[:, 2] <= t1)
-    )
-    return int(inside.sum())
+# cells per axis of the fine window raster on which quadrat tile areas and
+# the border K's distances to the window boundary are measured
+_FINE_RASTER = 512
 
 
 @dataclass(frozen=True)

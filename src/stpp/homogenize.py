@@ -33,6 +33,10 @@ __all__ = [
     "homogenize",
 ]
 
+# relative loss at the minimum above which the target count is reported as
+# unattainable
+_LOSS_TOLERANCE = 1e-9
+
 
 @dataclass
 class LevelSetEstimate:
@@ -54,7 +58,6 @@ class HomogenizeConfig:
     target_count: float
     seed: int = 0
     resolution: int | None = None
-    loss_tolerance: float = 1e-9
 
     def __post_init__(self):
         if self.target_count <= 0:
@@ -119,7 +122,7 @@ def minimize_loss(cells: VoronoiCells, config: HomogenizeConfig) -> float:
     losses = (target - candidates * cand_areas) ** 2
     best = int(np.argmin(losses))  # first minimum = smallest minimizing mu
     best_mu, best_loss = float(candidates[best]), float(losses[best])
-    if best_loss > config.loss_tolerance * target**2:
+    if best_loss > _LOSS_TOLERANCE * target**2:
         warnings.warn(
             f"loss at the minimum is {best_loss:.3g}; "
             "the target count may be unattainable for this pattern"

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridSpec, SpatialPattern
+from .core import _FINE_RASTER, GridSpec, SpatialPattern
 
 __all__ = [
     "CurveSet",
@@ -155,28 +155,18 @@ def erl_test(curves: CurveSet, alpha: float = 0.05) -> EnvelopeResult:
             f"B={B} replicates is small for alpha={alpha}; "
             f"recommend B >= {int(math.ceil(2 / alpha - 1))}"
         )
-    stacked = curves.stacked()
-    measures, order = _erl_order(stacked)
-    # measures[0]*s = number of curves at least as extreme as the observed,
-    # including itself, which is exactly 1 + #{more-or-equally-extreme replicates}
-    p = float(measures[0])
-    lower, upper = _build_envelope(stacked, order, alpha)
-    reject = (curves.observed < lower) | (curves.observed > upper)
-    central = np.median(stacked, axis=0)
-    return EnvelopeResult(
-        curves.args, curves.observed, central, lower, upper, p, measures, reject, alpha
-    )
+    return combined_erl_test([curves], alpha)
 
 
 def combined_erl_test(curve_sets, alpha: float = 0.05) -> EnvelopeResult:
     """Combined global envelope test over several summary functions.
 
     Each component is rank-transformed pointwise (a strictly monotone
-    change of scale, so single-component results match :func:`erl_test`),
+    change of scale, which leaves one component's ERL ordering as it is),
     the transformed curves are concatenated along the argument axis, and
-    the ERL ordering of the concatenated curves gives one global p-value.
-    Envelopes are reported on the original scale from the jointly retained
-    curves.
+    the ERL ordering of the concatenated curves gives one global p-value,
+    as in :func:`erl_test`.  Envelopes are reported on the original scale
+    from the jointly retained curves.
     """
     if len(curve_sets) == 0:
         raise ValueError("need at least one curve set")
@@ -237,7 +227,7 @@ def quadrat_test(pattern: SpatialPattern, tiles=None) -> tuple[float, float]:
         nx = ny = k
     else:
         nx, ny = tiles
-    fine = GridSpec.spatial(window, 512, 512)
+    fine = GridSpec.spatial(window, _FINE_RASTER, _FINE_RASTER)
     inside = window.raster(fine)
     coarsened = False
     while True:

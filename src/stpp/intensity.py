@@ -21,12 +21,13 @@ spatial bandwidth selector reuse them rather than rebuilding the kernel.
 Memory: the kernel estimators sum over events one chunk at a time, a
 chunk being as many events as fit ``_CHUNK_BYTES`` (128 MiB) of their
 kernel rows, so each needs one chunk of rows plus its grid whatever n is.
-The corrections alone (``diggle_correction``, the spatial bandwidth
-selector) come from the same pass as an O(n) vector, or a (k, n) array
-for k bandwidths at once, in blocks of at most ``_CORRECTION_BYTES``.  The
-separability engine keeps the rows of all events, because each
-permutation re-pairs them; it and ``estimate_lambda_st`` check their need
-against a cap up front and raise ``MemoryError`` before building rows.
+The corrections alone (``_spatial_corrections``, which the spatial
+bandwidth selector uses) come from the same pass as an O(n) vector, or a
+(k, n) array for k bandwidths at once, in blocks of at most
+``_CORRECTION_BYTES``.  The separability engine keeps the rows of all
+events, because each permutation re-pairs them; it and
+``estimate_lambda_st`` check their need against ``_MEMORY_CAP_MB`` up
+front and raise ``MemoryError`` before building rows.
 With n at most one chunk the sums are the unchunked ones bit for bit;
 beyond it they are reordered over chunks (1e-12 relative by test).
 """
@@ -56,7 +57,6 @@ if TYPE_CHECKING:
 __all__ = [
     "KernelSpec",
     "IntensityEstimate",
-    "diggle_correction",
     "estimate_lambda_s",
     "estimate_lambda_t",
     "estimate_lambda_st",
@@ -75,7 +75,7 @@ _CHUNK_BYTES = 1 << 27
 # small blocks cost nothing and keep a batch of bandwidths' rows small
 _CORRECTION_BYTES = 1 << 21
 
-# default cap on the memory of space-time kernel rows and a 3D field
+# cap on the memory of space-time kernel rows and a 3D field
 _MEMORY_CAP_MB = 2048.0
 
 
@@ -92,12 +92,9 @@ class KernelSpec:
 
 @dataclass
 class IntensityEstimate:
-    """A fitted intensity field plus the settings that produced it."""
+    """A fitted intensity field; ``empty`` marks the zero field of no events."""
 
     field: ScalarField
-    bandwidths: tuple
-    diggle_corrected: bool = True
-    retention_correction: float = 1.0
     empty: bool = False
 
     def integrate(self) -> float:
@@ -189,14 +186,15 @@ def _spacetime_rows(x, t, window: Window, grid: GridSpec, b_s, b_t):
     return S, T, gx, gy, e_s, e_t, mask
 
 
-def _check_memory(rows, grid: GridSpec, cap_mb):
+def _check_memory(rows, grid: GridSpec):
     """Raise MemoryError, before any work, if ``rows`` events' space-time
-    rows S and T plus a field on the 3D grid need more than ``cap_mb`` MB."""
+    rows S and T plus a field on the 3D grid need more than
+    ``_MEMORY_CAP_MB`` MB."""
     nx, ny, nt = grid.shape
     need_mb = (rows * (nx * ny + nt) + nx * ny * nt) * 8 / 1e6
-    if need_mb > cap_mb:
+    if need_mb > _MEMORY_CAP_MB:
         raise MemoryError(
-            f"3D estimation needs about {need_mb:.0f} MB > cap {cap_mb:.0f} MB; "
+            f"3D estimation needs about {need_mb:.0f} MB > cap {_MEMORY_CAP_MB:.0f} MB; "
             "use a coarser grid"
         )
 
@@ -210,32 +208,6 @@ def _check_resolvable(b, grid: GridSpec, axes):
             f"bandwidth {b:g} is unresolvable at grid step {step:g}; "
             "refine the grid or increase the bandwidth"
         )
-
-
-def diggle_correction(center, kernel: KernelSpec, window: Window, grid=None) -> float:
-    """Mass of the kernel centred at a point that falls inside the window.
-
-    2D centers use quadrature on the window grid (default 256 x 256); 1D
-    centers (scalars) use the exact Gaussian interval mass over [t0, t1].
-    """
-    b = kernel.bandwidth
-    if np.isscalar(center):
-        lo, hi = window.t_range
-        if not (lo <= center <= hi):
-            raise ValueError("center outside the temporal window")
-        z = (np.array([hi, lo]) - center) / b
-        w = float(0.5 * (math.erf(z[0] / math.sqrt(2)) - math.erf(z[1] / math.sqrt(2))))
-    else:
-        xy = np.asarray(center, dtype=float).reshape(1, 2)
-        if not window.contains_xy(xy).all():
-            raise ValueError("center outside the spatial window")
-        if grid is None:
-            grid = GridSpec.spatial(window, 256, 256)
-        _check_resolvable(b, grid, (0, 1))
-        w = float(_spatial_corrections(xy, grid, window.raster(grid), b)[0])
-    if w < _MIN_CORRECTION:
-        raise ValueError(f"edge-correction weight {w:g} below {_MIN_CORRECTION:g}")
-    return min(w, 1.0)
 
 
 def temporal_corrections(times, window: Window, b) -> np.ndarray:
@@ -268,7 +240,7 @@ def estimate_lambda_s(
     if len(pattern) == 0:
         warnings.warn("empty pattern: returning a zero intensity field")
         field = ScalarField(grid, np.zeros(grid.shape), window.raster(grid))
-        return IntensityEstimate(field, (kernel.bandwidth,), empty=True)
+        return IntensityEstimate(field, empty=True)
     _check_resolvable(kernel.bandwidth, grid, (0, 1))
     mask = window.raster(grid)
     values = np.zeros(grid.shape)
@@ -282,7 +254,7 @@ def estimate_lambda_s(
     if mask is not None:
         values = np.where(mask, values, 0.0)
     field = ScalarField(grid, values, mask)
-    return IntensityEstimate(field, (kernel.bandwidth,))
+    return IntensityEstimate(field)
 
 
 def estimate_lambda_t(
@@ -300,9 +272,7 @@ def estimate_lambda_t(
         grid = GridSpec.temporal(window, 1000)
     if len(pattern) == 0:
         warnings.warn("empty pattern: returning a zero intensity field")
-        return IntensityEstimate(
-            ScalarField(grid, np.zeros(grid.shape)), (kernel.bandwidth,), empty=True
-        )
+        return IntensityEstimate(ScalarField(grid, np.zeros(grid.shape)), empty=True)
     b = kernel.bandwidth
     e = temporal_corrections(pattern.times, window, b)
     if (e < _MIN_CORRECTION).any():
@@ -311,7 +281,7 @@ def estimate_lambda_t(
     for rows in _chunks(len(pattern), grid.shape[0]):
         # density values; each chunk's rows are freed before the next is built
         values += (1.0 / e[rows]) @ _gauss_factors(pattern.times[rows], grid.centers(0), 1.0, b)
-    return IntensityEstimate(ScalarField(grid, values), (kernel.bandwidth,))
+    return IntensityEstimate(ScalarField(grid, values))
 
 
 def estimate_lambda_st(
@@ -320,7 +290,6 @@ def estimate_lambda_st(
     kernel_t: KernelSpec,
     grid: GridSpec | None = None,
     retention=None,
-    memory_cap_mb: float = _MEMORY_CAP_MB,
 ) -> IntensityEstimate:
     """Product-kernel estimate of the space-time intensity on a 3D grid.
 
@@ -332,26 +301,20 @@ def estimate_lambda_st(
 
     Memory is one chunk of (m, nx*ny + nt) kernel rows, at most
     ``_CHUNK_BYTES``, plus the 3D grid; when those need more than
-    ``memory_cap_mb`` MB, ``MemoryError`` is raised before any work.
+    ``_MEMORY_CAP_MB`` MB, ``MemoryError`` is raised before any work.
     """
     window = pattern.window
     if grid is None:
         grid = GridSpec.spacetime(window, 64, 64, 250)
     nx, ny, nt = grid.shape
     chunks = _chunks(len(pattern), nx * ny + nt)
-    _check_memory(chunks[0].stop if chunks else 0, grid, memory_cap_mb)  # the largest chunk
-    pi0 = 1.0
-    if retention is not None:
-        if getattr(retention, "pi0", None) is None:
-            raise ValueError("retention correction requires a constant retention")
-        pi0 = retention.pi0
+    _check_memory(chunks[0].stop if chunks else 0, grid)  # the largest chunk
+    pi0 = 1.0 if retention is None else retention.pi0
     if len(pattern) == 0:
         warnings.warn("empty pattern: returning a zero intensity field")
         mask2d = window.raster(GridSpec.spatial(window, nx, ny))
         field = ScalarField(grid, np.zeros(grid.shape), mask2d)
-        return IntensityEstimate(
-            field, (kernel_s.bandwidth, kernel_t.bandwidth), empty=True
-        )
+        return IntensityEstimate(field, empty=True)
     _check_resolvable(kernel_s.bandwidth, grid, (0, 1))
     values = np.zeros((nx * ny, nt))
     for rows in chunks:
@@ -366,12 +329,7 @@ def estimate_lambda_st(
     values = values.reshape(nx, ny, nt) / pi0
     if mask2d is not None:
         values = np.where(mask2d[:, :, None], values, 0.0)
-    field = ScalarField(grid, values, mask2d)
-    return IntensityEstimate(
-        field,
-        (kernel_s.bandwidth, kernel_t.bandwidth),
-        retention_correction=pi0,
-    )
+    return IntensityEstimate(ScalarField(grid, values, mask2d))
 
 
 @dataclass
@@ -391,14 +349,6 @@ class VoronoiCells:
     grid: GridSpec
     assignment: np.ndarray
     raster_mask: np.ndarray
-
-    @property
-    def generators(self) -> np.ndarray:
-        return self.tree.data
-
-    @property
-    def total_area(self) -> float:
-        return float(self.areas.sum())
 
 
 def voronoi_intensity(
@@ -443,8 +393,6 @@ def voronoi_intensity(
         values = 1.0 / areas  # inf marks generators that captured no raster cell
     field_values = values[assignment]
     field_values[~mask] = 0.0
-    estimate = IntensityEstimate(
-        ScalarField(grid, field_values, mask), (), diggle_corrected=False
-    )
+    estimate = IntensityEstimate(ScalarField(grid, field_values, mask))
     cells = VoronoiCells(tree, areas, values, grid, assignment, mask)
     return estimate, cells

@@ -35,7 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridSpec, ScalarField, SpaceTimePattern, Window, ball_volume, substream
+from .core import (
+    _FINE_RASTER, GridSpec, ScalarField, SpaceTimePattern, Window, ball_volume, substream,
+)
 from .intensity import IntensityEstimate
 from .simulate import ClusterModel, IntensityModel, RetentionSpec, simulate_cluster, simulate_poisson, thin
 
@@ -52,6 +54,7 @@ __all__ = [
 
 _PAIR_CHUNK = 1 << 18  # candidate pairs held in memory at once
 _MAX_CELLS = 1024  # spatial cells per axis of the pair search; bounds its int64 keys
+_FLOOR_QUANTILE = 0.01  # events' intensities are floored at this quantile of the positive ones
 
 
 @dataclass
@@ -90,7 +93,7 @@ class KEstimate:
     n_points: int = 0
 
 
-def _lambda_at_events(lam, pattern: SpaceTimePattern, floor_quantile: float) -> np.ndarray:
+def _lambda_at_events(lam, pattern: SpaceTimePattern) -> np.ndarray:
     """Intensity values at the events, floored away from zero.
 
     ``lam`` may be a constant, a 1-D array-like of per-event values, a
@@ -98,7 +101,7 @@ def _lambda_at_events(lam, pattern: SpaceTimePattern, floor_quantile: float) -> 
     """
     n = len(pattern)
     if isinstance(lam, IntensityEstimate):
-        return _lambda_at_events(lam.field, pattern, floor_quantile)
+        return _lambda_at_events(lam.field, pattern)
     if isinstance(lam, ScalarField):  # on W, T or W x T
         coords = {3: pattern.points, 2: pattern.x}.get(lam.grid.ndim, pattern.t)
         vals = lam.value_at(coords)
@@ -112,7 +115,7 @@ def _lambda_at_events(lam, pattern: SpaceTimePattern, floor_quantile: float) -> 
         positive = vals[vals > 0]
         if len(positive) == 0:
             raise ValueError("intensity vanishes at every event")
-        vals = np.maximum(vals, np.quantile(positive, floor_quantile))
+        vals = np.maximum(vals, np.quantile(positive, _FLOOR_QUANTILE))
     return vals
 
 
@@ -122,7 +125,6 @@ def estimate_K(
     grid: KGrid | None = None,
     correction: str = "translation",
     correction_cap: float = 20.0,
-    floor_quantile: float = 0.01,
 ) -> KEstimate:
     """Inhomogeneous space-time K estimate.
 
@@ -133,7 +135,7 @@ def estimate_K(
 
     ``lam`` is the intensity plugged into the pair weights (constant,
     per-event array, field or estimate); values at events are floored at
-    the given quantile of the positive values to stop weight explosions.
+    the 1% quantile of the positive values to stop weight explosions.
     Pairs whose translation correction exceeds ``correction_cap`` are
     winsorized at the cap and counted.
     """
@@ -141,7 +143,7 @@ def estimate_K(
     if grid is None:
         grid = KGrid.default(window)
     if correction == "border":
-        return _estimate_K_border(pattern, lam, grid, floor_quantile)
+        return _estimate_K_border(pattern, lam, grid)
     if correction != "translation":
         raise ValueError(f"unknown edge correction {correction!r}")
     if window.mask is not None:
@@ -154,7 +156,7 @@ def estimate_K(
     k = np.zeros(n_r * n_t)
     if n < 2:
         return KEstimate(k.reshape(n_r, n_t), grid, n_points=n)
-    lam_vals = _lambda_at_events(lam, pattern, floor_quantile)
+    lam_vals = _lambda_at_events(lam, pattern)
     lx = window.x_range[1] - window.x_range[0]
     ly = window.y_range[1] - window.y_range[0]
     lt = window.duration
@@ -287,14 +289,14 @@ def _eroded_areas(window: Window, radii: np.ndarray, raster) -> np.ndarray:
 
 
 def _mask_boundary_raster(window: Window):
-    """Distance to the window boundary on a 512 x 512 raster: EDT of the
+    """Distance to the window boundary on the fine raster: EDT of the
     mask, additionally capped by the distance to the enclosing rectangle
     (the array edge carries no mask information).  None if unmasked."""
     if window.mask is None:
         return None
     from scipy.ndimage import distance_transform_edt
 
-    fine = GridSpec.spatial(window, 512, 512)
+    fine = GridSpec.spatial(window, _FINE_RASTER, _FINE_RASTER)
     xs, ys = fine.centers(0), fine.centers(1)
     inside = window.raster(fine)
     dist = distance_transform_edt(inside, sampling=fine.step)
@@ -304,7 +306,7 @@ def _mask_boundary_raster(window: Window):
     return dist, inside, fine
 
 
-def _estimate_K_border(pattern, lam, grid: KGrid, floor_quantile: float) -> KEstimate:
+def _estimate_K_border(pattern, lam, grid: KGrid) -> KEstimate:
     """Reduced-sample estimator: reference points from the eroded window.
 
     Not exactly monotone in (r, tau) because the eligible reference set
@@ -319,7 +321,7 @@ def _estimate_K_border(pattern, lam, grid: KGrid, floor_quantile: float) -> KEst
     volumes = areas[:, None] * lts[None, :]
     hist = np.zeros((n_r + 1) * (n_t + 1))
     if n >= 2:  # fewer events form no pair and need no intensity
-        lam_vals = _lambda_at_events(lam, pattern, floor_quantile)
+        lam_vals = _lambda_at_events(lam, pattern)
         d_s, d_t = _boundary_distances(pattern, raster)
     for i, j, _, ds, dt in _close_pairs(pattern.x, pattern.t, grid.r[-1], grid.tau[-1]):
         # ordered pair (ref, other) enters cell (a, b) iff ds <= r_a <= d_s[ref]
@@ -377,10 +379,6 @@ class SeriesDiagnostics:
             raise ValueError("pi0 must be in (0, 1]")
         if self.order < 2:
             raise ValueError("truncation order must be >= 2")
-
-    def poisson_integrals(self, r: float, tau: float) -> np.ndarray:
-        """The k-fold reference integrals |B(r, tau)|^k, k = 1..order."""
-        return ball_volume(r, tau) ** np.arange(1, self.order + 1)
 
 
 def poisson_series_fgj(diag: SeriesDiagnostics, r: float, tau: float):

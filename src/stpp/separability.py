@@ -17,13 +17,7 @@ import numpy as np
 
 from .core import GridSpec, SpaceTimePattern, substream
 from .inference import CurveSet, EnvelopeResult, combined_erl_test
-from .intensity import (
-    _MEMORY_CAP_MB,
-    KernelSpec,
-    _check_memory,
-    _chunks,
-    _spacetime_rows,
-)
+from .intensity import KernelSpec, _check_memory, _chunks, _spacetime_rows
 
 __all__ = ["separability_test"]
 
@@ -52,7 +46,7 @@ class _SeparabilityEngine:
         window = pattern.window
         nx, ny, nt = grid.shape
         n = len(pattern)
-        _check_memory(n, grid, _MEMORY_CAP_MB)
+        _check_memory(n, grid)
         self.S, self.T, gx, gy, _, _, mask2d = _spacetime_rows(
             pattern.x, pattern.t, window, grid, kernel_s.bandwidth, kernel_t.bandwidth
         )

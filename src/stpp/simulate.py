@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RasterMask, ScalarField, SpaceTimePattern, SpatialPattern, Window, _trusted, as_rng
+from .core import SpaceTimePattern, SpatialPattern, Window, _trusted, as_rng
 
 __all__ = [
     "IntensityModel",
@@ -207,81 +207,29 @@ def simulate_cluster(model: ClusterModel, window: Window, seed) -> SpaceTimePatt
     return SpaceTimePattern(pts[keep], window)
 
 
+@dataclass(frozen=True)
 class RetentionSpec:
-    """Retention probabilities for independent thinning.
+    """Constant retention probability ``pi0`` in [0, 1] for independent thinning."""
 
-    ``RetentionSpec.constant(p)`` keeps every event with the same
-    probability; ``RetentionSpec.field(f)`` looks the probability up in a
-    cell-constant field whose mask defines the support region.
-    """
+    pi0: float
 
-    def __init__(self, pi0=None, field: ScalarField | None = None):
-        if (pi0 is None) == (field is None):
-            raise ValueError("specify exactly one of pi0 and field")
-        if pi0 is not None and not (0.0 <= pi0 <= 1.0):
-            raise ValueError(f"retention probability must be in [0, 1], got {pi0}")
-        if field is not None:
-            vals = field.values[field.mask]
-            if len(vals) and (vals.min() < 0 or vals.max() > 1):
-                raise ValueError("retention field values must lie in [0, 1]")
-        self.pi0 = pi0
-        self.prob_field = field
+    def __post_init__(self):
+        if not (0.0 <= self.pi0 <= 1.0):
+            raise ValueError(f"retention probability must be in [0, 1], got {self.pi0}")
 
     @classmethod
     def constant(cls, pi0: float) -> "RetentionSpec":
-        return cls(pi0=float(pi0))
-
-    @classmethod
-    def field(cls, f: ScalarField) -> "RetentionSpec":
-        return cls(field=f)
-
-    def prob_at(self, xy, t=None) -> np.ndarray:
-        n = len(xy) if t is None else len(t)
-        if self.pi0 is not None:
-            return np.full(n, self.pi0)
-        f = self.prob_field
-        if f.grid.ndim == 1:
-            coords = np.asarray(t, dtype=float)
-        elif f.grid.ndim == 2:
-            coords = np.asarray(xy, dtype=float)
-        else:
-            coords = np.column_stack([xy, t])
-        if not f.mask_at(coords).all():
-            raise ValueError("retention field undefined at some event locations")
-        return f.value_at(coords)
+        return cls(float(pi0))
 
 
-def thin(pattern: SpaceTimePattern, retention: RetentionSpec, seed) -> SpaceTimePattern:
-    """Keep each event independently with its retention probability.
+def thin(pattern, retention: RetentionSpec, seed):
+    """Keep each event independently with probability ``retention.pi0``.
 
-    For a constant retention the output keeps the input window; for a
-    field the support of the field becomes the window mask.
+    The output has the input's class (SpaceTimePattern or SpatialPattern)
+    and window.
     """
-    rng = as_rng(seed)
-    if len(pattern) == 0:
-        keep = np.zeros(0, dtype=bool)
-    else:
-        p = retention.prob_at(pattern.x, pattern.t)
-        keep = rng.uniform(size=len(pattern)) < p
-    return _trusted(SpaceTimePattern, pattern.points[keep], _support_window(pattern.window, retention))
+    keep = as_rng(seed).uniform(size=len(pattern)) < retention.pi0
+    return _trusted(type(pattern), pattern.points[keep], pattern.window)
 
 
-def _support_window(window: Window, retention: RetentionSpec) -> Window:
-    """Window of a thinned pattern: field retention restricts it to the support."""
-    f = retention.prob_field
-    if f is None or f.grid.ndim != 2:
-        return window
-    xs, ys = f.grid.centers(0), f.grid.centers(1)
-    mask = RasterMask(xs, ys, f.mask, f.grid.cell_volume)
-    return Window(window.x_range, window.y_range, window.t_range, mask)
-
-
-def thin_spatial(pattern: SpatialPattern, retention: RetentionSpec, seed) -> SpatialPattern:
-    """Planar analogue of :func:`thin`."""
-    rng = as_rng(seed)
-    if len(pattern) == 0:
-        keep = np.zeros(0, dtype=bool)
-    else:
-        p = retention.prob_at(pattern.points)
-        keep = rng.uniform(size=len(pattern)) < p
-    return _trusted(SpatialPattern, pattern.points[keep], _support_window(pattern.window, retention))
+thin_spatial = thin  # the planar name, which the spatial bandwidth selector imports

@@ -873,6 +873,35 @@ class TestMain:
         assert err == f"error: test.B must be an integer >= 1, got {B!r}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("pi0", [0, -0.5, 1.5, "x"])
+    @pytest.mark.parametrize("task", ["separability", "ripley-k"])
+    def test_bad_retention_exits_2(self, tmp_path, capsys, task, pi0):
+        _, cfg = write_config(tmp_path, simulate={"lambda": 200})
+        cfg["output_dir"] = str(tmp_path / "data")
+        out = run(cfg, "simulate")
+        cfg_path, _ = write_config(
+            tmp_path, name="bad.json", input=str(out / "pattern.csv"), pi0=pi0,
+            test={"B": 19}, bandwidth={"temporal": 0.05, "spatial": 0.1},
+        )
+        assert main([task, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: pi0 must be a number in (0, 1], got {pi0!r}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_input_directory_exits_2(self, tmp_path, capsys):
+        cfg_path, _ = write_config(tmp_path, input=str(tmp_path), test={"B": 19})
+        assert main(["ripley-k", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno") and str(tmp_path) in err
+
+    @pytest.mark.parametrize("top", ["[1, 2]", "3", '"window"', "null"])
+    def test_non_object_config_exits_2(self, tmp_path, capsys, top):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(top)
+        assert main(["simulate", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg_path}: the configuration must be a JSON object\n"
+
     @pytest.mark.parametrize("raw", ["0", "two", "-3"])
     def test_bad_threads_flag_exits_2(self, tmp_path, capsys, monkeypatch, raw):
         monkeypatch.setenv("STPP_THREADS", "2")

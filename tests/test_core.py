@@ -13,7 +13,6 @@ from stpp.core import (
     TemporalPattern,
     Window,
     ball_volume,
-    count_in,
     project,
     substream,
 )
@@ -167,23 +166,6 @@ def test_project_preserves_cardinality_and_values():
     assert len(sp) == len(sim) == len(tp)
     assert type(sp) is SpatialPattern and type(tp) is TemporalPattern
     assert not sp.points.flags.writeable and not tp.times.flags.writeable
-
-
-def test_count_in():
-    empty = SpaceTimePattern(np.empty((0, 3)), UNIT)
-    assert count_in(empty, (0, 1), (0, 1), (0, 1)) == 0
-    pat = SpaceTimePattern([(0.1, 0.1, 0.1), (0.2, 0.2, 0.2), (0.3, 0.3, 0.3)], UNIT)
-    assert count_in(pat, (0, 0.5), (0, 0.5), (0, 0.5)) == 3
-    sim = simulate_poisson(IntensityModel.const(500), UNIT, 1)
-    assert count_in(sim, (0, 1), (0, 1), (0, 1)) == len(sim)
-
-
-def test_count_in_additive_over_disjoint_regions():
-    sim = simulate_poisson(IntensityModel.const(800), UNIT, 2)
-    left = count_in(sim, (0, 0.5), (0, 1), (0, 1))
-    # half-open split: points exactly at 0.5 would double count, so nudge
-    right = count_in(sim, (np.nextafter(0.5, 1), 1), (0, 1), (0, 1))
-    assert left + right == len(sim)
 
 
 def test_scalar_field_integrates_constant_to_area():

@@ -20,7 +20,7 @@ from stpp.core import (
 )
 from stpp.intensity import (
     KernelSpec,
-    diggle_correction,
+    _spatial_corrections,
     estimate_lambda_s,
     estimate_lambda_st,
     estimate_lambda_t,
@@ -42,26 +42,25 @@ def test_kernel_spec_validation():
         KernelSpec(-1.0)
 
 
+def spatial_correction(center, b, window=UNIT):
+    """Diggle correction of one point by quadrature on a 256 x 256 grid."""
+    grid = GridSpec.spatial(window, 256, 256)
+    return _spatial_corrections(np.array([center], float), grid, window.raster(grid), b)[0]
+
+
 class TestDiggleCorrection:
     def test_deep_interior_is_one(self):
-        w = diggle_correction((0.5, 0.5), KernelSpec(0.05), UNIT)
-        assert w == pytest.approx(1.0, abs=1e-6)
+        assert spatial_correction((0.5, 0.5), 0.05) == pytest.approx(1.0, abs=1e-6)
 
     def test_edge_midpoint_is_half(self):
-        w = diggle_correction((0.0, 0.5), KernelSpec(0.02), UNIT)
-        assert w == pytest.approx(0.5, abs=1e-3)
+        assert spatial_correction((0.0, 0.5), 0.02) == pytest.approx(0.5, abs=1e-3)
 
     def test_corner_is_quarter(self):
-        w = diggle_correction((0.0, 0.0), KernelSpec(0.02), UNIT)
-        assert w == pytest.approx(0.25, abs=1e-3)
+        assert spatial_correction((0.0, 0.0), 0.02) == pytest.approx(0.25, abs=1e-3)
 
     def test_temporal_interval_mass(self):
-        assert diggle_correction(0.5, KernelSpec(0.01), UNIT) == pytest.approx(1.0, abs=1e-9)
-        assert diggle_correction(0.0, KernelSpec(0.01), UNIT) == pytest.approx(0.5, abs=1e-9)
-
-    def test_outside_center_rejected(self):
-        with pytest.raises(ValueError):
-            diggle_correction((2.0, 0.5), KernelSpec(0.05), UNIT)
+        e = temporal_corrections([0.5, 0.0], UNIT, 0.01)
+        np.testing.assert_allclose(e, [1.0, 0.5], rtol=0, atol=1e-9)
 
 
 class TestLambdaS:
@@ -173,21 +172,12 @@ class TestLambdaST:
             means.append(v[8:16, 8:16, 14:26].mean())
         assert np.mean(means) == pytest.approx(parent_lam, rel=0.10)
 
-    def test_memory_cap(self):
+    def test_memory_cap(self, monkeypatch):
+        monkeypatch.setattr(intensity, "_MEMORY_CAP_MB", 1.0)
         pat = simulate_poisson(IntensityModel.const(100), UNIT, 0)
         with pytest.raises(MemoryError, match="coarser"):
             estimate_lambda_st(pat, KernelSpec(0.05), KernelSpec(0.02),
-                               GridSpec.spacetime(UNIT, 64, 64, 250), memory_cap_mb=1.0)
-
-    def test_non_constant_retention_rejected(self):
-        pat = simulate_poisson(IntensityModel.const(100), UNIT, 0)
-        grid = GridSpec.spatial(UNIT, 4, 4)
-        from stpp.core import ScalarField
-
-        field_ret = RetentionSpec.field(ScalarField(grid, np.full(grid.shape, 0.5)))
-        with pytest.raises(ValueError, match="constant"):
-            estimate_lambda_st(pat, KernelSpec(0.1), KernelSpec(0.1),
-                               GridSpec.spacetime(UNIT, 8, 8, 8), retention=field_ret)
+                               GridSpec.spacetime(UNIT, 64, 64, 250))
 
 
 class TestThinningMonotonicity:
@@ -269,7 +259,7 @@ class TestVoronoi:
     def test_partition_identity(self):
         pat, _ = project(simulate_poisson(IntensityModel.const(300), UNIT, 4))
         est, cells = voronoi_intensity(pat)
-        assert cells.total_area == pytest.approx(1.0, rel=1e-9)
+        assert cells.areas.sum() == pytest.approx(1.0, rel=1e-9)
         assert est.integrate() == pytest.approx(len(pat), rel=5e-3)
 
     def test_median_cell_value_near_truth(self):
@@ -549,14 +539,15 @@ class TestChunkedEstimators:
 
     def test_memory_cap_counts_one_chunk(self, monkeypatch):
         # 3 events' rows plus the field fit 0.1 MB; all 400 events' rows do not
+        monkeypatch.setattr(intensity, "_MEMORY_CAP_MB", 0.1)
         monkeypatch.setattr(intensity, "_CHUNK_BYTES", 4000)
         pat = chunk_pattern(UNIT, 3)
         grid = GridSpec.spacetime(UNIT, 12, 10, 20)
-        est = estimate_lambda_st(pat, KernelSpec(0.1), KernelSpec(0.05), grid, memory_cap_mb=0.1)
+        est = estimate_lambda_st(pat, KernelSpec(0.1), KernelSpec(0.05), grid)
         assert est.integrate() == pytest.approx(len(pat), rel=5e-3)
         monkeypatch.setattr(intensity, "_CHUNK_BYTES", BUDGETS[-1])
         with pytest.raises(MemoryError, match="coarser"):
-            estimate_lambda_st(pat, KernelSpec(0.1), KernelSpec(0.05), grid, memory_cap_mb=0.1)
+            estimate_lambda_st(pat, KernelSpec(0.1), KernelSpec(0.05), grid)
 
     @pytest.mark.parametrize("window", [UNIT, POLYGON], ids=["rectangle", "polygon"])
     @pytest.mark.parametrize("budget", BUDGETS)
@@ -571,10 +562,9 @@ class TestChunkedEstimators:
             if budget == BUDGETS[-1]:
                 assert np.array_equal(bits(got), bits(want))
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-        center = xy[7]
-        w = diggle_correction(center, KernelSpec(0.05), window, grid)
-        want = oracle_spatial_rows(center.reshape(1, 2), grid, window, 0.05)[2][0]
-        assert w == min(want, 1.0)
+        center = xy[7:8]
+        w = intensity._spatial_corrections(center, grid, window.raster(grid), 0.05)
+        assert w == oracle_spatial_rows(center, grid, window, 0.05)[2]
 
     @pytest.mark.parametrize("rows", [2, 3, 4, 5])
     def test_corrections_independent_of_blocks(self, monkeypatch, rows):

@@ -450,9 +450,12 @@ class TestSeries:
             SeriesDiagnostics(lam_floor=1.0, pi0=0.5, order=1)
 
     def test_poisson_reference_integrals(self):
+        # the series' k-fold integrals are |B(r, tau)|^k, k = 1..order
         diag = SeriesDiagnostics(lam_floor=1.0, pi0=0.5, order=4)
         vol = ball_volume(0.1, 0.2)
-        assert np.allclose(diag.poisson_integrals(0.1, 0.2), vol ** np.arange(1, 5))
+        terms = (-0.5) ** np.arange(1, 5) * vol ** np.arange(1, 5) / [1, 2, 6, 24]
+        f, g, _ = poisson_series_fgj(diag, 0.1, 0.2)
+        assert f == g == pytest.approx(-terms.sum(), rel=1e-12)
 
 
 class TestEmpiricalFGJ:

@@ -137,31 +137,11 @@ def test_thin_composition_matches_product():
     assert abs(np.var(two) - np.var(one)) < 0.3 * m
 
 
-def test_thin_field_retention_and_errors():
-    grid = GridSpec.spatial(UNIT, 8, 8)
-    probs = np.full(grid.shape, 0.5)
-    mask = np.ones(grid.shape, dtype=bool)
-    mask[4:] = False  # support is x1 < 0.5
-    field = ScalarField(grid, probs, mask)
-    spec = RetentionSpec.field(field)
-    pat = simulate_poisson(IntensityModel.const(200), UNIT, 0)
-    with pytest.raises(ValueError, match="undefined"):
-        thin(pat, spec, 1)
-    half = Window((0, 0.5), (0, 1), (0, 1))
-    pat2 = simulate_poisson(IntensityModel.const(200), half, 0)
-    sub = thin(pat2, spec, 1)
-    assert sub.window.mask is not None
-    assert sub.window.area == pytest.approx(0.5)
-
-
 def test_retention_spec_validation():
     with pytest.raises(ValueError):
         RetentionSpec.constant(1.5)
     with pytest.raises(ValueError):
         RetentionSpec.constant(-0.1)
-    grid = GridSpec.spatial(UNIT, 4, 4)
-    with pytest.raises(ValueError):
-        RetentionSpec.field(ScalarField(grid, np.full(grid.shape, 2.0)))
 
 
 def test_determinism_same_seed_same_pattern():
