@@ -26,6 +26,7 @@ import math
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from functools import partial
 from itertools import compress, repeat
@@ -376,6 +377,41 @@ def _bandwidths(pattern, config, seed):
     return float(b_s), float(b_t)
 
 
+# config blocks read with ``.get``, each a JSON object when present
+_BLOCKS = ("window", "test", "grids", "bandwidth", "kgrid", "homogenize", "simulate", "prop2")
+
+
+def _check_blocks(config: dict) -> None:
+    """Raise ValueError if a config block, or ``bandwidth.search``, is not a JSON object."""
+    blocks = [(key, config[key]) for key in _BLOCKS if key in config]
+    if isinstance(config.get("bandwidth"), dict) and "search" in config["bandwidth"]:
+        blocks.append(("bandwidth.search", config["bandwidth"]["search"]))
+    for key, block in blocks:
+        if not isinstance(block, dict):
+            raise ValueError(f"{key} must be a JSON object, got {block!r}")
+
+
+@contextmanager
+def _output_dir(out_dir: Path, force: bool):
+    """Make the output directory and its missing parents; if the run fails,
+    those this run made are removed again while they are empty.
+
+    Refuses a nonempty directory unless ``force`` is set.
+    """
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
+    if not made and any(out_dir.iterdir()) and not force:
+        raise FileExistsError(f"output directory {out_dir} is not empty; use --force")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        yield out_dir
+    except BaseException:
+        for d in made:
+            if any(d.iterdir()):
+                break
+            d.rmdir()
+        raise
+
+
 def run(config: dict, task: str, seed=None, threads=1, force=False, skip_bad=False):
     """Execute one pipeline task and write its artifacts.
 
@@ -384,6 +420,7 @@ def run(config: dict, task: str, seed=None, threads=1, force=False, skip_bad=Fal
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}; choose from {', '.join(TASKS)}")
+    _check_blocks(config)
     seed = int(config.get("seed", 0) if seed is None else seed)
     window, context = build_window(config)
     # before any output exists or any work is done
@@ -391,55 +428,51 @@ def run(config: dict, task: str, seed=None, threads=1, force=False, skip_bad=Fal
         _replicate_count(config)
     if task in ("intensity", "separability", "ripley-k"):
         _retention(config)
-    out_dir = Path(config.get("output_dir", "stpp-output"))
-    if out_dir.exists() and any(out_dir.iterdir()) and not force:
-        raise FileExistsError(f"output directory {out_dir} is not empty; use --force")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _output_dir(Path(config.get("output_dir", "stpp-output")), force) as out_dir:
+        report = {"task": task, "seed": seed}
+        outputs = []
 
-    report = {"task": task, "seed": seed}
-    outputs = []
+        def need_pattern():
+            pat = ingest(
+                config["input"], window, context,
+                skip_bad=skip_bad, jitter=config.get("jitter", False),
+            )
+            report["n_events"] = len(pat)
+            return pat
 
-    def need_pattern():
-        pat = ingest(
-            config["input"], window, context,
-            skip_bad=skip_bad, jitter=config.get("jitter", False),
-        )
-        report["n_events"] = len(pat)
-        return pat
+        pattern_tasks = {
+            "intensity": _task_intensity,
+            "separability": _task_separability,
+            "ripley-k": partial(_task_ripley_k, threads=threads),
+            "homogenize": _task_homogenize,
+        }
+        if task == "simulate":
+            pattern = _task_simulate(config, window, seed, report)
+            emit_pattern(out_dir / "pattern.csv", pattern)
+            outputs.append("pattern.csv")
+        elif task == "prop2-check":
+            _task_prop2(config, report)
+        else:
+            pattern_tasks[task](need_pattern(), config, seed, report, out_dir, outputs)
 
-    pattern_tasks = {
-        "intensity": _task_intensity,
-        "separability": _task_separability,
-        "ripley-k": partial(_task_ripley_k, threads=threads),
-        "homogenize": _task_homogenize,
-    }
-    if task == "simulate":
-        pattern = _task_simulate(config, window, seed, report)
-        emit_pattern(out_dir / "pattern.csv", pattern)
-        outputs.append("pattern.csv")
-    elif task == "prop2-check":
-        _task_prop2(config, report)
-    else:
-        pattern_tasks[task](need_pattern(), config, seed, report, out_dir, outputs)
+        report_path = out_dir / "report.json"
+        with open(report_path, "w") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        outputs.append("report.json")
 
-    report_path = out_dir / "report.json"
-    with open(report_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    outputs.append("report.json")
-
-    manifest = {
-        "task": task,
-        "config_hash": _config_hash(config),
-        "seed": seed,
-        "threads": threads,
-        "version": __version__,
-        "outputs": sorted(outputs),
-        "created_utc": datetime.now(timezone.utc).isoformat(),
-    }
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        manifest = {
+            "task": task,
+            "config_hash": _config_hash(config),
+            "seed": seed,
+            "threads": threads,
+            "version": __version__,
+            "outputs": sorted(outputs),
+            "created_utc": datetime.now(timezone.utc).isoformat(),
+        }
+        with open(out_dir / "manifest.json", "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     return out_dir
 
 

@@ -785,6 +785,45 @@ class TestMain:
         report = json.loads((tmp_path / "intensity" / "report.json").read_text())
         assert report["bandwidth_temporal"] > 0
 
+    def test_analysis_tasks_leave_scipy_unloaded(self, tmp_path):
+        # every task but homogenize, in one fresh interpreter; ripley-k runs
+        # with a constant and with a kernel intensity
+        window = {"x1": [0, 1], "x2": [0, 1], "t": [0, 1]}
+        data = tmp_path / "data" / "pattern.csv"
+        ripley = {"input": str(data), "pi0": 0.5, "test": {"B": 19},
+                  "kgrid": {"n_r": 5, "n_tau": 5}}
+        runs = {
+            "simulate": {"simulate": {"lambda": 2000}, "output_dir": str(tmp_path / "data")},
+            "intensity": {"input": str(data), "bandwidth": {"spatial": 0.1},
+                          "grids": {"spatial": [8, 8], "temporal": 20, "spacetime": [8, 8, 10]},
+                          "emit_spacetime": True},
+            "separability": {"input": str(data), "pi0": 0.5, "test": {"B": 19},
+                             "grids": {"spacetime": [8, 8, 10]},
+                             "bandwidth": {"spatial": 0.1}},
+            "ripley-k": ripley,
+            "ripley-k-kernel": {**ripley, "intensity": "kernel",
+                                "grids": {"spacetime": [8, 8, 10]},
+                                "bandwidth": {"spatial": 0.1}},
+            "prop2-check": {"prop2": {"lam_floor": 500.0, "p": 0.05, "r": 0.1, "tau": 0.05,
+                                      "lambda": 3000.0, "seeds": 2, "thinnings": 1}},
+        }
+        argvs = []
+        for name, extra in runs.items():
+            cfg = {"window": window, "output_dir": str(tmp_path / name), "seed": 4, **extra}
+            (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+            argvs.append([name.removesuffix("-kernel"), "--config", str(tmp_path / f"{name}.json")])
+        code = (
+            "import sys, warnings; from stpp.cli import main; "
+            "warnings.simplefilter('ignore'); "
+            f"print([main(argv) for argv in {argvs!r}]); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-2:] == [str([0] * len(runs)), "[]"]
+        report = json.loads((tmp_path / "ripley-k-kernel" / "report.json").read_text())
+        assert report["bandwidth_temporal"] > 0
+
     def test_import_stpp_leaves_numpy_unloaded(self):
         code = (
             "import sys, stpp; print('numpy' in sys.modules); "
@@ -901,6 +940,41 @@ class TestMain:
         assert main(["simulate", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {cfg_path}: the configuration must be a JSON object\n"
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("window", 5), ("test", []), ("grids", 3), ("bandwidth", "b"), ("kgrid", [50]),
+         ("homogenize", None), ("simulate", 2.5), ("prop2", True)],
+    )
+    def test_config_block_not_an_object_exits_2(self, tmp_path, capsys, key, value):
+        cfg_path, _ = write_config(tmp_path, **{key: value})
+        assert main(["ripley-k", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {key} must be a JSON object, got {value!r}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_bandwidth_search_not_an_object_exits_2(self, tmp_path, capsys):
+        cfg_path, _ = write_config(tmp_path, input="events.csv", bandwidth={"search": [16]})
+        assert main(["intensity", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == "error: bandwidth.search must be a JSON object, got [16]\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "task, extra",
+        [("simulate", {"simulate": {"lambda": "a"}}), ("ripley-k", {"test": {"B": 19}})],
+    )
+    def test_failed_run_removes_the_output_directory_it_made(
+        self, tmp_path, capsys, task, extra
+    ):
+        out = tmp_path / "runs" / "out"
+        cfg_path, _ = write_config(tmp_path, output_dir=str(out), **extra)
+        assert main([task, "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "runs").exists()
+        # directories that were there before the run stay
+        out.mkdir(parents=True)
+        assert main([task, "--config", str(cfg_path)]) == 2
+        assert out.is_dir()
 
     @pytest.mark.parametrize("raw", ["0", "two", "-3"])
     def test_bad_threads_flag_exits_2(self, tmp_path, capsys, monkeypatch, raw):

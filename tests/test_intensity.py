@@ -6,8 +6,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
+from scipy.special import ndtr
 
 from stpp import core, intensity
+from stpp.bandwidth import select_bandwidth_temporal
 from stpp.core import (
     GridSpec,
     PolygonMask,
@@ -61,6 +63,56 @@ class TestDiggleCorrection:
     def test_temporal_interval_mass(self):
         e = temporal_corrections([0.5, 0.0], UNIT, 0.01)
         np.testing.assert_allclose(e, [1.0, 0.5], rtol=0, atol=1e-9)
+
+
+def assert_ndtr_equals_scipy(x):
+    got, want = intensity._ndtr(x), ndtr(x)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestNdtr:
+    """``intensity._ndtr`` against its oracle, ``scipy.special.ndtr``, with ``==``."""
+
+    def test_random(self):
+        rng = substream(40, 0)
+        assert_ndtr_equals_scipy(rng.uniform(-50.0, 50.0, 10**6))
+        assert_ndtr_equals_scipy(rng.uniform(-12.0, 12.0, 10**6))
+
+    def test_branch_edges_and_their_neighbours(self):
+        # |x| = 1/sqrt(2), erfc's 1 and 8, exp's underflow, and z = 6, above
+        # which the upper tail skips exp
+        edges = np.array([1.0, 2.0, 128.0, 2 * intensity._MAXLOG, 72.0]) ** 0.5
+        edges = np.concatenate([edges, -edges])
+        near = [edges]
+        for direction in (np.inf, -np.inf):
+            x = edges
+            for _ in range(64):
+                x = np.nextafter(x, direction)
+                near.append(x)
+        assert_ndtr_equals_scipy(np.concatenate(near))
+
+    def test_special_values(self):
+        x = np.array([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan])
+        assert_ndtr_equals_scipy(x)
+
+    def test_temporal_corrections_match_scipy_formula(self):
+        # a decade of catalogue-like times: uniform background plus
+        # aftershock clusters with exponential lags, at the Sheather-Jones
+        # bandwidth and at multiples of it
+        rng = substream(41, 0)
+        window = Window((0, 1), (0, 1), (0.0, 3650.0))
+        parents = rng.uniform(0.0, 3650.0, 200)
+        t = np.concatenate([
+            rng.uniform(0.0, 3650.0, 60_000),
+            np.repeat(parents, 200) + rng.exponential(5.0, 40_000),
+        ])
+        t = t[t < 3650.0]
+        lo, hi = window.t_range
+        h = select_bandwidth_temporal(t)
+        for b in h * np.array([0.01, 0.1, 1.0, 10.0, 100.0]):
+            got = temporal_corrections(t, window, b)
+            assert np.array_equal(got, ndtr((hi - t) / b) - ndtr((lo - t) / b))
 
 
 class TestLambdaS:
