@@ -41,7 +41,7 @@ from .bandwidth import (
     select_bandwidth_spatial,
     select_bandwidth_temporal,
 )
-from .core import GridSpec, SpaceTimePattern, Window, project, substream
+from .core import GridSpec, SpaceTimePattern, Window, _is_count, project, substream
 from .homogenize import HomogenizeConfig, homogenize
 from .inference import CurveSet, combined_erl_test
 from .intensity import KernelSpec, estimate_lambda_s, estimate_lambda_st, estimate_lambda_t
@@ -428,6 +428,11 @@ def run(config: dict, task: str, seed=None, threads=1, force=False, skip_bad=Fal
         _replicate_count(config)
     if task in ("intensity", "separability", "ripley-k"):
         _retention(config)
+        for key in _GRID_AXES if task == "intensity" else ("spacetime",):
+            if key in config.get("grids", {}):
+                _grid(config, key, window, None)
+    if task == "simulate":
+        _model(config.get("simulate", {}), "simulate", 100.0)
     with _output_dir(Path(config.get("output_dir", "stpp-output")), force) as out_dir:
         report = {"task": task, "seed": seed}
         outputs = []
@@ -478,15 +483,9 @@ def run(config: dict, task: str, seed=None, threads=1, force=False, skip_bad=Fal
 
 def _task_simulate(config, window, seed, report):
     sc = config.get("simulate", {})
-    if "cluster" in sc:
-        cc = sc["cluster"]
-        model = ClusterModel(cc["kappa"], cc["mean_offspring"], cc["sigma"], cc["sigma_t"])
-        pattern = simulate_cluster(model, window, substream(seed, 0))
-        report["model"] = {"cluster": cc}
-    else:
-        lam = float(sc.get("lambda", 100.0))
-        pattern = simulate_poisson(IntensityModel.const(lam), window, substream(seed, 0))
-        report["model"] = {"lambda": lam}
+    model, report["model"] = _model(sc, "simulate", 100.0)
+    simulate = simulate_cluster if isinstance(model, ClusterModel) else simulate_poisson
+    pattern = simulate(model, window, substream(seed, 0))
     pi0 = sc.get("pi0")
     if pi0 is not None:
         pattern = thin(pattern, RetentionSpec.constant(pi0), substream(seed, 1))
@@ -506,15 +505,13 @@ def _thinned(pattern, config, seed, report):
 
 
 def _task_intensity(pattern, config, seed, report, out_dir, outputs):
-    grids = config.get("grids", {})
-    nx, ny = grids.get("spatial", (256, 256))
-    nt = grids.get("temporal", 1000)
+    window = pattern.window
     b_s, b_t = _bandwidths(pattern, config, seed)
     report["bandwidth_spatial"] = b_s
     report["bandwidth_temporal"] = b_t
     sp, tp = project(pattern)
-    lam_s = estimate_lambda_s(sp, KernelSpec(b_s), GridSpec.spatial(pattern.window, nx, ny))
-    lam_t = estimate_lambda_t(tp, KernelSpec(b_t), GridSpec.temporal(pattern.window, nt))
+    lam_s = estimate_lambda_s(sp, KernelSpec(b_s), _grid(config, "spatial", window, (256, 256)))
+    lam_t = estimate_lambda_t(tp, KernelSpec(b_t), _grid(config, "temporal", window, 1000))
     _write_field_2d(out_dir / "intensity_s.csv", lam_s.field)
     _write_field_1d(out_dir / "intensity_t.csv", lam_t.field)
     outputs += ["intensity_s.csv", "intensity_t.csv"]
@@ -524,11 +521,10 @@ def _task_intensity(pattern, config, seed, report, out_dir, outputs):
         # the space-time product-kernel field is estimated on a thinned
         # subsample and divided by the retention to recover the parent scale
         sub, pi0 = _thinned(pattern, config, seed, report)
-        gx, gy, gt = grids.get("spacetime", (64, 64, 250))
         retention = RetentionSpec.constant(pi0) if pi0 < 1.0 else None
         lam_st = estimate_lambda_st(
             sub, KernelSpec(b_s), KernelSpec(b_t),
-            GridSpec.spacetime(pattern.window, gx, gy, gt), retention=retention,
+            _grid(config, "spacetime", window, (64, 64, 250)), retention=retention,
         )
         _write_field_3d(out_dir / "intensity_st.csv", lam_st.field)
         outputs.append("intensity_st.csv")
@@ -542,22 +538,21 @@ def _task_separability(pattern, config, seed, report, out_dir, outputs):
     # the analysis can be repeated on several independent subsamples to
     # check the robustness of the conclusion; curves come from the first
     versions = int(config.get("versions", 1))
-    grids = config.get("grids", {})
-    gx, gy, gt = grids.get("spacetime", (32, 32, 100))
     p_values = []
     for v in range(versions):
         sub, _ = _thinned(pattern, config, (seed, v), report)
         b_s, b_t = _bandwidths(sub, config, seed)
+        grid = _grid(config, "spacetime", sub.window, (32, 32, 100))
         res = separability_test(
-            sub, KernelSpec(b_s), KernelSpec(b_t),
-            B=B, alpha=alpha, grid=GridSpec.spacetime(sub.window, gx, gy, gt),
-            seed=(seed, 11, v),
+            sub, KernelSpec(b_s), KernelSpec(b_t), B=B, alpha=alpha, grid=grid, seed=(seed, 11, v),
         )
         p_values.append(res.p_value)
         if v == 0:
             report["bandwidth_spatial"] = b_s
             report["bandwidth_temporal"] = b_t
-            _write_curve_pair(out_dir, ["curves_St.csv", "curves_Ss.csv"], res, gt, outputs)
+            _write_curve_pair(
+                out_dir, ["curves_St.csv", "curves_Ss.csv"], res, grid.shape[2], outputs
+            )
             report["p_value"] = res.p_value
             report["rejected"] = bool(res.rejected)
     report["p_values"] = p_values
@@ -583,13 +578,11 @@ def _task_ripley_k(pattern, config, seed, report, out_dir, outputs, threads):
         lam = len(sub) / window.volume
         model = IntensityModel.const(lam)
     else:
-        gx, gy, gt = config.get("grids", {}).get("spacetime", (32, 32, 100))
         b_s, b_t = _bandwidths(sub, config, seed)
         report["bandwidth_spatial"] = b_s
         report["bandwidth_temporal"] = b_t
         est = estimate_lambda_st(
-            sub, KernelSpec(b_s), KernelSpec(b_t),
-            GridSpec.spacetime(window, gx, gy, gt),
+            sub, KernelSpec(b_s), KernelSpec(b_t), _grid(config, "spacetime", window, (32, 32, 100))
         )
         lam = est
         model = IntensityModel(field=est.field)
@@ -654,11 +647,7 @@ def _task_prop2(config, report):
     )
     f, g, j = poisson_series_fgj(diag, r, tau)
     report["series"] = {"F": f, "G": g, "J": j}
-    if "cluster" in pc:
-        cc = pc["cluster"]
-        model = ClusterModel(cc["kappa"], cc["mean_offspring"], cc["sigma"], cc["sigma_t"])
-    else:
-        model = IntensityModel.const(float(pc.get("lambda", 4000.0)))
+    model, _ = _model(pc, "prop2", 4000.0)
     res = j_residual_ratio(
         model, p=p, r=r, tau=tau,
         seeds=range(int(pc.get("seeds", 50))),
@@ -668,10 +657,42 @@ def _task_prop2(config, report):
     report["residuals"] = {str(k): v for k, v in res["residuals"].items()}
 
 
+# cell counts per axis of each ``grids`` key; ``temporal`` is one bare count
+_GRID_AXES = {"spatial": 2, "temporal": 1, "spacetime": 3}
+
+
+def _grid(config: dict, key: str, window, default) -> GridSpec:
+    """The grid over ``window`` of the config's ``grids.<key>`` cell counts
+    (default ``default``), which must be integers >= 1, one per axis."""
+    raw = config.get("grids", {}).get(key, default)
+    counts = [raw] if key == "temporal" else raw
+    axes = _GRID_AXES[key]
+    if not (isinstance(counts, (list, tuple)) and len(counts) == axes
+            and all(map(_is_count, counts))):
+        what = "an integer >= 1" if axes == 1 else f"a list of {axes} integers >= 1"
+        raise ValueError(f"grids.{key} must be {what}, got {raw!r}")
+    return getattr(GridSpec, key)(window, *counts)
+
+
+def _model(block: dict, name: str, default_lambda: float):
+    """The model of a ``simulate`` or ``prop2`` block and its report entry:
+    the ``cluster`` object if given, else the constant ``lambda``."""
+    if "cluster" in block:
+        cc = block["cluster"]
+        if not isinstance(cc, dict):
+            raise ValueError(f"{name}.cluster must be a JSON object, got {cc!r}")
+        model = ClusterModel(cc["kappa"], cc["mean_offspring"], cc["sigma"], cc["sigma_t"])
+        return model, {"cluster": cc}
+    lam = block.get("lambda", default_lambda)
+    if isinstance(lam, bool) or not isinstance(lam, (int, float)):
+        raise ValueError(f"{name}.lambda must be a number, got {lam!r}")
+    return IntensityModel.const(lam), {"lambda": float(lam)}
+
+
 def _replicate_count(config: dict) -> int:
     """The config's ``test.B`` (default 199), which must be an integer >= 1."""
     B = config.get("test", {}).get("B", 199)
-    if isinstance(B, bool) or not isinstance(B, int) or B < 1:
+    if not _is_count(B):
         raise ValueError(f"test.B must be an integer >= 1, got {B!r}")
     return B
 

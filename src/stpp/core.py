@@ -490,6 +490,17 @@ def project(pattern: SpaceTimePattern) -> tuple[SpatialPattern, TemporalPattern]
 _FINE_RASTER = 512
 
 
+def _is_count(n) -> bool:
+    """Whether ``n`` is an integer >= 1, a bool not counting as one."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
+
+
+def _check_counts(*counts) -> None:
+    """Raise ValueError unless every grid cell count is an integer >= 1."""
+    if not all(map(_is_count, counts)):
+        raise ValueError(f"grid cell counts must be integers >= 1, got {list(counts)!r}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Regular cell grid: cell i has center origin[d] + (i + 1/2) * step[d]."""
@@ -526,6 +537,7 @@ class GridSpec:
 
     @staticmethod
     def spatial(window: Window, nx: int, ny: int) -> "GridSpec":
+        _check_counts(nx, ny)
         return GridSpec(
             (window.x_range[0], window.y_range[0]),
             (
@@ -537,10 +549,12 @@ class GridSpec:
 
     @staticmethod
     def temporal(window: Window, nt: int) -> "GridSpec":
+        _check_counts(nt)
         return GridSpec((window.t_range[0],), (window.duration / nt,), (nt,))
 
     @staticmethod
     def spacetime(window: Window, nx: int, ny: int, nt: int) -> "GridSpec":
+        _check_counts(nx, ny, nt)
         return GridSpec(
             (window.x_range[0], window.y_range[0], window.t_range[0]),
             (

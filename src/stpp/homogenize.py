@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpatialPattern, VoronoiRegionMask, Window, _trusted, substream
+from .core import SpatialPattern, VoronoiRegionMask, Window, _is_count, _trusted, substream
 from .inference import quadrat_test
 from .intensity import VoronoiCells, voronoi_intensity
 
@@ -62,6 +62,8 @@ class HomogenizeConfig:
     def __post_init__(self):
         if self.target_count <= 0:
             raise ValueError("target expected count must be positive")
+        if self.resolution is not None and not _is_count(self.resolution):
+            raise ValueError(f"resolution must be an integer >= 1, got {self.resolution!r}")
 
 
 @dataclass

@@ -20,18 +20,18 @@ catalogue).  That mass is a difference of two normal CDFs from
 Diggle-corrected kernel rows are built; the separability engine and the
 spatial bandwidth selector reuse them rather than rebuilding the kernel.
 
-Memory: the kernel estimators sum over events one chunk at a time, a
-chunk being as many events as fit ``_CHUNK_BYTES`` (128 MiB) of their
-kernel rows, so each needs one chunk of rows plus its grid whatever n is.
-The corrections alone (``_spatial_corrections``, which the spatial
+Memory: the kernel estimators sum over events one block of rows at a
+time, a block being as many events as fit ``_ROW_BLOCK_BYTES`` (8 MiB) of
+their kernel rows, so each needs one block of rows plus its grid whatever
+n is.  The corrections alone (``_spatial_corrections``, which the spatial
 bandwidth selector uses) come from the same pass as an O(n) vector, or a
 (k, n) array for k bandwidths at once, in blocks of at most
 ``_CORRECTION_BYTES``.  The separability engine keeps the rows of all
 events, because each permutation re-pairs them; it and
 ``estimate_lambda_st`` check their need against ``_MEMORY_CAP_MB`` up
 front and raise ``MemoryError`` before building rows.
-With n at most one chunk the sums are the unchunked ones bit for bit;
-beyond it they are reordered over chunks (1e-12 relative by test).
+With n at most one block the sums are the unblocked ones bit for bit;
+beyond it they are reordered over blocks (1e-12 relative by test).
 """
 
 from __future__ import annotations
@@ -69,13 +69,20 @@ __all__ = [
 _MIN_CORRECTION = 1e-12
 
 # bytes of per-event kernel rows the first-order estimators build at a
-# time; their sums over events run one chunk of rows at a time
-_CHUNK_BYTES = 1 << 27
+# time; their sums over events run one block of rows at a time.  On 25000
+# events lambda_st took about 15% longer with 2 MiB blocks and 6% longer
+# with 128 MiB ones, which also cost 128 MiB of memory
+_ROW_BLOCK_BYTES = 1 << 23
 
 # bytes of kernel rows the corrections pass builds at a time, if less than
-# _CHUNK_BYTES: each block is reduced to one number per row at once, so
-# small blocks cost nothing and keep a batch of bandwidths' rows small
+# _ROW_BLOCK_BYTES: each block is reduced to one number per row at once, so
+# small blocks keep a batch of bandwidths' rows small; the spatial CV took
+# 1-3% longer with 8 MiB blocks, so this stays apart from _ROW_BLOCK_BYTES
 _CORRECTION_BYTES = 1 << 21
+
+# bytes of other per-block work sized by _chunks: the spatial CV's blocks of
+# candidates and the separability engine's blocks of permutations
+_CHUNK_BYTES = 1 << 27
 
 # cap on the memory of space-time kernel rows and a 3D field
 _MEMORY_CAP_MB = 2048.0
@@ -104,7 +111,7 @@ class IntensityEstimate:
 
 
 def _chunks(n, width, budget=None):
-    """Slices covering range(n), each of at most as many events as fit
+    """Slices covering range(n), each of at most as many rows as fit
     ``budget`` (default ``_CHUNK_BYTES``) of float64 rows ``width`` cells wide."""
     rows = max(1, (budget or _CHUNK_BYTES) // (8 * width))
     return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
@@ -148,7 +155,7 @@ def _spatial_rows(xy, grid: GridSpec, mask, b):
 
 
 def _spatial_corrections(xy, grid: GridSpec, mask, b) -> np.ndarray:
-    """Diggle corrections e (n,) of the points, one chunk of kernel rows at a time.
+    """Diggle corrections e (n,) of the points, one block of kernel rows at a time.
 
     ``mask`` is the window's raster on the grid (None if unmasked).  A
     vector of k bandwidths gives e (k, n) from one pass over the points,
@@ -156,7 +163,7 @@ def _spatial_corrections(xy, grid: GridSpec, mask, b) -> np.ndarray:
     """
     e = np.empty(np.shape(b) + (len(xy),))
     width = np.size(b) * (grid.shape[0] + grid.shape[1])
-    chunks = _chunks(len(xy), width, min(_CHUNK_BYTES, _CORRECTION_BYTES))
+    chunks = _chunks(len(xy), width, min(_ROW_BLOCK_BYTES, _CORRECTION_BYTES))
     if len(chunks) > 1 and chunks[-1].start == len(xy) - 1:
         # a one-row block takes numpy's vector-matrix product, whose sums
         # differ in the last bit from the matrix product's that every
@@ -314,8 +321,8 @@ def estimate_lambda_s(
     grid : GridSpec, optional
         Evaluation grid (default 256 x 256 over the window).
 
-    Memory is one chunk of (m, nx + ny) factor rows, at most
-    ``_CHUNK_BYTES``, plus the grid.
+    Memory is one block of (m, nx + ny) factor rows, at most
+    ``_ROW_BLOCK_BYTES``, plus the grid.
     """
     window = pattern.window
     if grid is None:
@@ -327,15 +334,15 @@ def estimate_lambda_s(
     _check_resolvable(kernel.bandwidth, grid, (0, 1))
     mask = window.raster(grid)
     values = np.zeros(grid.shape)
-    for rows in _chunks(len(pattern), grid.shape[0] + grid.shape[1]):
+    for rows in _chunks(len(pattern), grid.shape[0] + grid.shape[1], _ROW_BLOCK_BYTES):
         gx, gy, e = _spatial_rows(pattern.points[rows], grid, mask, kernel.bandwidth)
         if (e < _MIN_CORRECTION).any():
             raise ValueError("edge-correction weight underflow at a data point")
         gx /= e[:, None] * grid.cell_volume
         values += gx.T @ gy  # kernel values / e, on the grid
-        del gx, gy  # before the next chunk's rows are built
+        del gx, gy  # before the next block's rows are built
     if mask is not None:
-        values = np.where(mask, values, 0.0)
+        values[~mask] = 0.0
     field = ScalarField(grid, values, mask)
     return IntensityEstimate(field)
 
@@ -346,8 +353,8 @@ def estimate_lambda_t(
     """Diggle-corrected Gaussian kernel estimate of the temporal intensity.
 
     The correction uses the exact Gaussian interval mass; the default grid
-    has 1000 cells over the observation period.  Memory is one chunk of
-    (m, nt) kernel rows, at most ``_CHUNK_BYTES``, plus the grid and the
+    has 1000 cells over the observation period.  Memory is one block of
+    (m, nt) kernel rows, at most ``_ROW_BLOCK_BYTES``, plus the grid and the
     O(n) corrections.
     """
     window = pattern.window
@@ -361,8 +368,8 @@ def estimate_lambda_t(
     if (e < _MIN_CORRECTION).any():
         raise ValueError("edge-correction weight underflow at a data point")
     values = np.zeros(grid.shape)
-    for rows in _chunks(len(pattern), grid.shape[0]):
-        # density values; each chunk's rows are freed before the next is built
+    for rows in _chunks(len(pattern), grid.shape[0], _ROW_BLOCK_BYTES):
+        # density values; each block's rows are freed before the next is built
         values += (1.0 / e[rows]) @ _gauss_factors(pattern.times[rows], grid.centers(0), 1.0, b)
     return IntensityEstimate(ScalarField(grid, values))
 
@@ -382,16 +389,16 @@ def estimate_lambda_st(
     thinning, pass the retention to divide the field by pi0 and recover
     the parent intensity.
 
-    Memory is one chunk of (m, nx*ny + nt) kernel rows, at most
-    ``_CHUNK_BYTES``, plus the 3D grid; when those need more than
+    Memory is one block of (m, nx*ny + nt) kernel rows, at most
+    ``_ROW_BLOCK_BYTES``, plus the 3D grid; when those need more than
     ``_MEMORY_CAP_MB`` MB, ``MemoryError`` is raised before any work.
     """
     window = pattern.window
     if grid is None:
         grid = GridSpec.spacetime(window, 64, 64, 250)
     nx, ny, nt = grid.shape
-    chunks = _chunks(len(pattern), nx * ny + nt)
-    _check_memory(chunks[0].stop if chunks else 0, grid)  # the largest chunk
+    blocks = _chunks(len(pattern), nx * ny + nt, _ROW_BLOCK_BYTES)
+    _check_memory(blocks[0].stop if blocks else 0, grid)  # the largest block
     pi0 = 1.0 if retention is None else retention.pi0
     if len(pattern) == 0:
         warnings.warn("empty pattern: returning a zero intensity field")
@@ -400,18 +407,26 @@ def estimate_lambda_st(
         return IntensityEstimate(field, empty=True)
     _check_resolvable(kernel_s.bandwidth, grid, (0, 1))
     values = np.zeros((nx * ny, nt))
-    for rows in chunks:
+    for rows in blocks:
         S, T, gx, gy, e_s, e_t, mask2d = _spacetime_rows(
             pattern.x[rows], pattern.t[rows], window, grid,
             kernel_s.bandwidth, kernel_t.bandwidth,
         )
         if (e_s < _MIN_CORRECTION).any() or (e_t < _MIN_CORRECTION).any():
             raise ValueError("edge-correction weight underflow at a data point")
-        values += S.T @ T
-        del S, T, gx, gy  # before the next chunk's rows are built
-    values = values.reshape(nx, ny, nt) / pi0
+        cols = slice(None)
+        if len(blocks) > 1:
+            # a block of time-sorted events reaches only the time cells
+            # near it; its products with the others are exact zeros.  One
+            # block keeps the whole product, the oracle's bit for bit
+            reached = np.flatnonzero(T.any(axis=0))
+            cols = slice(reached[0], reached[-1] + 1) if len(reached) else slice(0, 0)
+        values[:, cols] += S.T @ T[:, cols]
+        del S, T, gx, gy  # before the next block's rows are built
+    values = values.reshape(nx, ny, nt)
+    values /= pi0
     if mask2d is not None:
-        values = np.where(mask2d[:, :, None], values, 0.0)
+        values[~mask2d] = 0.0
     return IntensityEstimate(ScalarField(grid, values, mask2d))
 
 

@@ -927,6 +927,68 @@ class TestMain:
         assert err == f"error: pi0 must be a number in (0, 1], got {pi0!r}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "task, extra, message",
+        [
+            ("intensity", {"grids": {"spatial": 5}},
+             "grids.spatial must be a list of 2 integers >= 1, got 5"),
+            ("intensity", {"grids": {"temporal": [10, 20]}},
+             "grids.temporal must be an integer >= 1, got [10, 20]"),
+            ("intensity", {"grids": {"spatial": [0, 10]}},
+             "grids.spatial must be a list of 2 integers >= 1, got [0, 10]"),
+            ("intensity", {"grids": {"spatial": [2.5, 10]}},
+             "grids.spatial must be a list of 2 integers >= 1, got [2.5, 10]"),
+            ("intensity", {"grids": {"spacetime": [True, 10, 10]}, "emit_spacetime": True},
+             "grids.spacetime must be a list of 3 integers >= 1, got [True, 10, 10]"),
+            ("separability", {"grids": {"spacetime": [8, 8]}},
+             "grids.spacetime must be a list of 3 integers >= 1, got [8, 8]"),
+            ("ripley-k", {"intensity": "kernel", "grids": {"spacetime": 5}},
+             "grids.spacetime must be a list of 3 integers >= 1, got 5"),
+            ("homogenize", {"homogenize": {"target_count": 50, "resolution": 0}},
+             "resolution must be an integer >= 1, got 0"),
+            ("homogenize", {"homogenize": {"target_count": 50, "resolution": 2.5}},
+             "resolution must be an integer >= 1, got 2.5"),
+            ("homogenize", {"homogenize": {"target_count": 50, "resolution": "10"}},
+             "resolution must be an integer >= 1, got '10'"),
+            ("simulate", {"simulate": {"cluster": [1, 2]}},
+             "simulate.cluster must be a JSON object, got [1, 2]"),
+            ("simulate", {"simulate": {"lambda": [1]}},
+             "simulate.lambda must be a number, got [1]"),
+        ],
+        ids=[
+            "spatial-scalar", "temporal-list", "spatial-zero", "spatial-float",
+            "spacetime-bool", "separability-short", "ripley-k-scalar", "resolution-zero",
+            "resolution-float", "resolution-string", "cluster-list", "lambda-list",
+        ],
+    )
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, task, extra, message):
+        _, cfg = write_config(tmp_path, simulate={"lambda": 200})
+        cfg["output_dir"] = str(tmp_path / "data")
+        out = run(cfg, "simulate")
+        cfg_path, _ = write_config(
+            tmp_path, name="bad.json", input=str(out / "pattern.csv"), pi0=0.5,
+            test={"B": 19}, bandwidth={"temporal": 0.05, "spatial": 0.1}, **extra,
+        )
+        assert main([task, "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_intensity_at_defaults_on_20000_events(self, tmp_path):
+        # no bandwidth, grids or pi0 keys: Sheather-Jones, the spatial CV,
+        # the default grids and retention all run as the README describes
+        _, cfg = write_config(tmp_path, simulate={"lambda": 21000})
+        cfg["output_dir"] = str(tmp_path / "data")
+        out = run(cfg, "simulate")
+        cfg_path, _ = write_config(tmp_path, input=str(out / "pattern.csv"), emit_spacetime=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["intensity", "--config", str(cfg_path)]) == 0
+        assert not [w for w in caught if "discarded" in str(w.message)]
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["n_events"] >= 20_000
+        assert report["integral_s"] == pytest.approx(report["n_events"], rel=1e-9)
+        assert report["pi0"] == 0.025 and report["bandwidth_spatial"] > 0
+
     def test_input_directory_exits_2(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path, input=str(tmp_path), test={"B": 19})
         assert main(["ripley-k", "--config", str(cfg_path)]) == 2

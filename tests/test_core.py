@@ -205,6 +205,17 @@ def test_scalar_field_checks_finiteness_on_masked_in_cells_only():
         ScalarField(grid3, values3, mask)
 
 
+@pytest.mark.parametrize("bad", [0, -2, 2.5, True, "8", None, np.float64(8.0)])
+def test_grid_builders_reject_bad_cell_counts(bad):
+    with pytest.raises(ValueError, match="cell counts must be integers >= 1"):
+        GridSpec.spatial(UNIT, 8, bad)
+    with pytest.raises(ValueError, match="cell counts must be integers >= 1"):
+        GridSpec.temporal(UNIT, bad)
+    with pytest.raises(ValueError, match="cell counts must be integers >= 1"):
+        GridSpec.spacetime(UNIT, bad, 8, 8)
+    assert GridSpec.spatial(UNIT, np.int64(8), 4).shape == (8, 4)
+
+
 def test_scalar_field_lookup():
     grid = GridSpec.temporal(UNIT, 10)
     f = ScalarField(grid, np.arange(10, dtype=float))

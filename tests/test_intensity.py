@@ -532,9 +532,9 @@ def chunk_pattern(window, seed, n=400):
     return SpaceTimePattern(pts, window)
 
 
-# chunk byte budgets: one event per chunk, a few events per chunk on the
-# grids below, and the default (one chunk for every pattern here)
-BUDGETS = [1, 4000, intensity._CHUNK_BYTES]
+# row-block byte budgets: one event per block, a few events per block on
+# the grids below, and the default (one block for every pattern here)
+BUDGETS = [1, 4000, intensity._ROW_BLOCK_BYTES]
 
 
 class TestChunkedEstimators:
@@ -554,7 +554,7 @@ class TestChunkedEstimators:
     @pytest.mark.parametrize("window", [UNIT, POLYGON], ids=["rectangle", "polygon"])
     @pytest.mark.parametrize("budget", BUDGETS)
     def test_lambda_s(self, monkeypatch, window, budget):
-        monkeypatch.setattr(intensity, "_CHUNK_BYTES", budget)
+        monkeypatch.setattr(intensity, "_ROW_BLOCK_BYTES", budget)
         sp, _ = project(chunk_pattern(window, 1))
         grid = GridSpec.spatial(window, 40, 30)
         est = estimate_lambda_s(sp, KernelSpec(0.06), grid)
@@ -566,7 +566,7 @@ class TestChunkedEstimators:
 
     @pytest.mark.parametrize("budget", BUDGETS)
     def test_lambda_t(self, monkeypatch, budget):
-        monkeypatch.setattr(intensity, "_CHUNK_BYTES", budget)
+        monkeypatch.setattr(intensity, "_ROW_BLOCK_BYTES", budget)
         _, tp = project(chunk_pattern(UNIT, 2))
         grid = GridSpec.temporal(UNIT, 50)
         est = estimate_lambda_t(tp, KernelSpec(0.03), grid)
@@ -578,7 +578,7 @@ class TestChunkedEstimators:
     @pytest.mark.parametrize("window", [UNIT, POLYGON], ids=["rectangle", "polygon"])
     @pytest.mark.parametrize("budget", BUDGETS)
     def test_lambda_st(self, monkeypatch, window, budget):
-        monkeypatch.setattr(intensity, "_CHUNK_BYTES", budget)
+        monkeypatch.setattr(intensity, "_ROW_BLOCK_BYTES", budget)
         pat = chunk_pattern(window, 3)
         grid = GridSpec.spacetime(window, 12, 10, 20)
         est = estimate_lambda_st(
@@ -589,22 +589,35 @@ class TestChunkedEstimators:
             assert np.array_equal(bits(est.field.values), bits(want))
         np.testing.assert_allclose(est.field.values, want, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("window", [UNIT, POLYGON], ids=["rectangle", "polygon"])
+    @pytest.mark.parametrize("b_t", [0.004, 1e-9])
+    def test_lambda_st_blocks_skip_unreached_time_cells(self, monkeypatch, window, b_t):
+        # blocks of 3 time-sorted events reach a few of the 200 time cells
+        # at b_t = 0.004 and none at 1e-9; the skipped products are zeros
+        grid = GridSpec.spacetime(window, 12, 10, 200)
+        monkeypatch.setattr(intensity, "_ROW_BLOCK_BYTES", 3 * 8 * (12 * 10 + 200))
+        pat = chunk_pattern(window, 5)
+        est = estimate_lambda_st(pat, KernelSpec(0.1), KernelSpec(b_t), grid)
+        want = oracle_lambda_st(pat, 0.1, b_t, grid, 1.0)
+        np.testing.assert_allclose(est.field.values, want, rtol=1e-12, atol=0)
+        assert (want == 0).all() == (b_t < 1e-3)
+
     def test_memory_cap_counts_one_chunk(self, monkeypatch):
         # 3 events' rows plus the field fit 0.1 MB; all 400 events' rows do not
         monkeypatch.setattr(intensity, "_MEMORY_CAP_MB", 0.1)
-        monkeypatch.setattr(intensity, "_CHUNK_BYTES", 4000)
+        monkeypatch.setattr(intensity, "_ROW_BLOCK_BYTES", 4000)
         pat = chunk_pattern(UNIT, 3)
         grid = GridSpec.spacetime(UNIT, 12, 10, 20)
         est = estimate_lambda_st(pat, KernelSpec(0.1), KernelSpec(0.05), grid)
         assert est.integrate() == pytest.approx(len(pat), rel=5e-3)
-        monkeypatch.setattr(intensity, "_CHUNK_BYTES", BUDGETS[-1])
+        monkeypatch.setattr(intensity, "_ROW_BLOCK_BYTES", BUDGETS[-1])
         with pytest.raises(MemoryError, match="coarser"):
             estimate_lambda_st(pat, KernelSpec(0.1), KernelSpec(0.05), grid)
 
     @pytest.mark.parametrize("window", [UNIT, POLYGON], ids=["rectangle", "polygon"])
     @pytest.mark.parametrize("budget", BUDGETS)
     def test_corrections(self, monkeypatch, window, budget):
-        monkeypatch.setattr(intensity, "_CHUNK_BYTES", budget)
+        monkeypatch.setattr(intensity, "_ROW_BLOCK_BYTES", budget)
         xy = chunk_pattern(window, 4).x
         grid = GridSpec.spatial(window, 32, 32)
         bs = (0.01, 0.05, 0.2)
@@ -631,21 +644,26 @@ class TestChunkedEstimators:
         assert np.array_equal(bits(got), bits(want))
 
     def test_memory_bounded_by_one_chunk(self):
-        # at 5e4 events one (n, 256) factor array is 102 MB and the (n, 1000)
-        # temporal rows 400 MB; one chunk of rows is at most _CHUNK_BYTES
+        # at 5e4 events one (n, 256) factor array is 102 MB, the (n, 1000)
+        # temporal rows 400 MB and the (n, 32*32 + 100) space-time rows
+        # 450 MB; one block of rows is at most _ROW_BLOCK_BYTES
         n = 50_000
         rng = substream(6, 1)
-        sp = SpatialPattern(rng.uniform(size=(n, 2)), UNIT)
-        tp = TemporalPattern(rng.uniform(size=n), UNIT)
+        xyt = rng.uniform(size=(n, 3))
+        sp = SpatialPattern(xyt[:, :2], UNIT)
+        tp = TemporalPattern(xyt[:, 2], UNIT)
+        stp = SpaceTimePattern(xyt, UNIT)
         runs = [
-            (estimate_lambda_s, sp, KernelSpec(0.05), GridSpec.spatial(UNIT, 256, 256)),
-            (estimate_lambda_t, tp, KernelSpec(0.01), GridSpec.temporal(UNIT, 1000)),
+            (estimate_lambda_s, sp, (KernelSpec(0.05),), GridSpec.spatial(UNIT, 256, 256)),
+            (estimate_lambda_t, tp, (KernelSpec(0.01),), GridSpec.temporal(UNIT, 1000)),
+            (estimate_lambda_st, stp, (KernelSpec(0.05), KernelSpec(0.02)),
+             GridSpec.spacetime(UNIT, 32, 32, 100)),
         ]
-        for estimate, pattern, kernel, grid in runs:
-            bound = 1.25 * intensity._CHUNK_BYTES + 16 * math.prod(grid.shape) + 64 * n
+        for estimate, pattern, kernels, grid in runs:
+            bound = 1.25 * intensity._ROW_BLOCK_BYTES + 16 * math.prod(grid.shape) + 64 * n
             tracemalloc.start()
             try:
-                est = estimate(pattern, kernel, grid)
+                est = estimate(pattern, *kernels, grid)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
