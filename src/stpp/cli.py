@@ -41,7 +41,7 @@ from .bandwidth import (
     select_bandwidth_spatial,
     select_bandwidth_temporal,
 )
-from .core import GridSpec, SpaceTimePattern, Window, _is_count, project, substream
+from .core import GridSpec, SpaceTimePattern, Window, project, substream
 from .homogenize import HomogenizeConfig, homogenize
 from .inference import CurveSet, combined_erl_test
 from .intensity import KernelSpec, estimate_lambda_s, estimate_lambda_st, estimate_lambda_t
@@ -96,31 +96,26 @@ def _project_lonlat(lon, lat, lat0):
 def build_window(config: dict) -> tuple[Window, dict]:
     """Window plus projection context from the config's window block.
 
-    Geographic windows are projected to kilometres by default
-    (``"projection": "equirect"``); ``"projection": "degrees"`` keeps raw
-    longitude/latitude coordinates.  Any other projection is an error.
+    Planar windows give ``x1``, ``x2`` and optionally ``t``; geographic ones
+    give ``lon``, ``lat`` and ``time`` and are projected to kilometres by
+    default (``"projection": "equirect"``); ``"projection": "degrees"``
+    keeps raw longitude/latitude coordinates.
     """
-    projection = config.get("projection", "equirect")
-    if projection not in ("equirect", "degrees"):
-        raise ValueError(f"projection must be 'equirect' or 'degrees', got {projection!r}")
-    wc = config["window"]
-    if "lon" in wc:
-        t0 = _parse_time(str(wc["time"][0]), None)
-        t1 = _parse_time(str(wc["time"][1]), None)
+    projection = _lookup(config, "projection")
+    wc = {k: _lookup(config, "window." + k) for k in ("x1", "x2", "t", "lon", "lat", "time")}
+    for k in ("lon", "lat", "time") if wc["lon"] is not None else ("x1", "x2"):
+        if wc[k] is None:
+            raise KeyError(f"window.{k}" if "window" in config else "window")
+    if wc["lon"] is not None:
+        t0, t1 = (_parse_time(str(v), None) for v in wc["time"])
         if projection == "degrees":
             window = Window(tuple(wc["lon"]), tuple(wc["lat"]), (0.0, t1 - t0))
             return window, {"mode": "degrees", "time_origin": t0}
         lat0 = 0.5 * (wc["lat"][0] + wc["lat"][1])
         x1a, x2a = _project_lonlat(np.array(wc["lon"]), np.array(wc["lat"]), lat0)
-        window = Window(
-            (float(x1a[0]), float(x1a[1])),
-            (float(x2a[0]), float(x2a[1])),
-            (0.0, t1 - t0),
-        )
+        window = Window(tuple(map(float, x1a)), tuple(map(float, x2a)), (0.0, t1 - t0))
         return window, {"mode": "lonlat", "lat0": lat0, "time_origin": t0}
-    window = Window(
-        tuple(wc["x1"]), tuple(wc["x2"]), tuple(wc.get("t", (0.0, 1.0)))
-    )
+    window = Window(tuple(wc["x1"]), tuple(wc["x2"]), tuple(wc["t"]))
     return window, {"mode": "planar", "time_origin": 0.0}
 
 
@@ -350,45 +345,150 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _bandwidths(pattern, config, seed):
+def _bandwidths(pattern, cfg, seed):
     """Temporal (plug-in) and spatial (cross-validated) bandwidths."""
-    bw = config.get("bandwidth", {})
     sp, tp = project(pattern)
-    b_t = bw.get("temporal")
+    b_t = cfg["bandwidth.temporal"]
     if b_t is None:
         b_t = select_bandwidth_temporal(tp)
-    b_s = bw.get("spatial")
+    b_s = cfg["bandwidth.spatial"]
     if b_s is None:
-        sc = bw.get("search", {})
-        candidates = sc.get("candidates")
-        candidates = (
-            np.asarray(candidates, dtype=float)
-            if candidates
-            else default_candidates(pattern.window, sc.get("n_candidates", 16))
-        )
         search = BandwidthSearch(
-            candidates,
-            folds=sc.get("folds", 10),
-            retention=sc.get("retention", 0.025),
-            repeats=sc.get("repeats", 50),
-            seed=seed,
+            cfg["bandwidth.search.candidates"]
+            or default_candidates(pattern.window, cfg["bandwidth.search.n_candidates"]),
+            folds=cfg["bandwidth.search.folds"], retention=cfg["bandwidth.search.retention"],
+            repeats=cfg["bandwidth.search.repeats"], seed=seed,
         )
         b_s = select_bandwidth_spatial(sp, search)
     return float(b_s), float(b_t)
 
 
-# config blocks read with ``.get``, each a JSON object when present
-_BLOCKS = ("window", "test", "grids", "bandwidth", "kgrid", "homogenize", "simulate", "prop2")
+# ---------------------------------------------------------------- config
 
 
-def _check_blocks(config: dict) -> None:
-    """Raise ValueError if a config block, or ``bandwidth.search``, is not a JSON object."""
-    blocks = [(key, config[key]) for key in _BLOCKS if key in config]
-    if isinstance(config.get("bandwidth"), dict) and "search" in config["bandwidth"]:
-        blocks.append(("bandwidth.search", config["bandwidth"]["search"]))
-    for key, block in blocks:
-        if not isinstance(block, dict):
-            raise ValueError(f"{key} must be a JSON object, got {block!r}")
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_list(v, n, item) -> bool:
+    """Whether ``v`` is a list of ``n`` (None: one or more) values ``item`` accepts."""
+    return isinstance(v, (list, tuple)) and 0 < len(v) == (n or len(v)) and all(map(item, v))
+
+
+# what a config value must be -> its check; "a number" values resolve to floats
+_CHECKS = {
+    "a string": lambda v: isinstance(v, str),
+    "true or false": lambda v: isinstance(v, bool),
+    "'equirect' or 'degrees'": lambda v: v in ("equirect", "degrees"),
+    "'constant' or 'kernel'": lambda v: v in ("constant", "kernel"),
+    "an integer >= 0": lambda v: _is_int(v) and v >= 0,
+    "an integer >= 1": lambda v: _is_int(v) and v >= 1,
+    "an integer >= 2": lambda v: _is_int(v) and v >= 2,
+    "a number >= 0": lambda v: _is_number(v) and v >= 0,
+    "a number > 0": lambda v: _is_number(v) and v > 0,
+    "a number in (0, 1]": lambda v: _is_number(v) and 0 < v <= 1,
+    "a number in (0, 1)": lambda v: _is_number(v) and 0 < v < 1,
+    "a list of 2 numbers": lambda v: _is_list(v, 2, _is_number),
+    "a list of 2 times": lambda v: _is_list(v, 2, lambda x: isinstance(x, str) or _is_number(x)),
+    "a list of 2 integers >= 1": lambda v: _is_list(v, 2, _CHECKS["an integer >= 1"]),
+    "a list of 3 integers >= 1": lambda v: _is_list(v, 3, _CHECKS["an integer >= 1"]),
+    "an ascending list of numbers > 0":
+        lambda v: _is_list(v, None, _CHECKS["a number > 0"]) and list(v) == sorted(v),
+}
+
+_REQUIRED = "required"  # default of a key that must be given whenever its block is
+
+# Every config key the CLI reads, by dotted name: (what its value must be,
+# its default).  null is accepted where the default is null.  The null
+# defaults of kgrid.r_max, kgrid.tau_max, bandwidth.search.candidates,
+# homogenize.target_count and homogenize.resolution are derived from the
+# window or the pattern, that of grids.spacetime from the task, where they
+# are used; null bandwidths are selected from the data.
+_KEYS = {
+    "input": ("a string", None),
+    "output_dir": ("a string", "stpp-output"),
+    "seed": ("an integer >= 0", 0),
+    "projection": ("'equirect' or 'degrees'", "equirect"),
+    "window.x1": ("a list of 2 numbers", None), "window.x2": ("a list of 2 numbers", None),
+    "window.t": ("a list of 2 numbers", [0.0, 1.0]),
+    "window.lon": ("a list of 2 numbers", None), "window.lat": ("a list of 2 numbers", None),
+    "window.time": ("a list of 2 times", None),
+    "jitter": ("true or false", False),
+    "pi0": ("a number in (0, 1]", 0.025),
+    "versions": ("an integer >= 1", 1),
+    "intensity": ("'constant' or 'kernel'", "constant"),
+    "emit_spacetime": ("true or false", False),
+    "test.B": ("an integer >= 1", 199),
+    "test.alpha": ("a number in (0, 1)", 0.05),
+    "grids.spatial": ("a list of 2 integers >= 1", [256, 256]),
+    "grids.temporal": ("an integer >= 1", 1000),
+    "grids.spacetime": ("a list of 3 integers >= 1", None),
+    "bandwidth.spatial": ("a number > 0", None), "bandwidth.temporal": ("a number > 0", None),
+    "bandwidth.search.candidates": ("an ascending list of numbers > 0", None),
+    "bandwidth.search.n_candidates": ("an integer >= 1", 16),
+    "bandwidth.search.folds": ("an integer >= 2", 10),
+    "bandwidth.search.retention": ("a number in (0, 1]", 0.025),
+    "bandwidth.search.repeats": ("an integer >= 1", 50),
+    "kgrid.r_max": ("a number > 0", None), "kgrid.tau_max": ("a number > 0", None),
+    "kgrid.n_r": ("an integer >= 2", 50), "kgrid.n_tau": ("an integer >= 2", 50),
+    "homogenize.target_count": ("a number > 0", None),
+    "homogenize.resolution": ("an integer >= 1", None),
+    "simulate.lambda": ("a number >= 0", 100.0),
+    "simulate.pi0": ("a number in (0, 1]", None),
+    "prop2.lambda": ("a number >= 0", 4000.0),
+    "prop2.lam_floor": ("a number >= 0", 100.0),
+    "prop2.p": ("a number in (0, 1)", 0.05),
+    "prop2.r": ("a number > 0", 0.1), "prop2.tau": ("a number > 0", 0.05),
+    "prop2.order": ("an integer >= 2", 30),
+    "prop2.seeds": ("an integer >= 1", 50),
+    "prop2.thinnings": ("an integer >= 1", 4),
+}
+_CLUSTER = ("kappa", "mean_offspring", "sigma", "sigma_t")
+_KEYS.update({f"{block}.cluster.{k}": ("a number > 0", _REQUIRED)
+              for block in ("simulate", "prop2") for k in _CLUSTER})
+# the dotted names of the blocks: every prefix of a key
+_BLOCK_KEYS = {key[:i] for key in _KEYS for i, c in enumerate(key) if c == "."}
+
+
+def _lookup(config: dict, key: str):
+    """The config's value of the dotted ``key``, checked, else its default."""
+    what, default = _KEYS[key]
+    *blocks, name = key.split(".")
+    node = config
+    for depth, block in enumerate(blocks):
+        if block not in node:
+            return None if default is _REQUIRED else default
+        node = node[block]
+        if not isinstance(node, dict):
+            raise ValueError(f"{'.'.join(blocks[:depth + 1])} must be a JSON object, got {node!r}")
+    if name not in node and default is _REQUIRED:
+        raise KeyError(key)
+    value = node.get(name, default)
+    if value is None and default is None:
+        return None
+    if not _CHECKS[what](value):
+        raise ValueError(f"{key} must be {what}, got {value!r}")
+    return float(value) if what.startswith("a number") else value
+
+
+def _resolve(config: dict) -> dict:
+    """Each key of the table to the config's checked value, else its default."""
+    blocks = [("", config)]
+    for prefix, block in blocks:
+        for name, value in block.items():
+            key = prefix + name
+            if key in _BLOCK_KEYS and isinstance(value, dict):
+                blocks.append((key + ".", value))
+            elif key not in _KEYS and key not in _BLOCK_KEYS:
+                raise ValueError(f"unknown config key {key!r}")
+    return {key: _lookup(config, key) for key in _KEYS}
+
+
+# ---------------------------------------------------------------- tasks
 
 
 @contextmanager
@@ -415,59 +515,37 @@ def _output_dir(out_dir: Path, force: bool):
 def run(config: dict, task: str, seed=None, threads=1, force=False, skip_bad=False):
     """Execute one pipeline task and write its artifacts.
 
-    Returns the output directory.  Refuses to reuse a nonempty output
-    directory unless ``force`` is set.
+    The config is resolved against the key table before any output exists
+    or any work is done.  Returns the output directory.  Refuses to reuse a
+    nonempty output directory unless ``force`` is set.
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}; choose from {', '.join(TASKS)}")
-    _check_blocks(config)
-    seed = int(config.get("seed", 0) if seed is None else seed)
     window, context = build_window(config)
-    # before any output exists or any work is done
-    if task in ("separability", "ripley-k"):
-        _replicate_count(config)
-    if task in ("intensity", "separability", "ripley-k"):
-        _retention(config)
-        for key in _GRID_AXES if task == "intensity" else ("spacetime",):
-            if key in config.get("grids", {}):
-                _grid(config, key, window, None)
-    if task == "simulate":
-        _model(config.get("simulate", {}), "simulate", 100.0)
-    with _output_dir(Path(config.get("output_dir", "stpp-output")), force) as out_dir:
+    cfg = _resolve(config)
+    if task not in ("simulate", "prop2-check") and cfg["input"] is None:
+        raise KeyError("input")
+    seed = cfg["seed"] if seed is None else seed
+    with _output_dir(Path(cfg["output_dir"]), force) as out_dir:
         report = {"task": task, "seed": seed}
-        outputs = []
-
-        def need_pattern():
-            pat = ingest(
-                config["input"], window, context,
-                skip_bad=skip_bad, jitter=config.get("jitter", False),
-            )
-            report["n_events"] = len(pat)
-            return pat
-
-        pattern_tasks = {
-            "intensity": _task_intensity,
-            "separability": _task_separability,
-            "ripley-k": partial(_task_ripley_k, threads=threads),
-            "homogenize": _task_homogenize,
-        }
+        outputs = ["report.json"]
         if task == "simulate":
-            pattern = _task_simulate(config, window, seed, report)
+            pattern = _task_simulate(cfg, window, seed, report)
             emit_pattern(out_dir / "pattern.csv", pattern)
             outputs.append("pattern.csv")
         elif task == "prop2-check":
-            _task_prop2(config, report)
+            _task_prop2(cfg, report)
         else:
-            pattern_tasks[task](need_pattern(), config, seed, report, out_dir, outputs)
-
-        report_path = out_dir / "report.json"
-        with open(report_path, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        outputs.append("report.json")
-
+            pattern = ingest(cfg["input"], window, context, skip_bad=skip_bad, jitter=cfg["jitter"])
+            report["n_events"] = len(pattern)
+            task_fn = {"intensity": _task_intensity, "separability": _task_separability,
+                       "ripley-k": partial(_task_ripley_k, threads=threads),
+                       "homogenize": _task_homogenize}[task]
+            task_fn(pattern, cfg, seed, report, out_dir, outputs)
+        _write_json(out_dir / "report.json", report)
         manifest = {
             "task": task,
+            "config": cfg,
             "config_hash": _config_hash(config),
             "seed": seed,
             "threads": threads,
@@ -475,18 +553,21 @@ def run(config: dict, task: str, seed=None, threads=1, force=False, skip_bad=Fal
             "outputs": sorted(outputs),
             "created_utc": datetime.now(timezone.utc).isoformat(),
         }
-        with open(out_dir / "manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out_dir / "manifest.json", manifest)
     return out_dir
 
 
-def _task_simulate(config, window, seed, report):
-    sc = config.get("simulate", {})
-    model, report["model"] = _model(sc, "simulate", 100.0)
+def _write_json(path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _task_simulate(cfg, window, seed, report):
+    model, report["model"] = _model(cfg, "simulate")
     simulate = simulate_cluster if isinstance(model, ClusterModel) else simulate_poisson
     pattern = simulate(model, window, substream(seed, 0))
-    pi0 = sc.get("pi0")
+    pi0 = cfg["simulate.pi0"]
     if pi0 is not None:
         pattern = thin(pattern, RetentionSpec.constant(pi0), substream(seed, 1))
         report["pi0"] = pi0
@@ -494,8 +575,8 @@ def _task_simulate(config, window, seed, report):
     return pattern
 
 
-def _thinned(pattern, config, seed, report):
-    pi0 = _retention(config)
+def _thinned(pattern, cfg, seed, report):
+    pi0 = cfg["pi0"]
     report["pi0"] = pi0
     if pi0 == 1.0:
         return pattern, 1.0
@@ -504,88 +585,75 @@ def _thinned(pattern, config, seed, report):
     return sub, pi0
 
 
-def _task_intensity(pattern, config, seed, report, out_dir, outputs):
+def _task_intensity(pattern, cfg, seed, report, out_dir, outputs):
     window = pattern.window
-    b_s, b_t = _bandwidths(pattern, config, seed)
-    report["bandwidth_spatial"] = b_s
-    report["bandwidth_temporal"] = b_t
+    b_s, b_t = _bandwidths(pattern, cfg, seed)
+    report.update(bandwidth_spatial=b_s, bandwidth_temporal=b_t)
     sp, tp = project(pattern)
-    lam_s = estimate_lambda_s(sp, KernelSpec(b_s), _grid(config, "spatial", window, (256, 256)))
-    lam_t = estimate_lambda_t(tp, KernelSpec(b_t), _grid(config, "temporal", window, 1000))
+    lam_s = estimate_lambda_s(sp, KernelSpec(b_s), GridSpec.spatial(window, *cfg["grids.spatial"]))
+    lam_t = estimate_lambda_t(tp, KernelSpec(b_t), GridSpec.temporal(window, cfg["grids.temporal"]))
     _write_field_2d(out_dir / "intensity_s.csv", lam_s.field)
     _write_field_1d(out_dir / "intensity_t.csv", lam_t.field)
     outputs += ["intensity_s.csv", "intensity_t.csv"]
     report["integral_s"] = lam_s.integrate()
     report["integral_t"] = lam_t.integrate()
-    if config.get("emit_spacetime", False):
+    if cfg["emit_spacetime"]:
         # the space-time product-kernel field is estimated on a thinned
         # subsample and divided by the retention to recover the parent scale
-        sub, pi0 = _thinned(pattern, config, seed, report)
+        sub, pi0 = _thinned(pattern, cfg, seed, report)
         retention = RetentionSpec.constant(pi0) if pi0 < 1.0 else None
         lam_st = estimate_lambda_st(
             sub, KernelSpec(b_s), KernelSpec(b_t),
-            _grid(config, "spacetime", window, (64, 64, 250)), retention=retention,
+            GridSpec.spacetime(window, *(cfg["grids.spacetime"] or (64, 64, 250))),
+            retention=retention,
         )
         _write_field_3d(out_dir / "intensity_st.csv", lam_st.field)
         outputs.append("intensity_st.csv")
         report["integral_st"] = lam_st.integrate()
 
 
-def _task_separability(pattern, config, seed, report, out_dir, outputs):
-    test_cfg = config.get("test", {})
-    B = _replicate_count(config)
-    alpha = float(test_cfg.get("alpha", 0.05))
+def _task_separability(pattern, cfg, seed, report, out_dir, outputs):
+    B, alpha = cfg["test.B"], cfg["test.alpha"]
     # the analysis can be repeated on several independent subsamples to
     # check the robustness of the conclusion; curves come from the first
-    versions = int(config.get("versions", 1))
     p_values = []
-    for v in range(versions):
-        sub, _ = _thinned(pattern, config, (seed, v), report)
-        b_s, b_t = _bandwidths(sub, config, seed)
-        grid = _grid(config, "spacetime", sub.window, (32, 32, 100))
+    for v in range(cfg["versions"]):
+        sub, _ = _thinned(pattern, cfg, (seed, v), report)
+        b_s, b_t = _bandwidths(sub, cfg, seed)
+        grid = GridSpec.spacetime(sub.window, *(cfg["grids.spacetime"] or (32, 32, 100)))
         res = separability_test(
             sub, KernelSpec(b_s), KernelSpec(b_t), B=B, alpha=alpha, grid=grid, seed=(seed, 11, v),
         )
         p_values.append(res.p_value)
         if v == 0:
-            report["bandwidth_spatial"] = b_s
-            report["bandwidth_temporal"] = b_t
             _write_curve_pair(
                 out_dir, ["curves_St.csv", "curves_Ss.csv"], res, grid.shape[2], outputs
             )
-            report["p_value"] = res.p_value
-            report["rejected"] = bool(res.rejected)
-    report["p_values"] = p_values
-    report["B"] = B
-    report["alpha"] = alpha
+            report.update(bandwidth_spatial=b_s, bandwidth_temporal=b_t,
+                          p_value=res.p_value, rejected=bool(res.rejected))
+    report.update(p_values=p_values, B=B, alpha=alpha)
 
 
-def _task_ripley_k(pattern, config, seed, report, out_dir, outputs, threads):
-    test_cfg = config.get("test", {})
-    B = _replicate_count(config)
-    alpha = float(test_cfg.get("alpha", 0.05))
-    sub, pi0 = _thinned(pattern, config, seed, report)
+def _task_ripley_k(pattern, cfg, seed, report, out_dir, outputs, threads):
+    B, alpha = cfg["test.B"], cfg["test.alpha"]
+    sub, pi0 = _thinned(pattern, cfg, seed, report)
     window = sub.window
-    kc = config.get("kgrid", {})
-    r_max = kc.get("r_max") or 0.2 * math.sqrt(window.area)
-    tau_max = kc.get("tau_max") or 0.0075 * window.duration
     grid = KGrid(
-        np.linspace(0.0, r_max, int(kc.get("n_r", 50))),
-        np.linspace(0.0, tau_max, int(kc.get("n_tau", 50))),
+        np.linspace(0.0, cfg["kgrid.r_max"] or 0.2 * math.sqrt(window.area), cfg["kgrid.n_r"]),
+        np.linspace(0.0, cfg["kgrid.tau_max"] or 0.0075 * window.duration, cfg["kgrid.n_tau"]),
     )
-    lam_mode = config.get("intensity", "constant")
+    lam_mode = cfg["intensity"]
     if lam_mode == "constant":
         lam = len(sub) / window.volume
         model = IntensityModel.const(lam)
     else:
-        b_s, b_t = _bandwidths(sub, config, seed)
-        report["bandwidth_spatial"] = b_s
-        report["bandwidth_temporal"] = b_t
-        est = estimate_lambda_st(
-            sub, KernelSpec(b_s), KernelSpec(b_t), _grid(config, "spacetime", window, (32, 32, 100))
+        b_s, b_t = _bandwidths(sub, cfg, seed)
+        report.update(bandwidth_spatial=b_s, bandwidth_temporal=b_t)
+        lam = estimate_lambda_st(
+            sub, KernelSpec(b_s), KernelSpec(b_t),
+            GridSpec.spacetime(window, *(cfg["grids.spacetime"] or (32, 32, 100))),
         )
-        lam = est
-        model = IntensityModel(field=est.field)
+        model = IntensityModel(field=lam.field)
     obs_est = estimate_K(sub, lam, grid)
     report["winsorized_pairs"] = obs_est.winsorized_pairs
     kt_obs, ks_obs = average_K(obs_est)
@@ -593,116 +661,47 @@ def _task_ripley_k(pattern, config, seed, report, out_dir, outputs, threads):
     def one_replicate(b):
         rep = simulate_poisson(model, window, substream(seed, 100 + b))
         lam_rep = len(rep) / window.volume if lam_mode == "constant" else lam
-        kt, ks = average_K(estimate_K(rep, lam_rep, grid))
-        return kt, ks
+        return average_K(estimate_K(rep, lam_rep, grid))
 
-    curves = parallel_map(one_replicate, B, threads)
-    kt_reps = np.array([c[0] for c in curves])
-    ks_reps = np.array([c[1] for c in curves])
+    kt_reps, ks_reps = (np.array(c) for c in zip(*parallel_map(one_replicate, B, threads)))
     res = combined_erl_test(
         [CurveSet(grid.tau, kt_obs, kt_reps), CurveSet(grid.r, ks_obs, ks_reps)],
         alpha=alpha,
     )
     _write_curve_pair(out_dir, ["curves_Kt.csv", "curves_Ks.csv"], res, len(grid.tau), outputs)
-    report["p_value"] = res.p_value
-    report["B"] = B
-    report["alpha"] = alpha
-    report["rejected"] = bool(res.rejected)
-    report["pi0"] = pi0
+    report.update(p_value=res.p_value, B=B, alpha=alpha, rejected=bool(res.rejected), pi0=pi0)
 
 
-def _task_homogenize(pattern, config, seed, report, out_dir, outputs):
-    hc = config.get("homogenize", {})
+def _task_homogenize(pattern, cfg, seed, report, out_dir, outputs):
     sp, _ = project(pattern)
-    cfg = HomogenizeConfig(
-        target_count=float(hc.get("target_count", 0.1 * len(pattern))),
-        seed=seed,
-        resolution=hc.get("resolution"),
-    )
-    sub, rep = homogenize(sp, cfg)
+    target_count = cfg["homogenize.target_count"] or 0.1 * len(pattern)
+    hc = HomogenizeConfig(target_count, seed=seed, resolution=cfg["homogenize.resolution"])
+    sub, rep = homogenize(sp, hc)
     emit_pattern(out_dir / "pattern_homogenized.csv", sub)
     outputs.append("pattern_homogenized.csv")
-    report.update(
-        {
-            "mu": rep.mu,
-            "level_area": rep.level_area,
-            "n_cells": rep.n_cells,
-            "loss_at_minimum": rep.loss_at_minimum,
-            "retained": rep.retained,
-            "quadrat_statistic": rep.quadrat_statistic,
-            "quadrat_p": rep.quadrat_p,
-        }
-    )
+    report.update(vars(rep))
 
 
-def _task_prop2(config, report):
-    pc = config.get("prop2", {})
-    r = float(pc.get("r", 0.1))
-    tau = float(pc.get("tau", 0.05))
-    p = float(pc.get("p", 0.05))
-    diag = SeriesDiagnostics(
-        lam_floor=float(pc.get("lam_floor", 100.0)),
-        pi0=p,
-        order=int(pc.get("order", 30)),
-    )
+def _task_prop2(cfg, report):
+    r, tau, p = cfg["prop2.r"], cfg["prop2.tau"], cfg["prop2.p"]
+    diag = SeriesDiagnostics(lam_floor=cfg["prop2.lam_floor"], pi0=p, order=cfg["prop2.order"])
     f, g, j = poisson_series_fgj(diag, r, tau)
     report["series"] = {"F": f, "G": g, "J": j}
-    model, _ = _model(pc, "prop2", 4000.0)
-    res = j_residual_ratio(
-        model, p=p, r=r, tau=tau,
-        seeds=range(int(pc.get("seeds", 50))),
-        thinnings=int(pc.get("thinnings", 4)),
-    )
+    model, _ = _model(cfg, "prop2")
+    res = j_residual_ratio(model, p=p, r=r, tau=tau, seeds=range(cfg["prop2.seeds"]),
+                           thinnings=cfg["prop2.thinnings"])
     report["residual_ratio"] = res["ratio"]
     report["residuals"] = {str(k): v for k, v in res["residuals"].items()}
 
 
-# cell counts per axis of each ``grids`` key; ``temporal`` is one bare count
-_GRID_AXES = {"spatial": 2, "temporal": 1, "spacetime": 3}
-
-
-def _grid(config: dict, key: str, window, default) -> GridSpec:
-    """The grid over ``window`` of the config's ``grids.<key>`` cell counts
-    (default ``default``), which must be integers >= 1, one per axis."""
-    raw = config.get("grids", {}).get(key, default)
-    counts = [raw] if key == "temporal" else raw
-    axes = _GRID_AXES[key]
-    if not (isinstance(counts, (list, tuple)) and len(counts) == axes
-            and all(map(_is_count, counts))):
-        what = "an integer >= 1" if axes == 1 else f"a list of {axes} integers >= 1"
-        raise ValueError(f"grids.{key} must be {what}, got {raw!r}")
-    return getattr(GridSpec, key)(window, *counts)
-
-
-def _model(block: dict, name: str, default_lambda: float):
-    """The model of a ``simulate`` or ``prop2`` block and its report entry:
-    the ``cluster`` object if given, else the constant ``lambda``."""
-    if "cluster" in block:
-        cc = block["cluster"]
-        if not isinstance(cc, dict):
-            raise ValueError(f"{name}.cluster must be a JSON object, got {cc!r}")
-        model = ClusterModel(cc["kappa"], cc["mean_offspring"], cc["sigma"], cc["sigma_t"])
-        return model, {"cluster": cc}
-    lam = block.get("lambda", default_lambda)
-    if isinstance(lam, bool) or not isinstance(lam, (int, float)):
-        raise ValueError(f"{name}.lambda must be a number, got {lam!r}")
-    return IntensityModel.const(lam), {"lambda": float(lam)}
-
-
-def _replicate_count(config: dict) -> int:
-    """The config's ``test.B`` (default 199), which must be an integer >= 1."""
-    B = config.get("test", {}).get("B", 199)
-    if not _is_count(B):
-        raise ValueError(f"test.B must be an integer >= 1, got {B!r}")
-    return B
-
-
-def _retention(config: dict) -> float:
-    """The config's ``pi0`` (default 0.025), which must be a number in (0, 1]."""
-    pi0 = config.get("pi0", 0.025)
-    if isinstance(pi0, bool) or not isinstance(pi0, (int, float)) or not 0 < pi0 <= 1:
-        raise ValueError(f"pi0 must be a number in (0, 1], got {pi0!r}")
-    return float(pi0)
+def _model(cfg, block: str):
+    """The model of the ``simulate`` or ``prop2`` block and its report entry:
+    the ``cluster`` if given, else the constant ``lambda``."""
+    cluster = {k: cfg[f"{block}.cluster.{k}"] for k in _CLUSTER}
+    if cluster["kappa"] is not None:
+        return ClusterModel(**cluster), {"cluster": cluster}
+    lam = cfg[f"{block}.lambda"]
+    return IntensityModel.const(lam), {"lambda": lam}
 
 
 def _thread_count(flag: str | None) -> int:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from stpp import cli
 from stpp.cli import EARTH_RADIUS_KM, build_window, emit_pattern, ingest, main, run
 from stpp.core import GridSpec, PolygonMask, ScalarField, SpaceTimePattern, SpatialPattern, Window
 
+ROOT = Path(__file__).resolve().parent.parent
 UNIT = Window((0, 1), (0, 1), (0, 1))
 POLYGON = Window(
     (0, 1), (0, 1), (0, 1), PolygonMask([(0.05, 0.0), (1.0, 0.1), (0.9, 1.0), (0.0, 0.85)])
@@ -945,30 +947,70 @@ class TestMain:
             ("ripley-k", {"intensity": "kernel", "grids": {"spacetime": 5}},
              "grids.spacetime must be a list of 3 integers >= 1, got 5"),
             ("homogenize", {"homogenize": {"target_count": 50, "resolution": 0}},
-             "resolution must be an integer >= 1, got 0"),
+             "homogenize.resolution must be an integer >= 1, got 0"),
             ("homogenize", {"homogenize": {"target_count": 50, "resolution": 2.5}},
-             "resolution must be an integer >= 1, got 2.5"),
+             "homogenize.resolution must be an integer >= 1, got 2.5"),
             ("homogenize", {"homogenize": {"target_count": 50, "resolution": "10"}},
-             "resolution must be an integer >= 1, got '10'"),
+             "homogenize.resolution must be an integer >= 1, got '10'"),
             ("simulate", {"simulate": {"cluster": [1, 2]}},
              "simulate.cluster must be a JSON object, got [1, 2]"),
             ("simulate", {"simulate": {"lambda": [1]}},
-             "simulate.lambda must be a number, got [1]"),
+             "simulate.lambda must be a number >= 0, got [1]"),
+            # these ran at the parent and did something else
+            ("separability", {"versions": 0}, "versions must be an integer >= 1, got 0"),
+            ("ripley-k", {"intensity": "kernl"},
+             "intensity must be 'constant' or 'kernel', got 'kernl'"),
+            ("intensity", {"emit_spacetime": "no"},
+             "emit_spacetime must be true or false, got 'no'"),
+            ("ripley-k", {"jitter": 1}, "jitter must be true or false, got 1"),
+            ("simulate", {"seed": 1.7}, "seed must be an integer >= 0, got 1.7"),
+            ("simulate", {"seed": True}, "seed must be an integer >= 0, got True"),
+            ("intensity", {"bandwidth": {"temporal": 0.05, "search": {"folds": 2.5}}},
+             "bandwidth.search.folds must be an integer >= 2, got 2.5"),
+            ("ripley-k", {"test": {"B": 19, "alpha": 1.5}},
+             "test.alpha must be a number in (0, 1), got 1.5"),
+            ("separability", {"test": {"B": 19, "alpha": 0}},
+             "test.alpha must be a number in (0, 1), got 0"),
+            ("ripley-k", {"kgrid": {"r_max": 0}}, "kgrid.r_max must be a number > 0, got 0"),
+            ("ripley-k", {"kgrid": {"tau_max": -1.0}},
+             "kgrid.tau_max must be a number > 0, got -1.0"),
+            ("ripley-k", {"kgrid": {"nr": 5}}, "unknown config key 'kgrid.nr'"),
+            ("simulate", {"simulate": {"lambda": 10, "pi": 0.5}},
+             "unknown config key 'simulate.pi'"),
+            # these ended in a traceback and exit 1 at the parent
+            ("simulate", {"simulate": {"pi0": [0.5]}},
+             "simulate.pi0 must be a number in (0, 1], got [0.5]"),
+            ("ripley-k", {"kgrid": {"n_r": [5]}}, "kgrid.n_r must be an integer >= 2, got [5]"),
+            ("intensity", {"bandwidth": {"temporal": 0.05, "search": {"n_candidates": "4"}}},
+             "bandwidth.search.n_candidates must be an integer >= 1, got '4'"),
+            ("prop2-check", {"prop2": {"seeds": [1]}},
+             "prop2.seeds must be an integer >= 1, got [1]"),
+            ("homogenize", {"homogenize": {"target_count": [50]}},
+             "homogenize.target_count must be a number > 0, got [50]"),
+            ("simulate", {"window": {"x1": [0, 1], "x2": [0, 1], "t": "ab"}},
+             "window.t must be a list of 2 numbers, got 'ab'"),
+            ("simulate", {"simulate": {"cluster": {"kappa": 5, "mean_offspring": 4, "sigma": 0.1}}},
+             "missing config key 'simulate.cluster.sigma_t'"),
+            ("ripley-k", {"input": None}, "missing config key 'input'"),
         ],
         ids=[
             "spatial-scalar", "temporal-list", "spatial-zero", "spatial-float",
             "spacetime-bool", "separability-short", "ripley-k-scalar", "resolution-zero",
             "resolution-float", "resolution-string", "cluster-list", "lambda-list",
+            "versions-zero", "intensity-typo", "emit-spacetime-string", "jitter-int",
+            "seed-float", "seed-bool", "folds-float", "alpha-above-1", "alpha-zero",
+            "r-max-zero", "tau-max-negative", "unknown-kgrid-key", "unknown-simulate-key",
+            "simulate-pi0-list", "n-r-list", "n-candidates-string", "prop2-seeds-list",
+            "target-count-list", "window-t-string", "cluster-missing-field", "input-null",
         ],
     )
     def test_bad_config_value_exits_2(self, tmp_path, capsys, task, extra, message):
         _, cfg = write_config(tmp_path, simulate={"lambda": 200})
         cfg["output_dir"] = str(tmp_path / "data")
         out = run(cfg, "simulate")
-        cfg_path, _ = write_config(
-            tmp_path, name="bad.json", input=str(out / "pattern.csv"), pi0=0.5,
-            test={"B": 19}, bandwidth={"temporal": 0.05, "spatial": 0.1}, **extra,
-        )
+        good = {"input": str(out / "pattern.csv"), "pi0": 0.5, "test": {"B": 19},
+                "bandwidth": {"temporal": 0.05, "spatial": 0.1}}
+        cfg_path, _ = write_config(tmp_path, name="bad.json", **{**good, **extra})
         assert main([task, "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
@@ -1023,7 +1065,10 @@ class TestMain:
 
     @pytest.mark.parametrize(
         "task, extra",
-        [("simulate", {"simulate": {"lambda": "a"}}), ("ripley-k", {"test": {"B": 19}})],
+        # a bad config value fails before the directory is made; a missing
+        # input file fails after
+        [("simulate", {"simulate": {"lambda": "a"}}),
+         ("ripley-k", {"input": "no-such-events.csv", "test": {"B": 19}})],
     )
     def test_failed_run_removes_the_output_directory_it_made(
         self, tmp_path, capsys, task, extra
@@ -1037,6 +1082,25 @@ class TestMain:
         out.mkdir(parents=True)
         assert main([task, "--config", str(cfg_path)]) == 2
         assert out.is_dir()
+
+    def test_input_not_a_string_exits_2_before_reading(self, tmp_path, capsys, monkeypatch):
+        # open(5) would read whatever file descriptor 5 is
+        def read(*args, **kwargs):
+            raise AssertionError("input read")
+
+        monkeypatch.setattr(cli, "ingest", read)
+        cfg_path, _ = write_config(tmp_path, input=5, test={"B": 19})
+        assert main(["ripley-k", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == "error: input must be a string, got 5\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_simulate_cluster_model(self, tmp_path):
+        cluster = {"kappa": 20, "mean_offspring": 5, "sigma": 0.02, "sigma_t": 0.02}
+        _, cfg = write_config(tmp_path, simulate={"cluster": cluster, "pi0": 0.5})
+        out = run(cfg, "simulate")
+        report = json.loads((out / "report.json").read_text())
+        assert report["model"] == {"cluster": cluster} and report["pi0"] == 0.5
+        assert report["n_events"] == len(read_csv(out / "pattern.csv")) - 1 > 0
 
     @pytest.mark.parametrize("raw", ["0", "two", "-3"])
     def test_bad_threads_flag_exits_2(self, tmp_path, capsys, monkeypatch, raw):
@@ -1053,3 +1117,57 @@ class TestMain:
         assert main(["simulate", "--config", str(cfg_path), "--threads", "2"]) == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["threads"] == 2
+
+
+def _spelled_out_defaults():
+    """A config that gives every key of the table its default, nested by block."""
+    config = {}
+    for key, (_, default) in cli._KEYS.items():
+        if default is cli._REQUIRED or key.startswith("window."):
+            continue
+        *blocks, name = key.split(".")
+        node = config
+        for block in blocks:
+            node = node.setdefault(block, {})
+        node[name] = default
+    return config
+
+
+class TestConfigTable:
+    def test_manifest_records_the_resolved_config(self, tmp_path):
+        base = {"window": PLANAR["window"], "output_dir": str(tmp_path / "out")}
+        configs = []
+        for extra in ({}, _spelled_out_defaults()):
+            run({**extra, **base}, "simulate", force=True)
+            configs.append(json.loads((tmp_path / "out" / "manifest.json").read_text())["config"])
+        assert configs[0] == configs[1]
+        assert set(configs[0]) == set(cli._KEYS)
+        assert configs[0]["test.B"] == 199 and configs[0]["pi0"] == 0.025
+        assert configs[0]["kgrid.r_max"] is None and configs[0]["homogenize.target_count"] is None
+        assert configs[0]["simulate.cluster.kappa"] is None
+
+    def test_readme_table_lists_every_key(self):
+        # rows "| `key` | value | default | meaning |" of the README key table
+        text = (ROOT / "README.md").read_text()
+        section = text.split("### Configuration keys", 1)[1].split("\n#", 1)[0]
+        rows = {}
+        for line in section.splitlines():
+            if line.startswith("| `"):
+                key, what, default = (c.strip() for c in line.strip("|").split("|")[:3])
+                rows[key.strip("`")] = (what, default.strip("`"))
+        assert sorted(rows) == sorted(cli._KEYS)
+        for key, (what, default) in cli._KEYS.items():
+            assert rows[key][0] == what, key
+            if default is cli._REQUIRED:
+                assert rows[key][1] == "required", key
+            else:
+                assert json.loads(rows[key][1]) == default, key
+
+    def test_readme_configs_resolve(self):
+        text = (ROOT / "README.md").read_text()
+        blocks = [b.split("```", 1)[0] for b in text.split("```json\n")[1:]]
+        assert len(blocks) >= 2
+        for block in blocks:
+            config = json.loads(block)
+            cli._resolve(config)
+            build_window(config)
