@@ -103,6 +103,14 @@ def build_window(config: dict) -> tuple[Window, dict]:
     """
     projection = _lookup(config, "projection")
     wc = {k: _lookup(config, "window." + k) for k in ("x1", "x2", "t", "lon", "lat", "time")}
+    given = config.get("window") or {}
+    planar = [k for k in ("x1", "x2", "t") if k in given]
+    geographic = [k for k in ("lon", "lat", "time") if k in given]
+    if planar and geographic:
+        raise ValueError(
+            f"window gives both planar ({', '.join(planar)}) and geographic "
+            f"({', '.join(geographic)}) keys; use one form"
+        )
     for k in ("lon", "lat", "time") if wc["lon"] is not None else ("x1", "x2"):
         if wc[k] is None:
             raise KeyError(f"window.{k}" if "window" in config else "window")
@@ -374,6 +382,16 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_time(v) -> bool:
+    """Whether ``v`` is a number or a string ``_parse_time`` reads as one."""
+    if not isinstance(v, str):
+        return _is_number(v)
+    try:
+        return math.isfinite(_parse_time(v, None))
+    except ValueError:
+        return False
+
+
 def _is_list(v, n, item) -> bool:
     """Whether ``v`` is a list of ``n`` (None: one or more) values ``item`` accepts."""
     return isinstance(v, (list, tuple)) and 0 < len(v) == (n or len(v)) and all(map(item, v))
@@ -393,7 +411,7 @@ _CHECKS = {
     "a number in (0, 1]": lambda v: _is_number(v) and 0 < v <= 1,
     "a number in (0, 1)": lambda v: _is_number(v) and 0 < v < 1,
     "a list of 2 numbers": lambda v: _is_list(v, 2, _is_number),
-    "a list of 2 times": lambda v: _is_list(v, 2, lambda x: isinstance(x, str) or _is_number(x)),
+    "a list of 2 times": lambda v: _is_list(v, 2, _is_time),
     "a list of 2 integers >= 1": lambda v: _is_list(v, 2, _CHECKS["an integer >= 1"]),
     "a list of 3 integers >= 1": lambda v: _is_list(v, 3, _CHECKS["an integer >= 1"]),
     "an ascending list of numbers > 0":
@@ -735,6 +753,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         threads = _thread_count(args.threads)
+        if args.seed is not None and args.seed < 0:
+            raise ValueError(f"--seed must be an integer >= 0, got {args.seed}")
         with open(args.config) as fh:
             config = json.load(fh)
         if not isinstance(config, dict):

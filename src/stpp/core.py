@@ -149,8 +149,9 @@ _EVAL_BLOCK = 1 << 18
 def _nearest_owners(tree, xs, ys, inside) -> np.ndarray:
     """Nearest generator of every cell centre of ``xs`` x ``ys``, as ``tree.query``.
 
-    Returns an int64 (len(xs), len(ys)) grid of indices into ``tree.data``,
-    -1 where the boolean grid ``inside`` is False (None: every cell).
+    Returns an int32 (len(xs), len(ys)) grid of indices into ``tree.data``,
+    -1 where the boolean grid ``inside`` is False (None: every cell);
+    ``_owner_grid`` checks that the indices fit.
 
     The grid is cut into tiles of at most 4 x 4 cells.  One query fetches
     the k = min(16, n) generators nearest each tile's centre; d1 is the
@@ -178,7 +179,7 @@ def _nearest_owners(tree, xs, ys, inside) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     nx, ny = len(xs), len(ys)
-    owners = np.full((nx, ny), -1, dtype=np.int64)
+    owners = np.full((nx, ny), -1, dtype=np.int32)
     if inside is None:
         inside = np.ones((nx, ny), dtype=bool)
     # cell rows and columns of each tile, padded by repeating the last one
@@ -234,7 +235,7 @@ def _resolve_tiles(tree, xs, ys, ri, ci, cx, cy, r, k, owners, pending):
             dy = data[cand, 1][:, :, None, None] - ys[ci[t]][None, :, None, :]
             sq = dx * dx + dy * dy  # (candidate, tile, tile row, tile column)
             limit = sq.min(axis=0) * (1.0 + _TIE_MARGIN)
-            own = np.empty(limit.shape, dtype=np.int64)
+            own = np.empty(limit.shape, dtype=np.int32)
             near = np.zeros(limit.shape, dtype=np.int8)
             for g, d in zip(cand, sq):
                 close = d <= limit
@@ -253,10 +254,16 @@ def _owner_grid(tree, xs, ys, inside, block_cells) -> np.ndarray:
     the count ``workers=-1`` uses; each queries on one thread, so its numpy
     work runs in parallel too.  Every block writes its own rows, so the
     grid does not depend on the thread count.
+
+    The grid is int32, half the bytes of an intp one.  Its indices fit
+    below 2^31 generators; that many would hold 32 GB of coordinates in
+    the tree alone, so a larger tree raises ValueError rather than wrap.
     """
+    if tree.n > np.iinfo(np.int32).max:
+        raise ValueError(f"{tree.n} generators exceed the int32 owner grid")
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    owners = np.empty((len(xs), len(ys)), dtype=np.int64)
+    owners = np.empty((len(xs), len(ys)), dtype=np.int32)
     step = max(1, block_cells // len(ys))
 
     def assign(rows):

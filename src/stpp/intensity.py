@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -436,9 +437,10 @@ class VoronoiCells:
 
     ``areas`` come from a raster assignment of grid cells to their nearest
     generator; ``values`` are 1/area (inf where a generator captured no
-    raster cell).  ``assignment`` maps each masked-in raster cell to its
-    generator index.  ``tree`` is the k-d tree over the generators that
-    made the assignment, kept for nearest-generator queries.
+    raster cell).  ``assignment`` is the int32 grid of each masked-in
+    raster cell's generator index, -1 outside the mask.  ``tree`` is the
+    k-d tree over the generators that made the assignment, kept for
+    nearest-generator queries.
     """
 
     tree: cKDTree
@@ -447,6 +449,22 @@ class VoronoiCells:
     grid: GridSpec
     assignment: np.ndarray
     raster_mask: np.ndarray
+
+
+class _VoronoiEstimate(IntensityEstimate):
+    """The Voronoi estimate of ``cells``, its grid-sized field built on first
+    access: ``homogenize`` needs only the cells."""
+
+    def __init__(self, cells: VoronoiCells):
+        self.cells = cells
+        self.empty = False
+
+    @cached_property
+    def field(self) -> ScalarField:
+        cells = self.cells
+        values = cells.values[cells.assignment]
+        values[~cells.raster_mask] = 0.0
+        return ScalarField(cells.grid, values, cells.raster_mask)
 
 
 def voronoi_intensity(
@@ -464,11 +482,14 @@ def voronoi_intensity(
     ``cKDTree.query`` of every in-mask cell centre, exact ties included
     (see there for the argument).  The raster runs in blocks of whole rows,
     about ``_RASTER_BLOCK`` cells each, on ``os.cpu_count()`` threads, and
-    does not depend on the thread count.  Besides the k-d tree the memory
-    is about 50 bytes per cell of each running block, plus the grid-shaped
-    owner array, the mask and the field, and the in-mask owners copied once
-    to count them: at 10^6 events (a 4000 x 4000 raster) about 6 MB per
-    block and 128 MB each for the owners, the copy and the field.
+    does not depend on the thread count.  The owners are then counted one
+    such block at a time, which adds the integer counts exactly.  The
+    estimate's field is built on first access to ``.field``.
+
+    Memory: besides the k-d tree, about 50 bytes per cell of each running
+    block, plus the int32 owner grid and the boolean mask: at 10^6 events
+    (a 4000 x 4000 raster) about 6 MB per block, 64 MB for the owners and
+    16 MB for the mask.  Reading ``.field`` adds the 128 MB float64 field.
     """
     from scipy.spatial import cKDTree
 
@@ -485,12 +506,13 @@ def voronoi_intensity(
         mask = np.ones(grid.shape, dtype=bool)
     tree = cKDTree(pattern.points)
     assignment = _owner_grid(tree, xs, ys, mask, _RASTER_BLOCK)
-    counts = np.bincount(assignment[mask], minlength=n)
-    areas = counts * grid.cell_volume
+    # cells outside the mask hold -1, which counts into the extra last slot
+    counts = np.zeros(n + 1, dtype=np.int64)
+    step = max(1, _RASTER_BLOCK // resolution)
+    for start in range(0, resolution, step):
+        np.add.at(counts, assignment[start:start + step], 1)
+    areas = counts[:n] * grid.cell_volume
     with np.errstate(divide="ignore"):
         values = 1.0 / areas  # inf marks generators that captured no raster cell
-    field_values = values[assignment]
-    field_values[~mask] = 0.0
-    estimate = IntensityEstimate(ScalarField(grid, field_values, mask))
     cells = VoronoiCells(tree, areas, values, grid, assignment, mask)
-    return estimate, cells
+    return _VoronoiEstimate(cells), cells

@@ -992,6 +992,14 @@ class TestMain:
             ("simulate", {"simulate": {"cluster": {"kappa": 5, "mean_offspring": 4, "sigma": 0.1}}},
              "missing config key 'simulate.cluster.sigma_t'"),
             ("ripley-k", {"input": None}, "missing config key 'input'"),
+            # these used the geographic form and ignored x1, x2, or named no key
+            ("simulate", {"window": {"x1": [0, 1], "x2": [0, 1], "lon": [4.0, 5.0],
+                                     "lat": [44.0, 45.0], "time": [0, 3600]}},
+             "window gives both planar (x1, x2) and geographic (lon, lat, time) keys; "
+             "use one form"),
+            ("simulate", {"window": {"lon": [4.0, 5.0], "lat": [44.0, 45.0],
+                                     "time": ["abc", "2011-01-02T00:00:00Z"]}},
+             "window.time must be a list of 2 times, got ['abc', '2011-01-02T00:00:00Z']"),
         ],
         ids=[
             "spatial-scalar", "temporal-list", "spatial-zero", "spatial-float",
@@ -1002,6 +1010,7 @@ class TestMain:
             "r-max-zero", "tau-max-negative", "unknown-kgrid-key", "unknown-simulate-key",
             "simulate-pi0-list", "n-r-list", "n-candidates-string", "prop2-seeds-list",
             "target-count-list", "window-t-string", "cluster-missing-field", "input-null",
+            "window-both-forms", "window-time-unparseable",
         ],
     )
     def test_bad_config_value_exits_2(self, tmp_path, capsys, task, extra, message):
@@ -1109,6 +1118,12 @@ class TestMain:
         assert main(["simulate", "--config", str(cfg_path), f"--threads={raw}"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: --threads must be an integer >= 1")
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        cfg_path, _ = write_config(tmp_path, simulate={"lambda": 10})
+        assert main(["simulate", "--config", str(cfg_path), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --seed must be an integer >= 0, got -1\n"
         assert not (tmp_path / "out").exists()
 
     def test_threads_flag_overrides_env(self, tmp_path, monkeypatch):

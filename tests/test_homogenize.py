@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.spatial
 from scipy.spatial import cKDTree
 
-from stpp.core import GridSpec, PolygonMask, SpatialPattern, Window, substream
+from stpp import core, intensity
+from stpp.core import GridSpec, PolygonMask, ScalarField, SpatialPattern, Window, substream
 from stpp.homogenize import HomogenizeConfig, homogenize, level_set, minimize_loss
 from stpp.inference import quadrat_test
 from stpp.intensity import voronoi_intensity
@@ -211,6 +213,44 @@ class TestHomogenize:
         assert len(builds) == 1
         assert np.isfinite(report.quadrat_statistic)
         assert sub.window.contains_xy(sub.points).all()
+
+    def test_builds_no_intensity_field(self, monkeypatch):
+        built = []
+        init = ScalarField.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ScalarField, "__init__", counting_init)
+        pat = simulate_poisson_spatial(300.0, UNIT, 8)
+        homogenize(pat, HomogenizeConfig(target_count=100.0, seed=2))
+        assert built == []
+        est, _ = voronoi_intensity(pat)
+        assert built == []
+        assert est.field is built[0]
+
+    def test_memory_per_raster_cell(self, monkeypatch):
+        # on one thread, one block of the owner search runs at a time; the
+        # int32 owner grid, the boolean mask and level-set raster and that
+        # block fit the bound, an int64 grid copied to count it or a
+        # float64 field would not
+        monkeypatch.setattr(core.os, "cpu_count", lambda: 1)
+        pat = SpatialPattern(substream(8, 1).uniform(size=(20000, 2)), UNIT)
+        # a small run first, so imports made on first use are not traced
+        homogenize(pat, HomogenizeConfig(target_count=500.0, seed=2, resolution=64))
+        resolution = 1500
+        tracemalloc.start()
+        try:
+            _, report = homogenize(
+                pat, HomogenizeConfig(target_count=500.0, seed=2, resolution=resolution)
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(report.retained - 500) <= 3 * math.sqrt(500)
+        bound = 8 * resolution**2 + 100 * intensity._RASTER_BLOCK
+        assert peak < bound, (peak / 1e6, bound / 1e6)
 
     @pytest.mark.parametrize("window", [UNIT, POLYGON], ids=["rectangle", "polygon"])
     def test_region_raster_on_another_grid_matches_contains(self, window):

@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+import types
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -302,6 +303,31 @@ class TestVoronoi:
             if window is not UNIT:
                 assert not mask.all()
 
+    @pytest.mark.parametrize("window", [UNIT, POLYGON], ids=["rectangle", "polygon"])
+    @pytest.mark.parametrize("block", [7, 120])
+    def test_counts_by_row_block_are_exact(self, monkeypatch, window, block):
+        # blocks of one and of two rows of the 53-row raster, the last
+        # block short; a clump of 20 points within 1e-3 of a centre leaves
+        # most of them no raster cell
+        monkeypatch.setattr(intensity, "_RASTER_BLOCK", block)
+        rng = substream(4, 2)
+        xy = rng.uniform(size=(300, 2))
+        xy = np.vstack([xy, 0.5 + rng.uniform(-1e-3, 1e-3, size=(20, 2))])
+        pat = SpatialPattern(xy[window.contains_xy(xy)], window)
+        est, cells = voronoi_intensity(pat, resolution=53)
+        mask = cells.raster_mask
+        assert cells.assignment.dtype == np.int32
+        assert (cells.assignment[~mask] == -1).all() and (cells.assignment[mask] >= 0).all()
+        counts = np.bincount(cells.assignment[mask], minlength=len(pat))
+        assert np.array_equal(cells.areas, counts * cells.grid.cell_volume)
+        assert (counts == 0).sum() >= 10 and np.isinf(cells.values[counts == 0]).all()
+        # the field is built on first access, as the whole-grid lookup
+        assert "field" not in vars(est)
+        field = cells.values[cells.assignment]
+        field[~mask] = 0.0
+        assert np.array_equal(est.field.values.view(np.int64), field.view(np.int64))
+        assert est.field is est.field and np.array_equal(est.field.mask, mask)
+
     def test_single_point_is_uniform(self):
         pat = SpatialPattern([(0.4, 0.6)], UNIT)
         est, cells = voronoi_intensity(pat)
@@ -446,6 +472,11 @@ class TestNearestOwners:
         _, oracle = tree.query(np.column_stack([centres[30:40], np.full(10, centres[5])]))
         assert np.array_equal(owners[30:40, 5], oracle)
         assert (owners[~inside] == -1).all()
+
+    def test_more_generators_than_int32_indices_raise(self):
+        tree = types.SimpleNamespace(n=2**31)
+        with pytest.raises(ValueError, match="int32"):
+            core._owner_grid(tree, np.arange(3.0), np.arange(3.0), None, 4)
 
     @WINDOWS
     def test_thread_count_does_not_change_the_grid(self, monkeypatch, window):
