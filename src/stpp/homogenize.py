@@ -105,15 +105,20 @@ def minimize_loss(cells: VoronoiCells, config: HomogenizeConfig) -> float:
             "retention probabilities will be capped at 1"
         )
     finite = np.isfinite(cells.values)
-    values = np.sort(cells.values[finite])
-    areas = cells.areas[finite][np.argsort(cells.values[finite])]
+    values = cells.values[finite]
+    order = np.argsort(values)
+    values = values[order]
+    areas = cells.areas[finite][order]
+    del order
     # suffix_area[searchsorted(values, mu, "left")] is the area of {value >= mu}
     suffix_area = np.concatenate([np.cumsum(areas[::-1])[::-1], [0.0]])
 
     # mu * area(mu) is linear between consecutive distinct values, so the
     # candidate minimizers are the breakpoints themselves plus each piece's
     # interior parabola vertex target / area
-    uniq = np.unique(values)
+    first = np.ones(len(values), dtype=bool)  # first of each run of equal values
+    first[1:] = values[1:] != values[:-1]
+    uniq = values[first]
     lo_edges = np.concatenate([[0.0], uniq[:-1]])
     piece_areas = suffix_area[np.searchsorted(values, uniq, side="left")]
     with np.errstate(divide="ignore"):

@@ -17,8 +17,10 @@ catalogue).  That mass is a difference of two normal CDFs from
 ``scipy.special.ndtr``.
 
 ``_spatial_rows`` and ``_spacetime_rows`` are the one place the per-event
-Diggle-corrected kernel rows are built; the separability engine and the
-spatial bandwidth selector reuse them rather than rebuilding the kernel.
+Diggle-corrected kernel factor rows are built, and ``_spatial_kernel_rows``
+the one place their outer products, the spatial kernel rows, are; the
+separability engine and the spatial bandwidth selector reuse them rather
+than rebuilding the kernel.
 
 Memory: the kernel estimators sum over events one block of rows at a
 time, a block being as many events as fit ``_ROW_BLOCK_BYTES`` (8 MiB) of
@@ -26,8 +28,10 @@ their kernel rows, so each needs one block of rows plus its grid whatever
 n is.  The corrections alone (``_spatial_corrections``, which the spatial
 bandwidth selector uses) come from the same pass as an O(n) vector, or a
 (k, n) array for k bandwidths at once, in blocks of at most
-``_CORRECTION_BYTES``.  The separability engine keeps the rows of all
-events, because each permutation re-pairs them; it and
+``_CORRECTION_BYTES``.  The separability engine, whose permutations
+re-pair the events' rows, keeps only the factor rows gx, gy and the
+temporal rows T of all events, O(n (nx + ny + nt)), and builds the
+spatial rows from them one ``_ROW_BLOCK_BYTES`` block at a time.  It and
 ``estimate_lambda_st`` check their need against ``_MEMORY_CAP_MB`` up
 front and raise ``MemoryError`` before building rows.
 With n at most one block the sums are the unblocked ones bit for bit;
@@ -176,13 +180,14 @@ def _spatial_corrections(xy, grid: GridSpec, mask, b) -> np.ndarray:
 
 
 def _spacetime_rows(x, t, window: Window, grid: GridSpec, b_s, b_t):
-    """Corrected kernel rows on a space-time grid of the events (x, t).
+    """Corrected kernel factor rows on a space-time grid of the events (x, t).
 
-    Returns S (n, nx*ny), each event's spatial kernel divided by its
-    correction, T (n, nt), the same for the temporal kernel, the scaled
-    spatial factors gx / (e_s * cell area) and gy whose products make up
-    S, the corrections e_s and e_t, and the spatial raster (None if
-    unmasked).  No bandwidth or underflow check is made here.
+    Returns the scaled spatial factors gx / (e_s * cell area) (n, nx) and
+    gy (n, ny), whose outer products :func:`_spatial_kernel_rows` makes
+    into each event's spatial kernel divided by its correction, T (n, nt),
+    the same for the temporal kernel, the corrections e_s and e_t, and the
+    spatial raster (None if unmasked).  No bandwidth or underflow check is
+    made here.
     """
     nx, ny, nt = grid.shape
     spatial = GridSpec.spatial(window, nx, ny)
@@ -190,18 +195,20 @@ def _spacetime_rows(x, t, window: Window, grid: GridSpec, b_s, b_t):
     gx, gy, e_s = _spatial_rows(x, spatial, mask, b_s)
     e_t = temporal_corrections(t, window, b_t)
     gx /= e_s[:, None] * spatial.cell_volume
-    S = (gx[:, :, None] * gy[:, None, :]).reshape(len(x), nx * ny)
     T = _gauss_factors(t, grid.centers(2), 1.0, b_t)
     T /= e_t[:, None]
-    return S, T, gx, gy, e_s, e_t, mask
+    return gx, gy, T, e_s, e_t, mask
 
 
-def _check_memory(rows, grid: GridSpec):
-    """Raise MemoryError, before any work, if ``rows`` events' space-time
-    rows S and T plus a field on the 3D grid need more than
-    ``_MEMORY_CAP_MB`` MB."""
-    nx, ny, nt = grid.shape
-    need_mb = (rows * (nx * ny + nt) + nx * ny * nt) * 8 / 1e6
+def _spatial_kernel_rows(gx, gy):
+    """S (m, nx*ny): the outer product of each event's factor rows, row-major."""
+    return (gx[:, :, None] * gy[:, None, :]).reshape(len(gx), gx.shape[1] * gy.shape[1])
+
+
+def _check_memory(cells):
+    """Raise MemoryError, before any work, if ``cells`` float64 values of
+    kernel rows, fields and curves need more than ``_MEMORY_CAP_MB`` MB."""
+    need_mb = cells * 8 / 1e6
     if need_mb > _MEMORY_CAP_MB:
         raise MemoryError(
             f"3D estimation needs about {need_mb:.0f} MB > cap {_MEMORY_CAP_MB:.0f} MB; "
@@ -399,7 +406,8 @@ def estimate_lambda_st(
         grid = GridSpec.spacetime(window, 64, 64, 250)
     nx, ny, nt = grid.shape
     blocks = _chunks(len(pattern), nx * ny + nt, _ROW_BLOCK_BYTES)
-    _check_memory(blocks[0].stop if blocks else 0, grid)  # the largest block
+    # the largest block's rows S and T, and the 3D field
+    _check_memory((blocks[0].stop if blocks else 0) * (nx * ny + nt) + nx * ny * nt)
     pi0 = 1.0 if retention is None else retention.pi0
     if len(pattern) == 0:
         warnings.warn("empty pattern: returning a zero intensity field")
@@ -409,12 +417,13 @@ def estimate_lambda_st(
     _check_resolvable(kernel_s.bandwidth, grid, (0, 1))
     values = np.zeros((nx * ny, nt))
     for rows in blocks:
-        S, T, gx, gy, e_s, e_t, mask2d = _spacetime_rows(
+        gx, gy, T, e_s, e_t, mask2d = _spacetime_rows(
             pattern.x[rows], pattern.t[rows], window, grid,
             kernel_s.bandwidth, kernel_t.bandwidth,
         )
         if (e_s < _MIN_CORRECTION).any() or (e_t < _MIN_CORRECTION).any():
             raise ValueError("edge-correction weight underflow at a data point")
+        S = _spatial_kernel_rows(gx, gy)
         cols = slice(None)
         if len(blocks) > 1:
             # a block of time-sorted events reaches only the time cells

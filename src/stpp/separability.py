@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import intensity
 from .core import GridSpec, SpaceTimePattern, substream
 from .inference import CurveSet, EnvelopeResult, combined_erl_test
-from .intensity import KernelSpec, _check_memory, _chunks, _spacetime_rows
+from .intensity import KernelSpec, _check_memory, _chunks, _spacetime_rows, _spatial_kernel_rows
 
 __all__ = ["separability_test"]
 
@@ -33,21 +34,32 @@ def _safe_ratio(num, den):
 class _SeparabilityEngine:
     """Shared kernel rows for the S_t / S_s curves of many pairings.
 
-    Reuses the corrected kernel rows of :func:`estimate_lambda_st` (built
-    by ``intensity._spacetime_rows``).  The spatial rows S depend only on
-    locations and the temporal rows T only on times, so a permutation
-    replicate just re-pairs rows, and the curves of a block of pairings
-    are two matrix products, one of which reads S once for the block.
-    The rows of all n events are held at once, so the same up-front
-    memory check as :func:`estimate_lambda_st` raises ``MemoryError``.
+    The spatial rows S depend only on locations and the temporal rows T
+    only on times, so a permutation replicate just re-pairs rows, and the
+    curves of a block of pairings are two matrix products, one of which
+    reads S once for the block.  The engine keeps the corrected factor
+    rows gx, gy and the rows T of all n events (``intensity._spacetime_rows``)
+    and builds S = gx ⊗ gy from them one block of events at a time, at
+    most ``intensity._ROW_BLOCK_BYTES``, as :func:`estimate_lambda_st` does:
+    once for u here and once per call of :meth:`curves`.  Its memory is
+    those rows, one S block and the curves of the ``pairings`` its caller
+    keeps; ``MemoryError`` is raised before any row is built when they need
+    more than ``intensity._MEMORY_CAP_MB``.  With n within one S block the
+    curves are the whole-rows products bit for bit; beyond it the S_s sums
+    over events are reordered over blocks (1e-13 relative by test).
     """
 
-    def __init__(self, pattern, kernel_s, kernel_t, grid):
+    def __init__(self, pattern, kernel_s, kernel_t, grid, pairings=1):
         window = pattern.window
         nx, ny, nt = grid.shape
         n = len(pattern)
-        _check_memory(n, grid)
-        self.S, self.T, gx, gy, _, _, mask2d = _spacetime_rows(
+        self.blocks = _chunks(n, nx * ny, intensity._ROW_BLOCK_BYTES)
+        _check_memory(
+            n * (nx + ny + nt)
+            + (self.blocks[0].stop if self.blocks else 0) * nx * ny
+            + pairings * (nx * ny + nt)
+        )
+        self.gx, self.gy, self.T, _, _, mask2d = _spacetime_rows(
             pattern.x, pattern.t, window, grid, kernel_s.bandwidth, kernel_t.bandwidth
         )
         if mask2d is None:
@@ -55,17 +67,18 @@ class _SeparabilityEngine:
         self.mask2d = mask2d
         cell_area = grid.step[0] * grid.step[1]
         area = mask2d.sum() * cell_area
-        lam_s_flat = np.where(mask2d, gx.T @ gy, 0.0).ravel()
+        lam_s_flat = np.where(mask2d, self.gx.T @ self.gy, 0.0).ravel()
         w_s = np.zeros_like(lam_s_flat)
         np.divide(cell_area * n / area, lam_s_flat, out=w_s, where=lam_s_flat > 0)
-        self.u = self.S @ w_s
+        self.u = np.empty(n)
+        for rows in self.blocks:
+            self.u[rows] = _spatial_kernel_rows(self.gx[rows], self.gy[rows]) @ w_s
         lam_t = self.T.sum(axis=0)
         w_t = np.zeros(nt)
         np.divide(grid.step[2] * n / window.duration, lam_t, out=w_t, where=lam_t > 0)
         self.v = self.T @ w_t
         self.inv_lam_t = _safe_ratio(np.ones(nt), lam_t)
         self.inv_lam_s = _safe_ratio(np.ones(nx * ny), lam_s_flat)
-        self.t_args = grid.centers(2)
 
     def curves(self, perms):
         """S_t (k, nt) and in-mask S_s (k, cells) curves of k pairings; row
@@ -74,7 +87,10 @@ class _SeparabilityEngine:
         scattered[np.arange(len(perms))[:, None], perms] = self.u
         s_t = (scattered @ self.T) * self.inv_lam_t
         del scattered  # so at most one (k, n) float array is alive
-        s_s = (self.v[perms] @ self.S) * self.inv_lam_s
+        s_s = np.zeros((len(perms), len(self.inv_lam_s)))
+        for rows in self.blocks:
+            s_s += self.v[perms[:, rows]] @ _spatial_kernel_rows(self.gx[rows], self.gy[rows])
+        s_s *= self.inv_lam_s
         return s_t, s_s[:, self.mask2d.ravel()]
 
 
@@ -96,16 +112,20 @@ def separability_test(
     """
     if grid is None:
         grid = GridSpec.spacetime(pattern.window, 32, 32, 100)
-    engine = _SeparabilityEngine(pattern, kernel_s, kernel_t, grid)
+    engine = _SeparabilityEngine(pattern, kernel_s, kernel_t, grid, pairings=B + 1)
     n = len(pattern)
+    nx, ny, nt = grid.shape
+    s_t = np.empty((B + 1, nt))
+    s_s = np.empty((B + 1, np.count_nonzero(engine.mask2d)))
     # row 0 is the observed pairing and row 1 + b the permutation drawn
-    # from substream b; blocks of rows keep each (rows, n) array in a chunk
-    blocks = [
-        engine.curves(np.array([substream(seed, b - 1).permutation(n) if b else np.arange(n)
-                                for b in range(rows.start, rows.stop)]))
-        for rows in _chunks(B + 1, max(n, 1))
-    ]
-    s_t, s_s = (np.vstack(parts) for parts in zip(*blocks))
-    cs_t = CurveSet(engine.t_args, s_t[0], s_t[1:])
+    # from substream b; blocks of rows keep each (rows, n) array and each
+    # block's (rows, nx*ny) curves in one row block
+    for rows in _chunks(B + 1, max(n, nx * ny + nt), intensity._ROW_BLOCK_BYTES):
+        perms = np.empty((rows.stop - rows.start, n), dtype=np.intp)
+        for i, b in enumerate(range(rows.start, rows.stop)):
+            perms[i] = substream(seed, b - 1).permutation(n) if b else np.arange(n)
+        s_t[rows], s_s[rows] = engine.curves(perms)
+    del engine, perms  # the envelope test needs only the curves
+    cs_t = CurveSet(grid.centers(2), s_t[0], s_t[1:])
     cs_s = CurveSet(np.arange(s_s.shape[1], dtype=float), s_s[0], s_s[1:])
     return combined_erl_test([cs_t, cs_s], alpha=alpha)

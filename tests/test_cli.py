@@ -33,6 +33,14 @@ def write_config(tmp_path, name="config.json", **overrides):
     return path, cfg
 
 
+@pytest.fixture(scope="module")
+def catalogue_200k(tmp_path_factory):
+    """A Poisson catalogue of about 2·10^5 events in the unit window."""
+    tmp_path = tmp_path_factory.mktemp("catalogue")
+    _, cfg = write_config(tmp_path, simulate={"lambda": 201_000})
+    return run(cfg, "simulate") / "pattern.csv"
+
+
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
@@ -711,18 +719,20 @@ class TestMain:
             raise AssertionError("kernel rows built")
 
         monkeypatch.setattr("stpp.separability._spacetime_rows", built)
+        monkeypatch.setattr("stpp.separability._spatial_kernel_rows", built)
         monkeypatch.setattr("stpp.separability.substream", built)
         _, cfg = write_config(tmp_path, simulate={"lambda": 600})
         cfg["output_dir"] = str(tmp_path / "data")
         out = run(cfg, "simulate")
-        # 600 events' rows on a 700 x 700 spatial grid need about 2.4 GB
+        # the 300 pairings' curves on a 1000 x 1000 spatial grid need about
+        # 2.4 GB; the events' factor rows and one S block need 17 MB
         cfg_path, _ = write_config(
             tmp_path, name="sep.json",
             input=str(out / "pattern.csv"),
             output_dir=str(tmp_path / "sep"),
             pi0=1.0,
-            test={"B": 19},
-            grids={"spacetime": [700, 700, 10]},
+            test={"B": 299},
+            grids={"spacetime": [1000, 1000, 10]},
             bandwidth={"temporal": 0.05, "spatial": 0.1},
         )
         assert main(["separability", "--config", str(cfg_path)]) == 2
@@ -1039,6 +1049,34 @@ class TestMain:
         assert report["n_events"] >= 20_000
         assert report["integral_s"] == pytest.approx(report["n_events"], rel=1e-9)
         assert report["pi0"] == 0.025 and report["bandwidth_spatial"] > 0
+
+    @pytest.mark.parametrize("task", ["separability", "ripley-k"])
+    def test_task_at_defaults_on_200000_events(self, tmp_path, catalogue_200k, task):
+        # no bandwidth, grids, pi0 or test.B keys: the 2.5% subsample, its
+        # Sheather-Jones and double-thinned CV bandwidths (repeats of about
+        # 125 points) and B = 199 run as the README describes
+        cfg_path, _ = write_config(tmp_path, input=str(catalogue_200k))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([task, "--config", str(cfg_path)]) == 0
+        assert not [w for w in caught if "discarded" in str(w.message)]
+        out = tmp_path / "out"
+        report = json.loads((out / "report.json").read_text())
+        assert report["n_events"] >= 200_000 and report["pi0"] == 0.025
+        assert report["B"] == 199
+        p_values = report.get("p_values", [report["p_value"]])
+        assert report["p_value"] == p_values[0]
+        for p in p_values:
+            assert 1 <= round(200 * p) <= 200 and 200 * p == pytest.approx(round(200 * p))
+        if task == "separability":
+            assert report["bandwidth_spatial"] > 0 and report["bandwidth_temporal"] > 0
+            curves = ["curves_St.csv", "curves_Ss.csv"]
+        else:
+            assert "bandwidth_spatial" not in report  # a constant intensity by default
+            curves = ["curves_Kt.csv", "curves_Ks.csv"]
+        for name in curves:
+            rows = read_csv(out / name)
+            assert rows[0] == ["arg", "observed", "lo", "hi"] and len(rows) > 2
 
     def test_input_directory_exits_2(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path, input=str(tmp_path), test={"B": 19})

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,6 +123,48 @@ def oracle_curves(pat, ks, kt, grid, perms):
     return np.array(s_t), np.array(s_s)
 
 
+class WholeRowsEngine:
+    """The separability engine as it was before its spatial rows S were
+    built per row block: S (n, nx*ny) of all events built at once and held.
+    Test-only oracle of the blocked engine."""
+
+    def __init__(self, pattern, kernel_s, kernel_t, grid):
+        window = pattern.window
+        nx, ny, nt = grid.shape
+        n = len(pattern)
+        gx, gy, self.T, _, _, mask2d = intensity._spacetime_rows(
+            pattern.x, pattern.t, window, grid, kernel_s.bandwidth, kernel_t.bandwidth
+        )
+        self.S = (gx[:, :, None] * gy[:, None, :]).reshape(n, nx * ny)
+        if mask2d is None:
+            mask2d = np.ones((nx, ny), dtype=bool)
+        self.mask2d = mask2d
+        cell_area = grid.step[0] * grid.step[1]
+        area = mask2d.sum() * cell_area
+        lam_s_flat = np.where(mask2d, gx.T @ gy, 0.0).ravel()
+        w_s = np.zeros_like(lam_s_flat)
+        np.divide(cell_area * n / area, lam_s_flat, out=w_s, where=lam_s_flat > 0)
+        self.u = self.S @ w_s
+        lam_t = self.T.sum(axis=0)
+        w_t = np.zeros(nt)
+        np.divide(grid.step[2] * n / window.duration, lam_t, out=w_t, where=lam_t > 0)
+        self.v = self.T @ w_t
+        self.inv_lam_t = separability._safe_ratio(np.ones(nt), lam_t)
+        self.inv_lam_s = separability._safe_ratio(np.ones(nx * ny), lam_s_flat)
+
+    def curves(self, perms):
+        scattered = np.zeros(perms.shape)
+        scattered[np.arange(len(perms))[:, None], perms] = self.u
+        s_t = (scattered @ self.T) * self.inv_lam_t
+        s_s = (self.v[perms] @ self.S) * self.inv_lam_s
+        return s_t, s_s[:, self.mask2d.ravel()]
+
+
+def pairings(n, B, seed):
+    """The observed pairing and the B permutations of ``separability_test``."""
+    return np.array([np.arange(n)] + [substream(seed, b).permutation(n) for b in range(B)])
+
+
 class TestComputeS:
     def test_exact_separable_plugin_is_one(self):
         pat = simulate_poisson(IntensityModel.const(600), UNIT, 0)
@@ -233,7 +276,7 @@ class TestEngine:
         n = len(pat)
         grid = GridSpec.spacetime(window, 8, 10, 16)
         ks, kt = KernelSpec(0.12), KernelSpec(0.08)
-        monkeypatch.setattr(intensity, "_CHUNK_BYTES", 3 * 8 * n)
+        monkeypatch.setattr(intensity, "_ROW_BLOCK_BYTES", 3 * 8 * n)
         calls, sets = [], []
         engine_curves = _SeparabilityEngine.curves
 
@@ -262,7 +305,7 @@ class TestEngine:
         grid = GridSpec.spacetime(window, 8, 10, 16)
         ks, kt = KernelSpec(0.12), KernelSpec(0.08)
         if rows:
-            monkeypatch.setattr(intensity, "_CHUNK_BYTES", rows * 8 * n)
+            monkeypatch.setattr(intensity, "_ROW_BLOCK_BYTES", rows * 8 * n)
         res = separability_test(pat, ks, kt, B=39, grid=grid, seed=18)
         perms = [np.arange(n)] + [substream(18, b).permutation(n) for b in range(39)]
         s_t, s_s = oracle_curves(pat, ks, kt, grid, perms)
@@ -271,6 +314,79 @@ class TestEngine:
             CurveSet(np.arange(s_s.shape[1], dtype=float), s_s[0], s_s[1:]),
         ], alpha=0.05)
         assert res.p_value == oracle.p_value
+
+
+class TestRowBlocks:
+    """The engine that builds S per row block against the whole-rows engine."""
+
+    GRID = (10, 14, 22)
+
+    @pytest.mark.parametrize("window", [UNIT, POLYGON], ids=["rectangle", "polygon"])
+    def test_one_block_equals_whole_rows(self, window):
+        pat = simulate_poisson(IntensityModel.const(700), window, 19)
+        grid = GridSpec.spacetime(window, *self.GRID)
+        eng = _SeparabilityEngine(pat, KS, KT, grid)
+        assert len(eng.blocks) == 1
+        oracle = WholeRowsEngine(pat, KS, KT, grid)
+        assert np.array_equal(eng.u, oracle.u) and np.array_equal(eng.v, oracle.v)
+        perms = pairings(len(pat), 9, 20)
+        for got, want in zip(eng.curves(perms), oracle.curves(perms), strict=True):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("window", [UNIT, POLYGON], ids=["rectangle", "polygon"])
+    @pytest.mark.parametrize("rows", [1, 2, 7, 64])
+    def test_blocks_agree_with_whole_rows(self, monkeypatch, window, rows):
+        pat = simulate_poisson(IntensityModel.const(700), window, 19)
+        nx, ny, _ = self.GRID
+        monkeypatch.setattr(intensity, "_ROW_BLOCK_BYTES", rows * 8 * nx * ny)
+        grid = GridSpec.spacetime(window, *self.GRID)
+        eng = _SeparabilityEngine(pat, KS, KT, grid)
+        assert len(eng.blocks) == -(-len(pat) // rows)
+        oracle = WholeRowsEngine(pat, KS, KT, grid)
+        np.testing.assert_allclose(eng.u, oracle.u, rtol=1e-13, atol=0)
+        perms = pairings(len(pat), 9, 20)
+        for got, want in zip(eng.curves(perms), oracle.curves(perms), strict=True):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("window", [UNIT, POLYGON], ids=["rectangle", "polygon"])
+    @pytest.mark.parametrize("budget", [None, 5 * 8 * 140, 48 * 8 * 140, 8 * 8 * 700])
+    def test_p_values_equal_whole_rows(self, monkeypatch, window, budget):
+        pat = simulate_poisson(IntensityModel.const(500), window, 21)
+        grid = GridSpec.spacetime(window, *self.GRID)
+        if budget:
+            monkeypatch.setattr(intensity, "_ROW_BLOCK_BYTES", budget)
+        res = separability_test(pat, KS, KT, B=39, grid=grid, seed=22)
+        s_t, s_s = WholeRowsEngine(pat, KS, KT, grid).curves(pairings(len(pat), 39, 22))
+        oracle = combined_erl_test([
+            CurveSet(grid.centers(2), s_t[0], s_t[1:]),
+            CurveSet(np.arange(s_s.shape[1], dtype=float), s_s[0], s_s[1:]),
+        ], alpha=0.05)
+        assert res.p_value == oracle.p_value
+
+    def test_memory_is_one_block_plus_factor_rows_and_curves(self, monkeypatch):
+        # about 2000 events on a 40 x 40 grid: S whole is 26 MB; in blocks
+        # of 100 events the engine holds 1.5 MB of factor and T rows and
+        # builds one 1.3 MB S block at a time
+        pat = simulate_poisson(IntensityModel.const(2000), UNIT, 23)
+        n = len(pat)
+        nx, ny, nt = 40, 40, 10
+        monkeypatch.setattr(intensity, "_ROW_BLOCK_BYTES", 100 * 8 * nx * ny)
+        grid = GridSpec.spacetime(UNIT, nx, ny, nt)
+        perms = pairings(n, 4, 24)
+        tracemalloc.start()
+        try:
+            eng = _SeparabilityEngine(pat, KS, KT, grid, pairings=len(perms))
+            eng.curves(perms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(eng.blocks) > 10
+        # factor and T rows, one S block and the curves, plus O(n) and
+        # grid-sized work vectors; about 3.0 MB of the 3.4 MB bound here,
+        # 27.6 MB with S whole
+        held = n * (nx + ny + nt) + 100 * nx * ny + len(perms) * (nx * ny + nt)
+        bound = 8 * (held + 20 * n + 20 * nx * ny)
+        assert peak < bound < 8 * n * nx * ny / 4
 
 
 class TestPermuteNull:
