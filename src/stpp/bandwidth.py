@@ -25,9 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridSpec, SpatialPattern, TemporalPattern, substream
+from .core import GridSpec, SpatialPattern, TemporalPattern, _blocks, substream
 from .simulate import RetentionSpec, thin_spatial
-from . import intensity
 from .intensity import _MIN_CORRECTION, _spatial_corrections
 
 __all__ = [
@@ -139,7 +138,7 @@ def _fold_lambdas(xy, e, fold_ids, candidates):
     intensity at the points of fold f from all other points at bandwidth
     ``candidates[js][i]``, equal bit for bit to ``cvl_loss``'s.  One
     ``exp`` per block of candidates covers a fold, the candidates of a
-    block being as many as fit ``_CHUNK_BYTES`` of train x test kernel
+    block being as many as fit ``core._BLOCK_BYTES`` of train x test kernel
     values; the products keep one vector-matrix product per candidate.
     """
     hold = np.zeros(len(xy), dtype=bool)
@@ -150,9 +149,7 @@ def _fold_lambdas(xy, e, fold_ids, candidates):
         # compress keeps C order; a strided row of e[:, ~hold] would take
         # another BLAS path for its product, with other last bits
         w = 1.0 / e.compress(~hold, axis=1)
-        size = max(1, intensity._CHUNK_BYTES // h.nbytes)
-        for start in range(0, len(candidates), size):
-            js = slice(start, start + size)
+        for js in _blocks(len(candidates), h.nbytes):
             c = candidates[js, None, None]
             k = h / (c * c)
             np.exp(k, out=k)
@@ -174,7 +171,7 @@ def select_bandwidth_spatial(pattern: SpatialPattern, search: BandwidthSearch) -
     depends only on its own position, so they serve the training set of
     every fold), and ``_fold_lambdas`` the held-out intensities.  Memory
     peaks at a fold's train x test distances plus one block of kernel
-    values, at most ``_CHUNK_BYTES`` unless one candidate's exceeds it.
+    values, at most ``core._BLOCK_BYTES`` unless one candidate's exceeds it.
     """
     window = pattern.window
     grid = search.grid or GridSpec.spatial(window, 128, 128)

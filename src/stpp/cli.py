@@ -25,7 +25,6 @@ import json
 import math
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from functools import partial
@@ -41,7 +40,7 @@ from .bandwidth import (
     select_bandwidth_spatial,
     select_bandwidth_temporal,
 )
-from .core import GridSpec, SpaceTimePattern, Window, project, substream
+from .core import GridSpec, SpaceTimePattern, Window, parallel_map, project, substream
 from .homogenize import HomogenizeConfig, homogenize
 from .inference import CurveSet, combined_erl_test
 from .intensity import KernelSpec, estimate_lambda_s, estimate_lambda_st, estimate_lambda_t
@@ -335,19 +334,6 @@ def _write_field_3d(path, field) -> None:
 # ---------------------------------------------------------------- pipeline
 
 
-def parallel_map(fn, n_items: int, threads: int):
-    """Index-ordered map over a thread pool; results merge by index."""
-    results = [None] * n_items
-    if threads <= 1:
-        for i in range(n_items):
-            results[i] = fn(i)
-        return results
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for i, res in enumerate(pool.map(fn, range(n_items))):
-            results[i] = res
-    return results
-
-
 def _config_hash(config: dict) -> str:
     blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
@@ -633,10 +619,11 @@ def _task_intensity(pattern, cfg, seed, report, out_dir, outputs):
 def _task_separability(pattern, cfg, seed, report, out_dir, outputs):
     B, alpha = cfg["test.B"], cfg["test.alpha"]
     # the analysis can be repeated on several independent subsamples to
-    # check the robustness of the conclusion; curves come from the first
+    # check the robustness of the conclusion; curves, bandwidths and the
+    # subsample size come from the first
     p_values = []
     for v in range(cfg["versions"]):
-        sub, _ = _thinned(pattern, cfg, (seed, v), report)
+        sub, _ = _thinned(pattern, cfg, (seed, v), report if v == 0 else {})
         b_s, b_t = _bandwidths(sub, cfg, seed)
         grid = GridSpec.spacetime(sub.window, *(cfg["grids.spacetime"] or (32, 32, 100)))
         res = separability_test(
@@ -746,7 +733,9 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON pipeline configuration")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument(
-        "--threads", help="worker threads for replicate farms (env STPP_THREADS, default 1)"
+        "--threads",
+        help="worker threads for ripley-k's replicate farm (env STPP_THREADS, default 1); "
+        "the Voronoi owner raster runs on os.cpu_count() threads whatever this says",
     )
     parser.add_argument("--force", action="store_true", help="overwrite existing outputs")
     parser.add_argument("--skip-bad", action="store_true", help="skip malformed input rows")

@@ -128,12 +128,40 @@ class VoronoiRegionMask:
     def raster(self, xs, ys) -> np.ndarray:
         if np.array_equal(xs, self._raster_xs) and np.array_equal(ys, self._raster_ys):
             return self._raster_mask
-        return self.member[_owner_grid(self._tree, xs, ys, None, _RASTER_BLOCK)]
+        return self.member[_owner_grid(self._tree, xs, ys, None)]
 
 
-# raster cells per row block of an owner grid; small blocks keep what each
-# worker thread allocates, and its allocator then holds, to a few MB
-_RASTER_BLOCK = 1 << 17
+# bytes of scratch that each blocked loop (λ_s, λ_t, λ_st, the Diggle
+# corrections, the spatial CV, the separability engine and the owner
+# search) builds at a time.  On 25000 events lambda_st took about 15%
+# longer with 2 MiB blocks and 6% longer with 128 MiB ones, which also
+# cost 128 MiB of memory; small blocks also keep what each owner-search
+# thread allocates, and its allocator then holds, to a few MB
+_BLOCK_BYTES = 1 << 23
+
+
+def _blocks(n, row_bytes) -> list[slice]:
+    """Slices covering range(n) in order, each of as many rows of
+    ``row_bytes`` bytes as fit ``_BLOCK_BYTES``, and at least one."""
+    step = max(1, _BLOCK_BYTES // row_bytes)
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+
+
+def parallel_map(fn, n_items: int, threads: int):
+    """Index-ordered map over a thread pool; results merge by index."""
+    results = [None] * n_items
+    if threads <= 1:
+        for i in range(n_items):
+            results[i] = fn(i)
+        return results
+    with ThreadPoolExecutor(threads) as pool:
+        for i, res in enumerate(pool.map(fn, range(n_items))):
+            results[i] = res
+    return results
+
+
+# bytes of the owner search's scratch per raster cell (its ~50, rounded up)
+_RASTER_CELL_BYTES = 64
 # side of the square tiles whose owners _nearest_owners resolves together,
 # and how many generators nearest a tile's centre it fetches
 _TILE = 4
@@ -142,8 +170,6 @@ _TILE_CANDIDATES = 16
 # under which a cell's two best squared distances count as a tie
 _RADIUS_SLACK = 1e-9
 _TIE_MARGIN = 1e-12
-# cell x candidate squared distances evaluated at a time
-_EVAL_BLOCK = 1 << 18
 
 
 def _nearest_owners(tree, xs, ys, inside) -> np.ndarray:
@@ -173,8 +199,8 @@ def _nearest_owners(tree, xs, ys, inside) -> np.ndarray:
 
     Memory: besides the grid, about 50 bytes per cell (the tiles' k
     nearest neighbours, the owners and the cells left to query) and at
-    most ``_EVAL_BLOCK`` squared distances at a time.  Queries run on one
-    thread, so callers may run blocks in parallel.
+    most ``_BLOCK_BYTES`` of squared distances at a time.  Queries run on
+    one thread, so callers may run blocks in parallel.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -227,9 +253,9 @@ def _resolve_tiles(tree, xs, ys, ri, ci, cx, cy, r, k, owners, pending):
     data = tree.data
     for length in np.unique(prefix[resolved & (prefix > 1)]):
         tiles = np.flatnonzero(resolved & (prefix == length))
-        step = max(1, _EVAL_BLOCK // (_TILE * _TILE * length))
-        for s in range(0, len(tiles), step):
-            t = tiles[s:s + step]
+        # 32 bytes per cell and candidate: dx, dy and sq
+        for block in _blocks(len(tiles), 32 * _TILE * _TILE * length):
+            t = tiles[block]
             cand = idx[t, :length].T
             dx = data[cand, 0][:, :, None, None] - xs[ri[t]][None, :, :, None]
             dy = data[cand, 1][:, :, None, None] - ys[ci[t]][None, :, None, :]
@@ -247,13 +273,14 @@ def _resolve_tiles(tree, xs, ys, ri, ci, cx, cy, r, k, owners, pending):
             pending[rows[tie], cols[tie]] = True
 
 
-def _owner_grid(tree, xs, ys, inside, block_cells) -> np.ndarray:
+def _owner_grid(tree, xs, ys, inside) -> np.ndarray:
     """``_nearest_owners`` of a whole grid, in blocks of whole rows.
 
-    Blocks of about ``block_cells`` cells run on ``os.cpu_count()`` threads,
-    the count ``workers=-1`` uses; each queries on one thread, so its numpy
-    work runs in parallel too.  Every block writes its own rows, so the
-    grid does not depend on the thread count.
+    Blocks of ``_BLOCK_BYTES`` at 64 bytes a cell run through
+    :func:`parallel_map` on ``os.cpu_count()`` threads, the count
+    ``workers=-1`` uses; each queries on one thread, so its numpy work runs
+    in parallel too.  Every block writes its own rows, so the grid does
+    not depend on the thread count.
 
     The grid is int32, half the bytes of an intp one.  Its indices fit
     below 2^31 generators; that many would hold 32 GB of coordinates in
@@ -264,14 +291,14 @@ def _owner_grid(tree, xs, ys, inside, block_cells) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     owners = np.empty((len(xs), len(ys)), dtype=np.int32)
-    step = max(1, block_cells // len(ys))
+    blocks = _blocks(len(xs), _RASTER_CELL_BYTES * len(ys))
 
-    def assign(rows):
+    def assign(i):
+        rows = blocks[i]
         block = None if inside is None else inside[rows]
         owners[rows] = _nearest_owners(tree, xs[rows], ys, block)
 
-    with ThreadPoolExecutor(os.cpu_count() or 1) as pool:
-        list(pool.map(assign, [slice(s, s + step) for s in range(0, len(xs), step)]))
+    parallel_map(assign, len(blocks), os.cpu_count() or 1)
     return owners
 
 

@@ -23,15 +23,15 @@ separability engine and the spatial bandwidth selector reuse them rather
 than rebuilding the kernel.
 
 Memory: the kernel estimators sum over events one block of rows at a
-time, a block being as many events as fit ``_ROW_BLOCK_BYTES`` (8 MiB) of
-their kernel rows, so each needs one block of rows plus its grid whatever
-n is.  The corrections alone (``_spatial_corrections``, which the spatial
-bandwidth selector uses) come from the same pass as an O(n) vector, or a
-(k, n) array for k bandwidths at once, in blocks of at most
-``_CORRECTION_BYTES``.  The separability engine, whose permutations
-re-pair the events' rows, keeps only the factor rows gx, gy and the
-temporal rows T of all events, O(n (nx + ny + nt)), and builds the
-spatial rows from them one ``_ROW_BLOCK_BYTES`` block at a time.  It and
+time, a block being as many events as fit ``core._BLOCK_BYTES`` (8 MiB)
+of their kernel rows (``core._blocks``), so each needs one block of rows
+plus its grid whatever n is.  The corrections alone
+(``_spatial_corrections``, which the spatial bandwidth selector uses) come
+from the same pass as an O(n) vector, or a (k, n) array for k bandwidths
+at once, in blocks of the same budget.  The separability engine, whose
+permutations re-pair the events' rows, keeps only the factor rows gx, gy
+and the temporal rows T of all events, O(n (nx + ny + nt)), and builds the
+spatial rows from them one such block at a time.  It and
 ``estimate_lambda_st`` check their need against ``_MEMORY_CAP_MB`` up
 front and raise ``MemoryError`` before building rows.
 With n at most one block the sums are the unblocked ones bit for bit;
@@ -54,7 +54,8 @@ from .core import (
     SpatialPattern,
     TemporalPattern,
     Window,
-    _RASTER_BLOCK,
+    _RASTER_CELL_BYTES,
+    _blocks,
     _owner_grid,
 )
 
@@ -72,22 +73,6 @@ __all__ = [
 ]
 
 _MIN_CORRECTION = 1e-12
-
-# bytes of per-event kernel rows the first-order estimators build at a
-# time; their sums over events run one block of rows at a time.  On 25000
-# events lambda_st took about 15% longer with 2 MiB blocks and 6% longer
-# with 128 MiB ones, which also cost 128 MiB of memory
-_ROW_BLOCK_BYTES = 1 << 23
-
-# bytes of kernel rows the corrections pass builds at a time, if less than
-# _ROW_BLOCK_BYTES: each block is reduced to one number per row at once, so
-# small blocks keep a batch of bandwidths' rows small; the spatial CV took
-# 1-3% longer with 8 MiB blocks, so this stays apart from _ROW_BLOCK_BYTES
-_CORRECTION_BYTES = 1 << 21
-
-# bytes of other per-block work sized by _chunks: the spatial CV's blocks of
-# candidates and the separability engine's blocks of permutations
-_CHUNK_BYTES = 1 << 27
 
 # cap on the memory of space-time kernel rows and a 3D field
 _MEMORY_CAP_MB = 2048.0
@@ -113,13 +98,6 @@ class IntensityEstimate:
 
     def integrate(self) -> float:
         return self.field.integrate()
-
-
-def _chunks(n, width, budget=None):
-    """Slices covering range(n), each of at most as many rows as fit
-    ``budget`` (default ``_CHUNK_BYTES``) of float64 rows ``width`` cells wide."""
-    rows = max(1, (budget or _CHUNK_BYTES) // (8 * width))
-    return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
 
 
 def _gauss_factors(points_1d, centers, step, b):
@@ -168,7 +146,7 @@ def _spatial_corrections(xy, grid: GridSpec, mask, b) -> np.ndarray:
     """
     e = np.empty(np.shape(b) + (len(xy),))
     width = np.size(b) * (grid.shape[0] + grid.shape[1])
-    chunks = _chunks(len(xy), width, min(_ROW_BLOCK_BYTES, _CORRECTION_BYTES))
+    chunks = _blocks(len(xy), 8 * width)
     if len(chunks) > 1 and chunks[-1].start == len(xy) - 1:
         # a one-row block takes numpy's vector-matrix product, whose sums
         # differ in the last bit from the matrix product's that every
@@ -330,7 +308,7 @@ def estimate_lambda_s(
         Evaluation grid (default 256 x 256 over the window).
 
     Memory is one block of (m, nx + ny) factor rows, at most
-    ``_ROW_BLOCK_BYTES``, plus the grid.
+    ``core._BLOCK_BYTES``, plus the grid.
     """
     window = pattern.window
     if grid is None:
@@ -342,7 +320,7 @@ def estimate_lambda_s(
     _check_resolvable(kernel.bandwidth, grid, (0, 1))
     mask = window.raster(grid)
     values = np.zeros(grid.shape)
-    for rows in _chunks(len(pattern), grid.shape[0] + grid.shape[1], _ROW_BLOCK_BYTES):
+    for rows in _blocks(len(pattern), 8 * (grid.shape[0] + grid.shape[1])):
         gx, gy, e = _spatial_rows(pattern.points[rows], grid, mask, kernel.bandwidth)
         if (e < _MIN_CORRECTION).any():
             raise ValueError("edge-correction weight underflow at a data point")
@@ -362,7 +340,7 @@ def estimate_lambda_t(
 
     The correction uses the exact Gaussian interval mass; the default grid
     has 1000 cells over the observation period.  Memory is one block of
-    (m, nt) kernel rows, at most ``_ROW_BLOCK_BYTES``, plus the grid and the
+    (m, nt) kernel rows, at most ``core._BLOCK_BYTES``, plus the grid and the
     O(n) corrections.
     """
     window = pattern.window
@@ -376,7 +354,7 @@ def estimate_lambda_t(
     if (e < _MIN_CORRECTION).any():
         raise ValueError("edge-correction weight underflow at a data point")
     values = np.zeros(grid.shape)
-    for rows in _chunks(len(pattern), grid.shape[0], _ROW_BLOCK_BYTES):
+    for rows in _blocks(len(pattern), 8 * grid.shape[0]):
         # density values; each block's rows are freed before the next is built
         values += (1.0 / e[rows]) @ _gauss_factors(pattern.times[rows], grid.centers(0), 1.0, b)
     return IntensityEstimate(ScalarField(grid, values))
@@ -398,14 +376,14 @@ def estimate_lambda_st(
     the parent intensity.
 
     Memory is one block of (m, nx*ny + nt) kernel rows, at most
-    ``_ROW_BLOCK_BYTES``, plus the 3D grid; when those need more than
+    ``core._BLOCK_BYTES``, plus the 3D grid; when those need more than
     ``_MEMORY_CAP_MB`` MB, ``MemoryError`` is raised before any work.
     """
     window = pattern.window
     if grid is None:
         grid = GridSpec.spacetime(window, 64, 64, 250)
     nx, ny, nt = grid.shape
-    blocks = _chunks(len(pattern), nx * ny + nt, _ROW_BLOCK_BYTES)
+    blocks = _blocks(len(pattern), 8 * (nx * ny + nt))
     # the largest block's rows S and T, and the 3D field
     _check_memory((blocks[0].stop if blocks else 0) * (nx * ny + nt) + nx * ny * nt)
     pi0 = 1.0 if retention is None else retention.pi0
@@ -490,10 +468,11 @@ def voronoi_intensity(
     Owners come from ``core._nearest_owners`` and equal one
     ``cKDTree.query`` of every in-mask cell centre, exact ties included
     (see there for the argument).  The raster runs in blocks of whole rows,
-    about ``_RASTER_BLOCK`` cells each, on ``os.cpu_count()`` threads, and
-    does not depend on the thread count.  The owners are then counted one
-    such block at a time, which adds the integer counts exactly.  The
-    estimate's field is built on first access to ``.field``.
+    ``core._BLOCK_BYTES`` at 64 bytes a cell (2^17 cells), on
+    ``os.cpu_count()`` threads, and does not depend on the thread count.
+    The owners are then counted one such block at a time, which adds the
+    integer counts exactly.  The estimate's field is built on first access
+    to ``.field``.
 
     Memory: besides the k-d tree, about 50 bytes per cell of each running
     block, plus the int32 owner grid and the boolean mask: at 10^6 events
@@ -514,12 +493,11 @@ def voronoi_intensity(
     if mask is None:
         mask = np.ones(grid.shape, dtype=bool)
     tree = cKDTree(pattern.points)
-    assignment = _owner_grid(tree, xs, ys, mask, _RASTER_BLOCK)
+    assignment = _owner_grid(tree, xs, ys, mask)
     # cells outside the mask hold -1, which counts into the extra last slot
     counts = np.zeros(n + 1, dtype=np.int64)
-    step = max(1, _RASTER_BLOCK // resolution)
-    for start in range(0, resolution, step):
-        np.add.at(counts, assignment[start:start + step], 1)
+    for rows in _blocks(resolution, _RASTER_CELL_BYTES * resolution):
+        np.add.at(counts, assignment[rows], 1)
     areas = counts[:n] * grid.cell_volume
     with np.errstate(divide="ignore"):
         values = 1.0 / areas  # inf marks generators that captured no raster cell

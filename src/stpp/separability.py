@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import intensity
-from .core import GridSpec, SpaceTimePattern, substream
+from .core import GridSpec, SpaceTimePattern, _blocks, substream
 from .inference import CurveSet, EnvelopeResult, combined_erl_test
-from .intensity import KernelSpec, _check_memory, _chunks, _spacetime_rows, _spatial_kernel_rows
+from .intensity import KernelSpec, _check_memory, _spacetime_rows, _spatial_kernel_rows
 
 __all__ = ["separability_test"]
 
@@ -40,7 +39,7 @@ class _SeparabilityEngine:
     reads S once for the block.  The engine keeps the corrected factor
     rows gx, gy and the rows T of all n events (``intensity._spacetime_rows``)
     and builds S = gx ⊗ gy from them one block of events at a time, at
-    most ``intensity._ROW_BLOCK_BYTES``, as :func:`estimate_lambda_st` does:
+    most ``core._BLOCK_BYTES``, as :func:`estimate_lambda_st` does:
     once for u here and once per call of :meth:`curves`.  Its memory is
     those rows, one S block and the curves of the ``pairings`` its caller
     keeps; ``MemoryError`` is raised before any row is built when they need
@@ -53,7 +52,7 @@ class _SeparabilityEngine:
         window = pattern.window
         nx, ny, nt = grid.shape
         n = len(pattern)
-        self.blocks = _chunks(n, nx * ny, intensity._ROW_BLOCK_BYTES)
+        self.blocks = _blocks(n, 8 * nx * ny)
         _check_memory(
             n * (nx + ny + nt)
             + (self.blocks[0].stop if self.blocks else 0) * nx * ny
@@ -120,7 +119,7 @@ def separability_test(
     # row 0 is the observed pairing and row 1 + b the permutation drawn
     # from substream b; blocks of rows keep each (rows, n) array and each
     # block's (rows, nx*ny) curves in one row block
-    for rows in _chunks(B + 1, max(n, nx * ny + nt), intensity._ROW_BLOCK_BYTES):
+    for rows in _blocks(B + 1, 8 * max(n, nx * ny + nt)):
         perms = np.empty((rows.stop - rows.start, n), dtype=np.intp)
         for i, b in enumerate(range(rows.start, rows.stop)):
             perms[i] = substream(seed, b - 1).permutation(n) if b else np.arange(n)

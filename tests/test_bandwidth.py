@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from stpp import bandwidth, intensity
+from stpp import bandwidth, core, intensity
 from stpp.bandwidth import (
     BandwidthSearch,
     cvl_loss,
@@ -172,7 +172,7 @@ class TestSelectSpatial:
                 want[f, j] = lam, cvl_loss(train, b, eval_points=sub.points[hold], grid=grid)
 
         block = max(8 * (len(sub) - len(f)) * len(f) for f in folds)
-        monkeypatch.setattr(intensity, "_CHUNK_BYTES", group * block)
+        monkeypatch.setattr(core, "_BLOCK_BYTES", group * block)
         e = intensity._spatial_corrections(sub.points, grid, window.raster(grid), candidates)
         e = np.maximum(e, intensity._MIN_CORRECTION)
         seen = []

@@ -13,6 +13,7 @@ import pytest
 from stpp import cli
 from stpp.cli import EARTH_RADIUS_KM, build_window, emit_pattern, ingest, main, run
 from stpp.core import GridSpec, PolygonMask, ScalarField, SpaceTimePattern, SpatialPattern, Window
+from stpp.simulate import thin
 
 ROOT = Path(__file__).resolve().parent.parent
 UNIT = Window((0, 1), (0, 1), (0, 1))
@@ -544,6 +545,45 @@ class TestRun:
         assert 0 < report["p_value"] <= 1
         st = read_csv(tmp_path / "sep" / "curves_St.csv")
         assert len(st) == 31
+
+    def test_separability_reports_version_0_subsample(self, tmp_path, monkeypatch):
+        # with two versions the report's n_subsample is version 0's, the
+        # subsample its p_value, bandwidths and curves come from
+        _, cfg = write_config(tmp_path, simulate={"lambda": 600})
+        cfg["output_dir"] = str(tmp_path / "data")
+        out = run(cfg, "simulate")
+        sizes = []
+
+        def recorded_thin(*args, **kwargs):
+            sub = thin(*args, **kwargs)
+            sizes.append(len(sub))
+            return sub
+
+        monkeypatch.setattr(cli, "thin", recorded_thin)
+        reports = []
+        for versions in (1, 2):
+            cfg2 = {
+                "window": {"x1": [0, 1], "x2": [0, 1], "t": [0, 1]},
+                "input": str(out / "pattern.csv"),
+                "output_dir": str(tmp_path / f"sep{versions}"),
+                "pi0": 0.5,
+                "versions": versions,
+                "test": {"B": 19},
+                "grids": {"spacetime": [12, 12, 30]},
+                "bandwidth": {"temporal": 0.05, "spatial": 0.1},
+                "seed": 4,
+            }
+            run(cfg2, "separability")
+            reports.append(json.loads((tmp_path / f"sep{versions}" / "report.json").read_text()))
+        one, two = reports
+        assert len(sizes) == 3 and sizes[0] == sizes[1] != sizes[2]
+        assert one["n_subsample"] == two["n_subsample"] == sizes[0]
+        assert two["p_values"][0] == one["p_value"] and len(two["p_values"]) == 2
+        del one["p_values"], two["p_values"]
+        assert one == two
+        for name in ("curves_St.csv", "curves_Ss.csv"):
+            one, two = ((tmp_path / f"sep{v}" / name).read_bytes() for v in (1, 2))
+            assert one == two, name
 
     def test_intensity_task_at_default_search(self, tmp_path):
         _, cfg = write_config(tmp_path, simulate={"lambda": 2000})

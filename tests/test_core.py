@@ -252,3 +252,25 @@ def test_simulation_paths_keep_invariants():
     sub_sp = thin_spatial(sp, RetentionSpec.constant(0.3), 5)
     assert type(sub_sp) is SpatialPattern and not sub_sp.points.flags.writeable
     assert len(np.unique(sub_sp.points, axis=0)) == len(sub_sp)
+
+
+class TestBlocks:
+    def test_no_rows_give_no_block(self):
+        assert core._blocks(0, 8) == []
+
+    @pytest.mark.parametrize("n", [1, 7, 100, 1001])
+    @pytest.mark.parametrize("row_bytes", [1, 7, 8, 99, 100, 101, 4096])
+    def test_blocks_cover_rows_in_order_within_budget(self, monkeypatch, n, row_bytes):
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 100)
+        blocks = core._blocks(n, row_bytes)
+        assert [i for rows in blocks for i in range(n)[rows]] == list(range(n))
+        sizes = [rows.stop - rows.start for rows in blocks]
+        assert min(sizes) >= 1
+        # a block exceeds the budget only when it is one row that does
+        assert all(size * row_bytes <= 100 or size == 1 for size in sizes)
+        # and holds as many rows as fit: all but the last are full
+        assert all(size == max(1, 100 // row_bytes) for size in sizes[:-1])
+
+    def test_default_budget_is_8_mib(self):
+        assert core._blocks(1 << 20, 8) == [slice(0, 1 << 20)]
+        assert [rows.stop - rows.start for rows in core._blocks(3, 1 << 22)] == [2, 1]

@@ -6,7 +6,7 @@ import pytest
 import scipy.spatial
 from scipy.spatial import cKDTree
 
-from stpp import core, intensity
+from stpp import core
 from stpp.core import GridSpec, PolygonMask, ScalarField, SpatialPattern, Window, substream
 from stpp.homogenize import HomogenizeConfig, homogenize, level_set, minimize_loss
 from stpp.inference import quadrat_test
@@ -249,7 +249,8 @@ class TestHomogenize:
         finally:
             tracemalloc.stop()
         assert abs(report.retained - 500) <= 3 * math.sqrt(500)
-        bound = 8 * resolution**2 + 100 * intensity._RASTER_BLOCK
+        # 100 bytes per cell of one owner-search block of 2^17 cells
+        bound = 8 * resolution**2 + 100 * (core._BLOCK_BYTES // 64)
         assert peak < bound, (peak / 1e6, bound / 1e6)
 
     @pytest.mark.parametrize("window", [UNIT, POLYGON], ids=["rectangle", "polygon"])

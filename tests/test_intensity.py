@@ -280,7 +280,7 @@ class TestVoronoi:
     )
     @pytest.mark.parametrize("block", [1, 200, 1 << 20])
     def test_row_blocks_match_single_query(self, monkeypatch, window, block):
-        monkeypatch.setattr(intensity, "_RASTER_BLOCK", block)
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 64 * block)
         rng = substream(3, 9)
         xy = rng.uniform(size=(400, 2))
         # 400 uniform points plus generators on every 8th cell centre of
@@ -309,7 +309,7 @@ class TestVoronoi:
         # blocks of one and of two rows of the 53-row raster, the last
         # block short; a clump of 20 points within 1e-3 of a centre leaves
         # most of them no raster cell
-        monkeypatch.setattr(intensity, "_RASTER_BLOCK", block)
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 64 * block)
         rng = substream(4, 2)
         xy = rng.uniform(size=(300, 2))
         xy = np.vstack([xy, 0.5 + rng.uniform(-1e-3, 1e-3, size=(20, 2))])
@@ -476,14 +476,15 @@ class TestNearestOwners:
     def test_more_generators_than_int32_indices_raise(self):
         tree = types.SimpleNamespace(n=2**31)
         with pytest.raises(ValueError, match="int32"):
-            core._owner_grid(tree, np.arange(3.0), np.arange(3.0), None, 4)
+            core._owner_grid(tree, np.arange(3.0), np.arange(3.0), None)
 
     @WINDOWS
     def test_thread_count_does_not_change_the_grid(self, monkeypatch, window):
         # 67 cells per block: one row of the 67-cell raster each; eight
         # workers (more than the cores) switching threads every microsecond
-        # must not lose or mix any block's rows
-        monkeypatch.setattr(intensity, "_RASTER_BLOCK", 67)
+        # must not lose or mix any block's rows.  One worker takes
+        # parallel_map's serial path and starts no pool
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 64 * 67)
         pools = []
 
         class Pool(ThreadPoolExecutor):
@@ -502,7 +503,7 @@ class TestNearestOwners:
                 runs.append(assert_voronoi_matches_oracle(pat, 67))
         finally:
             sys.setswitchinterval(interval)
-        assert pools == [1, 3, 8]
+        assert pools == [3, 8]
         for run in runs[1:]:
             assert np.array_equal(run.assignment, runs[0].assignment)
             assert np.array_equal(run.areas, runs[0].areas)
@@ -565,7 +566,7 @@ def chunk_pattern(window, seed, n=400):
 
 # row-block byte budgets: one event per block, a few events per block on
 # the grids below, and the default (one block for every pattern here)
-BUDGETS = [1, 4000, intensity._ROW_BLOCK_BYTES]
+BUDGETS = [1, 4000, core._BLOCK_BYTES]
 
 
 class TestChunkedEstimators:
@@ -585,7 +586,7 @@ class TestChunkedEstimators:
     @pytest.mark.parametrize("window", [UNIT, POLYGON], ids=["rectangle", "polygon"])
     @pytest.mark.parametrize("budget", BUDGETS)
     def test_lambda_s(self, monkeypatch, window, budget):
-        monkeypatch.setattr(intensity, "_ROW_BLOCK_BYTES", budget)
+        monkeypatch.setattr(core, "_BLOCK_BYTES", budget)
         sp, _ = project(chunk_pattern(window, 1))
         grid = GridSpec.spatial(window, 40, 30)
         est = estimate_lambda_s(sp, KernelSpec(0.06), grid)
@@ -597,7 +598,7 @@ class TestChunkedEstimators:
 
     @pytest.mark.parametrize("budget", BUDGETS)
     def test_lambda_t(self, monkeypatch, budget):
-        monkeypatch.setattr(intensity, "_ROW_BLOCK_BYTES", budget)
+        monkeypatch.setattr(core, "_BLOCK_BYTES", budget)
         _, tp = project(chunk_pattern(UNIT, 2))
         grid = GridSpec.temporal(UNIT, 50)
         est = estimate_lambda_t(tp, KernelSpec(0.03), grid)
@@ -609,7 +610,7 @@ class TestChunkedEstimators:
     @pytest.mark.parametrize("window", [UNIT, POLYGON], ids=["rectangle", "polygon"])
     @pytest.mark.parametrize("budget", BUDGETS)
     def test_lambda_st(self, monkeypatch, window, budget):
-        monkeypatch.setattr(intensity, "_ROW_BLOCK_BYTES", budget)
+        monkeypatch.setattr(core, "_BLOCK_BYTES", budget)
         pat = chunk_pattern(window, 3)
         grid = GridSpec.spacetime(window, 12, 10, 20)
         est = estimate_lambda_st(
@@ -626,7 +627,7 @@ class TestChunkedEstimators:
         # blocks of 3 time-sorted events reach a few of the 200 time cells
         # at b_t = 0.004 and none at 1e-9; the skipped products are zeros
         grid = GridSpec.spacetime(window, 12, 10, 200)
-        monkeypatch.setattr(intensity, "_ROW_BLOCK_BYTES", 3 * 8 * (12 * 10 + 200))
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 3 * 8 * (12 * 10 + 200))
         pat = chunk_pattern(window, 5)
         est = estimate_lambda_st(pat, KernelSpec(0.1), KernelSpec(b_t), grid)
         want = oracle_lambda_st(pat, 0.1, b_t, grid, 1.0)
@@ -636,19 +637,19 @@ class TestChunkedEstimators:
     def test_memory_cap_counts_one_chunk(self, monkeypatch):
         # 3 events' rows plus the field fit 0.1 MB; all 400 events' rows do not
         monkeypatch.setattr(intensity, "_MEMORY_CAP_MB", 0.1)
-        monkeypatch.setattr(intensity, "_ROW_BLOCK_BYTES", 4000)
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 4000)
         pat = chunk_pattern(UNIT, 3)
         grid = GridSpec.spacetime(UNIT, 12, 10, 20)
         est = estimate_lambda_st(pat, KernelSpec(0.1), KernelSpec(0.05), grid)
         assert est.integrate() == pytest.approx(len(pat), rel=5e-3)
-        monkeypatch.setattr(intensity, "_ROW_BLOCK_BYTES", BUDGETS[-1])
+        monkeypatch.setattr(core, "_BLOCK_BYTES", BUDGETS[-1])
         with pytest.raises(MemoryError, match="coarser"):
             estimate_lambda_st(pat, KernelSpec(0.1), KernelSpec(0.05), grid)
 
     @pytest.mark.parametrize("window", [UNIT, POLYGON], ids=["rectangle", "polygon"])
     @pytest.mark.parametrize("budget", BUDGETS)
     def test_corrections(self, monkeypatch, window, budget):
-        monkeypatch.setattr(intensity, "_ROW_BLOCK_BYTES", budget)
+        monkeypatch.setattr(core, "_BLOCK_BYTES", budget)
         xy = chunk_pattern(window, 4).x
         grid = GridSpec.spatial(window, 32, 32)
         bs = (0.01, 0.05, 0.2)
@@ -670,14 +671,14 @@ class TestChunkedEstimators:
         grid = GridSpec.spatial(POLYGON, 32, 32)
         bs = np.array([0.01, 0.05, 0.2])
         want = intensity._spatial_corrections(xy, grid, POLYGON.raster(grid), bs)
-        monkeypatch.setattr(intensity, "_CORRECTION_BYTES", rows * 8 * len(bs) * 64)
+        monkeypatch.setattr(core, "_BLOCK_BYTES", rows * 8 * len(bs) * 64)
         got = intensity._spatial_corrections(xy, grid, POLYGON.raster(grid), bs)
         assert np.array_equal(bits(got), bits(want))
 
     def test_memory_bounded_by_one_chunk(self):
         # at 5e4 events one (n, 256) factor array is 102 MB, the (n, 1000)
         # temporal rows 400 MB and the (n, 32*32 + 100) space-time rows
-        # 450 MB; one block of rows is at most _ROW_BLOCK_BYTES
+        # 450 MB; one block of rows is at most core._BLOCK_BYTES
         n = 50_000
         rng = substream(6, 1)
         xyt = rng.uniform(size=(n, 3))
@@ -691,7 +692,7 @@ class TestChunkedEstimators:
              GridSpec.spacetime(UNIT, 32, 32, 100)),
         ]
         for estimate, pattern, kernels, grid in runs:
-            bound = 1.25 * intensity._ROW_BLOCK_BYTES + 16 * math.prod(grid.shape) + 64 * n
+            bound = 1.25 * core._BLOCK_BYTES + 16 * math.prod(grid.shape) + 64 * n
             tracemalloc.start()
             try:
                 est = estimate(pattern, *kernels, grid)

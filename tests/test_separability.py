@@ -4,7 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from stpp import intensity, separability
+from stpp import core, intensity, separability
 from stpp.core import GridSpec, PolygonMask, ScalarField, SpaceTimePattern, Window, _trusted, project, substream
 from stpp.inference import CurveSet, combined_erl_test
 from stpp.intensity import (
@@ -276,7 +276,7 @@ class TestEngine:
         n = len(pat)
         grid = GridSpec.spacetime(window, 8, 10, 16)
         ks, kt = KernelSpec(0.12), KernelSpec(0.08)
-        monkeypatch.setattr(intensity, "_ROW_BLOCK_BYTES", 3 * 8 * n)
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 3 * 8 * n)
         calls, sets = [], []
         engine_curves = _SeparabilityEngine.curves
 
@@ -305,7 +305,7 @@ class TestEngine:
         grid = GridSpec.spacetime(window, 8, 10, 16)
         ks, kt = KernelSpec(0.12), KernelSpec(0.08)
         if rows:
-            monkeypatch.setattr(intensity, "_ROW_BLOCK_BYTES", rows * 8 * n)
+            monkeypatch.setattr(core, "_BLOCK_BYTES", rows * 8 * n)
         res = separability_test(pat, ks, kt, B=39, grid=grid, seed=18)
         perms = [np.arange(n)] + [substream(18, b).permutation(n) for b in range(39)]
         s_t, s_s = oracle_curves(pat, ks, kt, grid, perms)
@@ -338,7 +338,7 @@ class TestRowBlocks:
     def test_blocks_agree_with_whole_rows(self, monkeypatch, window, rows):
         pat = simulate_poisson(IntensityModel.const(700), window, 19)
         nx, ny, _ = self.GRID
-        monkeypatch.setattr(intensity, "_ROW_BLOCK_BYTES", rows * 8 * nx * ny)
+        monkeypatch.setattr(core, "_BLOCK_BYTES", rows * 8 * nx * ny)
         grid = GridSpec.spacetime(window, *self.GRID)
         eng = _SeparabilityEngine(pat, KS, KT, grid)
         assert len(eng.blocks) == -(-len(pat) // rows)
@@ -354,7 +354,7 @@ class TestRowBlocks:
         pat = simulate_poisson(IntensityModel.const(500), window, 21)
         grid = GridSpec.spacetime(window, *self.GRID)
         if budget:
-            monkeypatch.setattr(intensity, "_ROW_BLOCK_BYTES", budget)
+            monkeypatch.setattr(core, "_BLOCK_BYTES", budget)
         res = separability_test(pat, KS, KT, B=39, grid=grid, seed=22)
         s_t, s_s = WholeRowsEngine(pat, KS, KT, grid).curves(pairings(len(pat), 39, 22))
         oracle = combined_erl_test([
@@ -370,7 +370,7 @@ class TestRowBlocks:
         pat = simulate_poisson(IntensityModel.const(2000), UNIT, 23)
         n = len(pat)
         nx, ny, nt = 40, 40, 10
-        monkeypatch.setattr(intensity, "_ROW_BLOCK_BYTES", 100 * 8 * nx * ny)
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 100 * 8 * nx * ny)
         grid = GridSpec.spacetime(UNIT, nx, ny, nt)
         perms = pairings(n, 4, 24)
         tracemalloc.start()

@@ -1,5 +1,7 @@
-"""The package names that the benchmark tracer and the public exports promise."""
+"""The package names that the benchmark tracer and the public exports promise,
+and the one worker pool and block budget that `core` keeps."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -29,3 +31,31 @@ def test_every_export_resolves():
         exports = getattr(module, "__all__", ())
         missing += [f"{name}.{attr}" for attr in exports if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_one_pool_and_one_budget():
+    # core._blocks sizes and core.parallel_map fans out every blocked loop;
+    # a second thread pool or byte budget elsewhere would split that choice
+    offenders = []
+    for path in sorted((ROOT / "src" / "stpp").glob("*.py")):
+        if path.name == "core.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m == "concurrent" or m.startswith("concurrent.") for m in modules):
+                offenders.append(f"{path.name}:{node.lineno} imports {modules}")
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else (
+                [node.target] if isinstance(node, ast.AnnAssign) else []
+            )
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and name.id.endswith("_BYTES"):
+                        offenders.append(f"{path.name}:{node.lineno} defines {name.id}")
+    assert offenders == []
