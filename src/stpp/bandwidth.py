@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GridSpec, SpatialPattern, TemporalPattern, _blocks, substream
-from .simulate import RetentionSpec, thin_spatial
+from .simulate import thin as thin_spatial
 from .intensity import _MIN_CORRECTION, _spatial_corrections
 
 __all__ = [
@@ -177,11 +177,10 @@ def select_bandwidth_spatial(pattern: SpatialPattern, search: BandwidthSearch) -
     grid = search.grid or GridSpec.spatial(window, 128, 128)
     mask = window.raster(grid)
     candidates = search.candidates
-    retention = RetentionSpec.constant(search.retention)
     chosen = []
     for r in range(search.repeats):
         rng = substream(search.seed, r)
-        sub = thin_spatial(pattern, retention, rng)
+        sub = thin_spatial(pattern, search.retention, rng)
         n_sub = len(sub)
         if n_sub < search.folds:
             warnings.warn(f"repeat {r}: subsample of {n_sub} points too small, discarded")

@@ -53,7 +53,7 @@ from .secondorder import (
     poisson_series_fgj,
 )
 from .separability import separability_test
-from .simulate import ClusterModel, IntensityModel, RetentionSpec, simulate_cluster, simulate_poisson, thin
+from .simulate import ClusterModel, IntensityModel, simulate_cluster, simulate_poisson, thin
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -110,10 +110,10 @@ def build_window(config: dict) -> tuple[Window, dict]:
             f"window gives both planar ({', '.join(planar)}) and geographic "
             f"({', '.join(geographic)}) keys; use one form"
         )
-    for k in ("lon", "lat", "time") if wc["lon"] is not None else ("x1", "x2"):
+    for k in ("lon", "lat", "time") if geographic else ("x1", "x2"):
         if wc[k] is None:
             raise KeyError(f"window.{k}" if "window" in config else "window")
-    if wc["lon"] is not None:
+    if geographic:
         t0, t1 = (_parse_time(str(v), None) for v in wc["time"])
         if projection == "degrees":
             window = Window(tuple(wc["lon"]), tuple(wc["lat"]), (0.0, t1 - t0))
@@ -131,8 +131,8 @@ def ingest(path, window: Window, context: dict, skip_bad=False, jitter=False) ->
 
     Geographic files carry a ``lon,lat,time`` header (ISO-8601 or epoch
     seconds) and are projected onto the planar window; planar files carry
-    ``x1,x2,t``.  Malformed rows abort with their line number unless
-    ``skip_bad`` is set.
+    ``x1,x2,t``.  The header's form must be the window's.  Malformed rows
+    abort with their line number unless ``skip_bad`` is set.
 
     Files of plain numbers, with geographic times either all epoch seconds
     or all ``YYYY-MM-DDTHH:MM:SS[.ffffff]Z``, are parsed by columns; any
@@ -150,6 +150,9 @@ def ingest(path, window: Window, context: dict, skip_bad=False, jitter=False) ->
             geographic = False
         else:
             raise ValueError(f"{path}: unrecognized header {header!r}")
+        if geographic == (context["mode"] == "planar"):
+            keys = "window.lon, window.lat and window.time" if geographic else "window.x1 and window.x2"
+            raise ValueError(f"{path}: header {','.join(header[:3])} needs a window with {keys}")
         points = _parse_columns(path, reader.line_num, geographic, context)
         if points is None:
             points = _parse_rows(path, reader, geographic, context, skip_bad)
@@ -573,7 +576,7 @@ def _task_simulate(cfg, window, seed, report):
     pattern = simulate(model, window, substream(seed, 0))
     pi0 = cfg["simulate.pi0"]
     if pi0 is not None:
-        pattern = thin(pattern, RetentionSpec.constant(pi0), substream(seed, 1))
+        pattern = thin(pattern, pi0, substream(seed, 1))
         report["pi0"] = pi0
     report["n_events"] = len(pattern)
     return pattern
@@ -584,7 +587,7 @@ def _thinned(pattern, cfg, seed, report):
     report["pi0"] = pi0
     if pi0 == 1.0:
         return pattern, 1.0
-    sub = thin(pattern, RetentionSpec.constant(pi0), substream(seed, 7))
+    sub = thin(pattern, pi0, substream(seed, 7))
     report["n_subsample"] = len(sub)
     return sub, pi0
 
@@ -605,11 +608,10 @@ def _task_intensity(pattern, cfg, seed, report, out_dir, outputs):
         # the space-time product-kernel field is estimated on a thinned
         # subsample and divided by the retention to recover the parent scale
         sub, pi0 = _thinned(pattern, cfg, seed, report)
-        retention = RetentionSpec.constant(pi0) if pi0 < 1.0 else None
         lam_st = estimate_lambda_st(
             sub, KernelSpec(b_s), KernelSpec(b_t),
             GridSpec.spacetime(window, *(cfg["grids.spacetime"] or (64, 64, 250))),
-            retention=retention,
+            pi0=pi0,
         )
         _write_field_3d(out_dir / "intensity_st.csv", lam_st.field)
         outputs.append("intensity_st.csv")
@@ -643,9 +645,11 @@ def _task_ripley_k(pattern, cfg, seed, report, out_dir, outputs, threads):
     B, alpha = cfg["test.B"], cfg["test.alpha"]
     sub, pi0 = _thinned(pattern, cfg, seed, report)
     window = sub.window
+    default = KGrid.default(window, cfg["kgrid.n_r"], cfg["kgrid.n_tau"])
+    r_max, tau_max = cfg["kgrid.r_max"], cfg["kgrid.tau_max"]
     grid = KGrid(
-        np.linspace(0.0, cfg["kgrid.r_max"] or 0.2 * math.sqrt(window.area), cfg["kgrid.n_r"]),
-        np.linspace(0.0, cfg["kgrid.tau_max"] or 0.0075 * window.duration, cfg["kgrid.n_tau"]),
+        default.r if r_max is None else np.linspace(0.0, r_max, len(default.r)),
+        default.tau if tau_max is None else np.linspace(0.0, tau_max, len(default.tau)),
     )
     lam_mode = cfg["intensity"]
     if lam_mode == "constant":

@@ -365,20 +365,23 @@ def estimate_lambda_st(
     kernel_s: KernelSpec,
     kernel_t: KernelSpec,
     grid: GridSpec | None = None,
-    retention=None,
+    pi0: float = 1.0,
 ) -> IntensityEstimate:
     """Product-kernel estimate of the space-time intensity on a 3D grid.
 
     Each event contributes a spatial Gaussian (corrected by its quadrature
     mass on the window) times a temporal Gaussian (corrected by the exact
-    interval mass).  If the pattern was obtained by constant-retention
-    thinning, pass the retention to divide the field by pi0 and recover
-    the parent intensity.
+    interval mass).  If the pattern was obtained by independent thinning
+    at retention probability ``pi0`` in (0, 1], pass it to divide the field
+    by ``pi0`` and recover the parent intensity; the default 1.0 leaves the
+    field as estimated.
 
     Memory is one block of (m, nx*ny + nt) kernel rows, at most
     ``core._BLOCK_BYTES``, plus the 3D grid; when those need more than
     ``_MEMORY_CAP_MB`` MB, ``MemoryError`` is raised before any work.
     """
+    if not (0.0 < pi0 <= 1.0):
+        raise ValueError(f"pi0 must be in (0, 1], got {pi0}")
     window = pattern.window
     if grid is None:
         grid = GridSpec.spacetime(window, 64, 64, 250)
@@ -386,7 +389,6 @@ def estimate_lambda_st(
     blocks = _blocks(len(pattern), 8 * (nx * ny + nt))
     # the largest block's rows S and T, and the 3D field
     _check_memory((blocks[0].stop if blocks else 0) * (nx * ny + nt) + nx * ny * nt)
-    pi0 = 1.0 if retention is None else retention.pi0
     if len(pattern) == 0:
         warnings.warn("empty pattern: returning a zero intensity field")
         mask2d = window.raster(GridSpec.spatial(window, nx, ny))

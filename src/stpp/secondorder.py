@@ -39,7 +39,7 @@ from .core import (
     _FINE_RASTER, GridSpec, ScalarField, SpaceTimePattern, Window, ball_volume, substream,
 )
 from .intensity import IntensityEstimate
-from .simulate import ClusterModel, IntensityModel, RetentionSpec, simulate_cluster, simulate_poisson, thin
+from .simulate import ClusterModel, IntensityModel, simulate_cluster, simulate_poisson, thin
 
 __all__ = [
     "KGrid",
@@ -521,7 +521,7 @@ def j_residual_ratio(
             for m in range(thinnings):
                 # one substream per (seed, thinning): the same uniforms decide
                 # both levels, so the p/2 subsample nests inside the p one
-                sub = thin(pat, RetentionSpec.constant(lv), substream(s, 13, m))
+                sub = thin(pat, lv, substream(s, 13, m))
                 if len(sub) < 50:
                     raise ValueError(
                         f"retention {lv:g} left only {len(sub)} points (need >= 50)"

@@ -36,12 +36,12 @@ from stpp.separability import separability_test
 from stpp.simulate import (
     ClusterModel,
     IntensityModel,
-    RetentionSpec,
     simulate_cluster,
     simulate_poisson,
-    simulate_poisson_spatial,
     thin,
 )
+
+from helpers import AnalyticModel, simulate_poisson_spatial
 
 UNIT = Window((0, 1), (0, 1), (0, 1))
 
@@ -101,7 +101,7 @@ def test_thinning_invariance_prop1():
     diffs = np.empty((runs, 15, 15))
     for s in range(runs):
         pat = simulate_cluster(model, UNIT, substream(s, 70))
-        sub = thin(pat, RetentionSpec.constant(0.025), substream(s, 71))
+        sub = thin(pat, 0.025, substream(s, 71))
         k_full = estimate_K(pat, model.intensity, grid).k
         k_sub = estimate_K(sub, 0.025 * model.intensity, grid).k
         diffs[s] = k_sub - k_full
@@ -196,8 +196,8 @@ def test_separability_level_and_power():
     over 40 separable experiments; at least 80% power against an
     interaction alternative."""
     c = 1500.0
-    separable = IntensityModel(
-        function=lambda x1, x2, t: c * (0.5 + x1) * (0.5 + t) * 16.0 / 9.0,
+    separable = AnalyticModel(
+        lambda x1, x2, t: c * (0.5 + x1) * (0.5 + t) * 16.0 / 9.0,
         bound=c * 16.0 / 9.0 * 2.25,
     )
     rejections = 0
@@ -207,8 +207,8 @@ def test_separability_level_and_power():
         rejections += _separability_pipeline(pat, (s, 261)).p_value <= 0.05
     assert rejections / runs <= 0.07
 
-    non_separable = IntensityModel(
-        function=lambda x1, x2, t: c * (1.0 + 2.5 * (x1 > 0.5) * (t > 0.5)) / 1.625,
+    non_separable = AnalyticModel(
+        lambda x1, x2, t: c * (1.0 + 2.5 * (x1 > 0.5) * (t > 0.5)) / 1.625,
         bound=c * 3.5 / 1.625,
     )
     power = 0

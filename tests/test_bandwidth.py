@@ -17,7 +17,7 @@ from stpp.bandwidth import (
     select_bandwidth_temporal,
 )
 from stpp.core import GridSpec, PolygonMask, SpatialPattern, Window, project, substream
-from stpp.simulate import IntensityModel, RetentionSpec, simulate_poisson, thin_spatial
+from stpp.simulate import IntensityModel, simulate_poisson, thin
 
 UNIT = Window((0, 1), (0, 1), (0, 1))
 POLYGON = Window(
@@ -132,7 +132,7 @@ class TestSelectSpatial:
         chosen = []
         for r in range(3):
             rng = substream(11, r)
-            sub = thin_spatial(pat, RetentionSpec.constant(0.5), rng)
+            sub = thin(pat, 0.5, rng)
             perm = rng.permutation(len(sub))
             losses = np.zeros(len(candidates))
             for fold in np.array_split(perm, 5):
@@ -156,7 +156,7 @@ class TestSelectSpatial:
         pat = poisson_spatial(800, 3, window)
         candidates = np.geomspace(0.02, 0.3, 16)
         grid = GridSpec.spatial(window, 64, 64)
-        sub = thin_spatial(pat, RetentionSpec.constant(0.5), substream(11, 0))
+        sub = thin(pat, 0.5, substream(11, 0))
         folds = np.array_split(substream(11, 1).permutation(len(sub)), 5)
         want = {}
         for f, fold in enumerate(folds):

@@ -1050,6 +1050,9 @@ class TestMain:
             ("simulate", {"window": {"lon": [4.0, 5.0], "lat": [44.0, 45.0],
                                      "time": ["abc", "2011-01-02T00:00:00Z"]}},
              "window.time must be a list of 2 times, got ['abc', '2011-01-02T00:00:00Z']"),
+            # a partial geographic window names its first missing key
+            ("simulate", {"window": {"lat": [44.0, 45.0], "time": [0, 3600]}},
+             "missing config key 'window.lon'"),
         ],
         ids=[
             "spatial-scalar", "temporal-list", "spatial-zero", "spatial-float",
@@ -1060,7 +1063,7 @@ class TestMain:
             "r-max-zero", "tau-max-negative", "unknown-kgrid-key", "unknown-simulate-key",
             "simulate-pi0-list", "n-r-list", "n-candidates-string", "prop2-seeds-list",
             "target-count-list", "window-t-string", "cluster-missing-field", "input-null",
-            "window-both-forms", "window-time-unparseable",
+            "window-both-forms", "window-time-unparseable", "window-without-lon",
         ],
     )
     def test_bad_config_value_exits_2(self, tmp_path, capsys, task, extra, message):
@@ -1072,6 +1075,32 @@ class TestMain:
         cfg_path, _ = write_config(tmp_path, name="bad.json", **{**good, **extra})
         assert main([task, "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "header, window, projection, keys",
+        [
+            ("lon,lat,time", {"x1": [0, 10], "x2": [40, 50], "t": [0, 100]}, "equirect",
+             "window.lon, window.lat and window.time"),
+            ("x1,x2,t", {"lon": [0, 10], "lat": [40, 50], "time": [0, 100]}, "equirect",
+             "window.x1 and window.x2"),
+            ("x1,x2,t", {"lon": [0, 10], "lat": [40, 50], "time": [0, 100]}, "degrees",
+             "window.x1 and window.x2"),
+        ],
+        ids=["geographic-file-planar-window", "planar-file-geographic-window",
+             "planar-file-degrees-window"],
+    )
+    def test_header_and_window_of_different_forms_exit_2(
+        self, tmp_path, capsys, header, window, projection, keys
+    ):
+        events = tmp_path / "events.csv"
+        events.write_text(f"{header}\n5.0,45.0,10.0\n")
+        cfg_path, _ = write_config(
+            tmp_path, window=window, projection=projection, input=str(events),
+            bandwidth={"temporal": 0.05, "spatial": 0.1},
+        )
+        assert main(["intensity", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: {events}: header {header} needs a window with {keys}\n"
         assert not (tmp_path / "out").exists()
 
     def test_intensity_at_defaults_on_20000_events(self, tmp_path):

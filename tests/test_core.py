@@ -231,11 +231,11 @@ def test_substream_independent_of_order():
 
 def test_simulation_paths_keep_invariants():
     # construction invariants hold after simulation and thinning
-    from stpp.simulate import RetentionSpec, thin, thin_spatial
+    from stpp.simulate import thin
 
     pat = simulate_poisson(IntensityModel.const(400), UNIT, 3)
     assert np.all(np.diff(pat.t) >= 0)
-    sub = thin(pat, RetentionSpec.constant(0.3), 4)
+    sub = thin(pat, 0.3, 4)
     assert np.all(np.diff(sub.t) >= 0)
     assert len(np.unique(sub.points, axis=0)) == len(sub)
     assert type(sub) is SpaceTimePattern and not sub.points.flags.writeable
@@ -249,7 +249,7 @@ def test_simulation_paths_keep_invariants():
         assert len(rep) > 0 and np.all(np.diff(rep.t) >= 0)
 
     sp, _ = project(pat)
-    sub_sp = thin_spatial(sp, RetentionSpec.constant(0.3), 5)
+    sub_sp = thin(sp, 0.3, 5)
     assert type(sub_sp) is SpatialPattern and not sub_sp.points.flags.writeable
     assert len(np.unique(sub_sp.points, axis=0)) == len(sub_sp)
 

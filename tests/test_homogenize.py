@@ -11,7 +11,8 @@ from stpp.core import GridSpec, PolygonMask, ScalarField, SpatialPattern, Window
 from stpp.homogenize import HomogenizeConfig, homogenize, level_set, minimize_loss
 from stpp.inference import quadrat_test
 from stpp.intensity import voronoi_intensity
-from stpp.simulate import simulate_poisson_spatial
+
+from helpers import simulate_poisson_spatial
 
 UNIT = Window((0, 1), (0, 1), (0, 1))
 POLYGON = Window(

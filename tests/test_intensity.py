@@ -2,6 +2,7 @@ import math
 import sys
 import tracemalloc
 import types
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -30,7 +31,7 @@ from stpp.intensity import (
     temporal_corrections,
     voronoi_intensity,
 )
-from stpp.simulate import IntensityModel, RetentionSpec, simulate_poisson, thin
+from stpp.simulate import IntensityModel, simulate_poisson, thin
 
 UNIT = Window((0, 1), (0, 1), (0, 1))
 POLYGON = Window(
@@ -213,17 +214,27 @@ class TestLambdaST:
         means = []
         for s in range(200):
             pat = simulate_poisson(IntensityModel.const(parent_lam), UNIT, substream(s, 1))
-            sub = thin(pat, RetentionSpec.constant(0.025), substream(s, 2))
+            sub = thin(pat, 0.025, substream(s, 2))
             if len(sub) < 5:
                 continue
             est = estimate_lambda_st(
                 sub, KernelSpec(0.1), KernelSpec(0.1),
                 GridSpec.spacetime(UNIT, 24, 24, 40),
-                retention=RetentionSpec.constant(0.025),
+                pi0=0.025,
             )
             v = est.field.values
             means.append(v[8:16, 8:16, 14:26].mean())
         assert np.mean(means) == pytest.approx(parent_lam, rel=0.10)
+
+    @pytest.mark.parametrize("pi0", [0.0, -0.1, 1.5, float("nan")])
+    def test_retention_outside_unit_interval_rejected(self, pi0):
+        # rejected before any work: pi0 = 0 would divide the field by zero
+        pat = simulate_poisson(IntensityModel.const(100), UNIT, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^pi0 must be in \(0, 1\]"):
+                estimate_lambda_st(pat, KernelSpec(0.1), KernelSpec(0.1),
+                                   GridSpec.spacetime(UNIT, 8, 8, 8), pi0=pi0)
 
     def test_memory_cap(self, monkeypatch):
         monkeypatch.setattr(intensity, "_MEMORY_CAP_MB", 1.0)
@@ -240,7 +251,7 @@ class TestThinningMonotonicity:
         ratios = []
         for s in range(100):
             pat = simulate_poisson(IntensityModel.const(800), UNIT, substream(s, 3))
-            sub = thin(pat, RetentionSpec.constant(pi0), substream(s, 4))
+            sub = thin(pat, pi0, substream(s, 4))
             sp_full, _ = project(pat)
             sp_sub, _ = project(sub)
             grid = GridSpec.spatial(UNIT, 32, 32)
@@ -614,7 +625,7 @@ class TestChunkedEstimators:
         pat = chunk_pattern(window, 3)
         grid = GridSpec.spacetime(window, 12, 10, 20)
         est = estimate_lambda_st(
-            pat, KernelSpec(0.1), KernelSpec(0.05), grid, retention=RetentionSpec.constant(0.5)
+            pat, KernelSpec(0.1), KernelSpec(0.05), grid, pi0=0.5
         )
         want = oracle_lambda_st(pat, 0.1, 0.05, grid, 0.5)
         if budget == BUDGETS[-1]:

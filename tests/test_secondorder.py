@@ -15,7 +15,7 @@ from stpp.secondorder import (
     j_residual_ratio,
     poisson_series_fgj,
 )
-from stpp.simulate import ClusterModel, IntensityModel, RetentionSpec, simulate_cluster, simulate_poisson, thin
+from stpp.simulate import ClusterModel, IntensityModel, simulate_cluster, simulate_poisson, thin
 
 UNIT = Window((0, 1), (0, 1), (0, 1))
 KITE = Window((0, 1), (0, 1), (0, 1), PolygonMask([(0, 0), (1, 0), (1, 1), (0.2, 0.9)]))
@@ -264,7 +264,7 @@ class TestEstimateK:
         diffs = []
         for s in range(60):
             pat = simulate_cluster(model, UNIT, substream(s, 1))
-            sub = thin(pat, RetentionSpec.constant(0.3), substream(s, 2))
+            sub = thin(pat, 0.3, substream(s, 2))
             k_full = estimate_K(pat, model.intensity, grid).k
             k_sub = estimate_K(sub, 0.3 * model.intensity, grid).k
             diffs.append(k_sub - k_full)
@@ -519,7 +519,7 @@ class TestResidualRatio:
         runs = 30
         for s in range(runs):
             pat = simulate_cluster(model, UNIT, substream(s, 6))
-            sub = thin(pat, RetentionSpec.constant(0.05), substream(s, 7))
+            sub = thin(pat, 0.05, substream(s, 7))
             _, _, j = empirical_fgj(sub, 0.1, 0.05, seed=s)
             positive += (1.0 - j) > 0
         assert positive >= 0.9 * runs
@@ -543,6 +543,11 @@ def test_cluster_k_function_analytic_oracle():
     for s in range(60):
         pat = simulate_cluster(model, UNIT, substream(s, 8))
         vals.append(estimate_K(pat, model.intensity, grid).k[-1, -1])
-    target = model.k_function(0.1, 0.05)
+    # exact K(r, tau) of the stationary Thomas process: the Poisson cylinder
+    # 2 tau pi r^2 plus the within-cluster excess
+    # (1/kappa) (1 - exp(-r^2 / (4 sigma^2))) erf(tau / (2 sigma_t))
+    r, tau = 0.1, 0.05
+    excess = (1.0 - math.exp(-(r**2) / (4 * model.sigma**2))) * math.erf(tau / (2 * model.sigma_t))
+    target = 2 * tau * math.pi * r**2 + excess / model.kappa
     se = np.std(vals, ddof=1) / math.sqrt(len(vals))
     assert abs(np.mean(vals) - target) < 3 * se

@@ -15,7 +15,9 @@ from stpp.intensity import (
     estimate_lambda_t,
 )
 from stpp.separability import _SeparabilityEngine, separability_test
-from stpp.simulate import IntensityModel, RetentionSpec, simulate_poisson, thin
+from stpp.simulate import IntensityModel, simulate_poisson, thin
+
+from helpers import AnalyticModel
 
 UNIT = Window((0, 1), (0, 1), (0, 1))
 POLYGON = Window(
@@ -220,7 +222,7 @@ class TestComputeS:
 
         def discrepancy(lam, seed):
             pat = simulate_poisson(IntensityModel.const(lam), UNIT, seed)
-            sub = thin(pat, RetentionSpec.constant(0.5), substream(seed, 1))
+            sub = thin(pat, 0.5, substream(seed, 1))
             full = observed_curves(_SeparabilityEngine(pat, ks, kt, grid), len(pat))[0]
             thinned = observed_curves(_SeparabilityEngine(sub, ks, kt, grid), len(sub))[0]
             return np.abs(thinned - full).mean()
@@ -231,8 +233,8 @@ class TestComputeS:
 
     def test_separable_poisson_s_t_near_one(self):
         # inhomogeneous separable intensity: S_t should hover near 1
-        model = IntensityModel(
-            function=lambda x1, x2, t: 5000.0 * 2 * (0.25 + 0.5 * x1) * 2 * t,
+        model = AnalyticModel(
+            lambda x1, x2, t: 5000.0 * 2 * (0.25 + 0.5 * x1) * 2 * t,
             bound=5000.0 * 1.5 * 2,
         )
         pat = simulate_poisson(model, UNIT, 2)
@@ -414,7 +416,7 @@ class TestSeparabilityTest:
         # constant thinning preserves the S statistics' target: the same
         # exact-separable plug-in stays identically 1 on the thinned pattern
         pat = simulate_poisson(IntensityModel.const(2000), UNIT, 7)
-        sub = thin(pat, RetentionSpec.constant(0.2), 8)
+        sub = thin(pat, 0.2, 8)
         grid = GridSpec.spacetime(UNIT, 10, 10, 20)
         lam_st, lam_s, lam_t = estimates(sub, grid)
         sep_vals = lam_s.field.values[:, :, None] * lam_t.field.values[None, None, :] / len(sub)
@@ -440,8 +442,8 @@ class TestSeparabilityTest:
         assert frac >= 0.9
 
     def test_power_against_interaction(self):
-        model = IntensityModel(
-            function=lambda x1, x2, t: 900.0 * (1.0 + 2.5 * (x1 > 0.5) * (t > 0.5)),
+        model = AnalyticModel(
+            lambda x1, x2, t: 900.0 * (1.0 + 2.5 * (x1 > 0.5) * (t > 0.5)),
             bound=900.0 * 3.5,
         )
         pat = simulate_poisson(model, UNIT, 11)

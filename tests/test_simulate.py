@@ -6,11 +6,12 @@ from stpp.inference import quadrat_test
 from stpp.simulate import (
     ClusterModel,
     IntensityModel,
-    RetentionSpec,
     simulate_cluster,
     simulate_poisson,
     thin,
 )
+
+from helpers import AnalyticModel
 
 UNIT = Window((0, 1), (0, 1), (0, 1))
 
@@ -29,14 +30,14 @@ def test_homogeneous_mean_count():
 def test_inhomogeneous_mean_count_campbell():
     # lam(x, t) = c * t integrates to c/2 on the unit window
     c = 2000.0
-    model = IntensityModel(function=lambda x1, x2, t: c * t, bound=c)
+    model = AnalyticModel(lambda x1, x2, t: c * t, bound=c)
     counts = [len(simulate_poisson(model, UNIT, s)) for s in range(300)]
     se = np.sqrt(c / 2 / 300)  # Poisson variance = mean
     assert abs(np.mean(counts) - c / 2) < 3 * se
 
 
 def test_bound_violation_is_hard_error():
-    model = IntensityModel(function=lambda x1, x2, t: 10.0 + 0 * t, bound=5.0)
+    model = AnalyticModel(lambda x1, x2, t: 10.0 + 0 * t, bound=5.0)
     with pytest.raises(ValueError, match="bound"):
         simulate_poisson(model, UNIT, 0)
 
@@ -81,9 +82,9 @@ def test_cluster_clusters_more_than_poisson():
 
 def test_thin_identity_and_empty():
     pat = simulate_poisson(IntensityModel.const(300), UNIT, 0)
-    same = thin(pat, RetentionSpec.constant(1.0), 1)
+    same = thin(pat, 1.0, 1)
     assert np.array_equal(same.points, pat.points)
-    none = thin(pat, RetentionSpec.constant(0.0), 1)
+    none = thin(pat, 0.0, 1)
     assert len(none) == 0
 
 
@@ -93,7 +94,7 @@ def test_thin_binomial_mean_and_quadrat():
     runs = 300
     for s in range(runs):
         pat = simulate_poisson(IntensityModel.const(1000), UNIT, substream(s, 0))
-        sub = thin(pat, RetentionSpec.constant(0.025), substream(s, 1))
+        sub = thin(pat, 0.025, substream(s, 1))
         kept.append(len(sub))
     se = np.sqrt(25 / runs)
     assert abs(np.mean(kept) - 25) < 3 * se
@@ -101,7 +102,7 @@ def test_thin_binomial_mean_and_quadrat():
     passed = 0
     for s in range(200):
         pat = simulate_poisson(IntensityModel.const(4000), UNIT, substream(s, 2))
-        sub = thin(pat, RetentionSpec.constant(0.1), substream(s, 3))
+        sub = thin(pat, 0.1, substream(s, 3))
         from stpp.core import project
 
         sp, _ = project(sub)
@@ -114,7 +115,7 @@ def test_thin_first_order_intensity():
     counts = []
     for s in range(400):
         pat = simulate_poisson(IntensityModel.const(1000), UNIT, substream(s, 4))
-        counts.append(len(thin(pat, RetentionSpec.constant(0.2), substream(s, 5))))
+        counts.append(len(thin(pat, 0.2, substream(s, 5))))
     se = np.sqrt(200 / 400)
     assert abs(np.mean(counts) - 200) < 3 * se
 
@@ -125,9 +126,9 @@ def test_thin_composition_matches_product():
     two, one = [], []
     for s in range(1000):
         pat = simulate_poisson(IntensityModel.const(300), UNIT, substream(s, 6))
-        a = thin(pat, RetentionSpec.constant(0.5), substream(s, 7))
-        a = thin(a, RetentionSpec.constant(0.4), substream(s, 8))
-        b = thin(pat, RetentionSpec.constant(0.2), substream(s, 9))
+        a = thin(pat, 0.5, substream(s, 7))
+        a = thin(a, 0.4, substream(s, 8))
+        b = thin(pat, 0.2, substream(s, 9))
         two.append(len(a))
         one.append(len(b))
     m = 300 * 0.2
@@ -138,10 +139,10 @@ def test_thin_composition_matches_product():
 
 
 def test_retention_spec_validation():
-    with pytest.raises(ValueError):
-        RetentionSpec.constant(1.5)
-    with pytest.raises(ValueError):
-        RetentionSpec.constant(-0.1)
+    pat = simulate_poisson(IntensityModel.const(10), UNIT, 0)
+    for pi0 in (1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match=r"retention probability must be in \[0, 1\]"):
+            thin(pat, pi0, 1)
 
 
 def test_determinism_same_seed_same_pattern():
