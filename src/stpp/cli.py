@@ -395,6 +395,7 @@ _CHECKS = {
     "an integer >= 0": lambda v: _is_int(v) and v >= 0,
     "an integer >= 1": lambda v: _is_int(v) and v >= 1,
     "an integer >= 2": lambda v: _is_int(v) and v >= 2,
+    "an integer >= 3": lambda v: _is_int(v) and v >= 3,
     "a number >= 0": lambda v: _is_number(v) and v >= 0,
     "a number > 0": lambda v: _is_number(v) and v > 0,
     "a number in (0, 1]": lambda v: _is_number(v) and 0 < v <= 1,
@@ -441,7 +442,7 @@ _KEYS = {
     "bandwidth.search.retention": ("a number in (0, 1]", 0.025),
     "bandwidth.search.repeats": ("an integer >= 1", 50),
     "kgrid.r_max": ("a number > 0", None), "kgrid.tau_max": ("a number > 0", None),
-    "kgrid.n_r": ("an integer >= 2", 50), "kgrid.n_tau": ("an integer >= 2", 50),
+    "kgrid.n_r": ("an integer >= 3", 50), "kgrid.n_tau": ("an integer >= 3", 50),
     "homogenize.target_count": ("a number > 0", None),
     "homogenize.resolution": ("an integer >= 1", None),
     "simulate.lambda": ("a number >= 0", 100.0),

@@ -11,16 +11,25 @@ under a Poisson model K(r, tau) equals the cylinder volume 2 tau pi r^2.
 The one-dimensional averages calibrate to 2 tau and pi r^2 under Poisson.
 
 One enumerator, ``_close_pairs``, serves both K estimators and F/G.  The
-events are sorted by (square cell of side >= r, time).  For each of the
-3 x 3 cells around its own, a reference point finds the run of events in
-its time window with one binary search per bound; the points search in
-cell order, so each of the 9 rows of searches is sorted.  Chunks of
-``_PAIR_CHUNK`` candidates are expanded from the runs with ``np.repeat``
-and cut in two stages on coordinates held in cell order: |dx_1| <= r,
-then ||dx|| <= r and |dt| <= tau on the survivors.  Time is
+events are sorted by (square cell of side >= r, time) with a stable sort
+of their cell numbers, held in the smallest unsigned dtype that fits
+them, so up to 2^16 cells sort by radix.  For each of the 3 x 3 cells
+around its own, a reference point finds the run of events in its time
+window with one binary search per bound; the points search in cell
+order, so each of the 9 rows of searches is sorted, and the bounds are
+gathered back into the points' own order.  Chunks of ``_PAIR_CHUNK``
+candidates are expanded from the runs, each candidate's run counted from
+the run ends before it, and cut in two stages on coordinates held in
+cell order: dx_1^2 + dx_2^2 <= r^2 with a margin for rounding, then
+``np.hypot`` ||dx|| <= r and |dt| <= tau on the survivors.  Time is
 O(n log n + C) for C ~ 9 n^2 r^2 tau / (|W| |T|) candidates; memory is
 bounded by the chunk.  K matches an all-pairs sum to 1e-12 of the
 surface's scale and F/G match it exactly (tested).
+
+Both K estimators bin their pairs on the grid axes with ``_bins``, which
+equals ``np.searchsorted``: it guesses each bin as if the axis were evenly
+spaced between its ends, checks the guess against the axis, and searches
+only the values it missed.
 
 The truncated series and residual checks quantify how constant-retention
 thinning pushes the empty-space / nearest-neighbour summaries toward their
@@ -54,6 +63,7 @@ __all__ = [
 
 _PAIR_CHUNK = 1 << 18  # candidate pairs held in memory at once
 _MAX_CELLS = 1024  # spatial cells per axis of the pair search; bounds its int64 keys
+_BINS_MIN = 1024  # values below which _bins calls np.searchsorted directly
 _FLOOR_QUANTILE = 0.01  # events' intensities are floored at this quantile of the positive ones
 
 
@@ -72,8 +82,12 @@ class KGrid:
         self.r = np.asarray(self.r, dtype=float)
         self.tau = np.asarray(self.tau, dtype=float)
         for name, v in (("r", self.r), ("tau", self.tau)):
-            if v.ndim != 1 or len(v) < 2 or (np.diff(v) <= 0).any() or v[0] < 0:
-                raise ValueError(f"{name} values must be nonnegative strictly increasing")
+            # NaN fails no comparison, so finiteness is checked on its own
+            if (v.ndim != 1 or len(v) < 2 or not np.isfinite(v).all()
+                    or (np.diff(v) <= 0).any() or v[0] < 0):
+                raise ValueError(
+                    f"{name} values must be finite, nonnegative and strictly increasing"
+                )
 
     @classmethod
     def default(cls, window: Window, n_r: int = 50, n_tau: int = 50) -> "KGrid":
@@ -164,13 +178,45 @@ def estimate_K(
     for i, j, dx, ds, dt in _close_pairs(pattern.x, pattern.t, grid.r[-1], grid.tau[-1]):
         overlap = (lx - dx[:, 0]) * (ly - dx[:, 1]) * (lt - dt)
         e = window.volume / overlap
-        winsorized += int((e > correction_cap).sum())
+        winsorized += int(np.count_nonzero(e > correction_cap))
         e = np.minimum(e, correction_cap)
         w = 2.0 * e / (lam_vals[i] * lam_vals[j]) / window.volume  # ordered pairs
-        bins = np.searchsorted(grid.r, ds) * n_t + np.searchsorted(grid.tau, dt)
+        bins = _bins(grid.r, ds) * n_t + _bins(grid.tau, dt)
         k += np.bincount(bins, weights=w, minlength=n_r * n_t)
     k = k.reshape(n_r, n_t).cumsum(axis=0).cumsum(axis=1)
     return KEstimate(k, grid, winsorized_pairs=winsorized, n_points=n)
+
+
+def _bins(axis, values, side="left"):
+    """``np.searchsorted(axis, values, side)`` on an increasing axis with
+    finite ends, such as a KGrid's.
+
+    Each bin is guessed as if the axis were evenly spaced between its ends,
+    the guess is checked against the axis itself, and only the values whose
+    guess fails are searched.  Fewer than ``_BINS_MIN`` values are searched
+    directly, as the guess costs more than it saves on them.
+    """
+    if len(values) < _BINS_MIN:
+        return np.searchsorted(axis, values, side)
+    n = len(axis)
+    # floor(q) + 1 for q the value's place on the evenly spaced axis: the
+    # bin for side="right", and for side="left" unless q is whole; fmax and
+    # fmin send NaN to an end, where the check fails
+    q = values - axis[0]
+    q *= (n - 1) / (axis[-1] - axis[0])
+    q += 1
+    g = np.fmin(np.fmax(q, 0, out=q), n, out=q).astype(np.intp)
+    ext = np.concatenate(([-np.inf], axis, [np.inf]))
+    below, above = ext[g], ext[1:][g]  # axis[g - 1] and axis[g]
+    if side == "left":
+        ok = below < values
+        ok &= values <= above
+    else:
+        ok = below <= values
+        ok &= values < above
+    miss = np.flatnonzero(~ok)
+    g[miss] = np.searchsorted(axis, values[miss], side)
+    return g
 
 
 def _close_pairs(x, t, r, tau, qx=None, qt=None):
@@ -194,22 +240,32 @@ def _close_pairs(x, t, r, tau, qx=None, qt=None):
     pad = 4 * np.finfo(float).eps * (np.abs(qt) + tau)
     t_hi = np.searchsorted(t, qt + tau + pad, side="right")
     # cells a little wider than r, so rounding cannot put a close pair two
-    # cells apart; a spare empty column stops neighbour keys wrapping around
-    origin, top = x.min(axis=0), x.max(axis=0)
-    if not self_pairs:
-        origin, top = np.minimum(origin, qx.min(axis=0)), np.maximum(top, qx.max(axis=0))
+    # cells apart; a spare empty column stops neighbour keys wrapping around.
+    # The box is reduced column by column, which is much faster than along
+    # axis 0 of an (n, 2) array
+    points = x if self_pairs else np.concatenate((x, qx))
+    origin = np.array([points[:, 0].min(), points[:, 1].min()])
+    top = np.array([points[:, 0].max(), points[:, 1].max()])
     span = (top - origin).max()
     side = max(r * (1 + 1e-9) + 1e-9 * span, span / _MAX_CELLS, np.finfo(float).tiny)
     width = int(span // side) + 2
 
     def cell(p):
-        c = ((p - origin) // side).astype(np.int64)
+        # (p - origin) // side: floor of the rounded quotient, which differs
+        # only where the quotient rounded to a whole number
+        d = p - origin
+        q = d / side
+        c = np.floor(q)
+        np.floor_divide(d, side, out=c, where=c == q)
+        c = c.astype(np.int64)
         return c[:, 0] * width + c[:, 1]
 
     # the events sorted by (cell, index), coded as cell * n + index; the
     # index order is the time order
     n, key = len(t), cell(x)
-    order = np.argsort(key, kind="stable")
+    # the cells are sorted in the smallest dtype that holds them, where
+    # numpy's stable sort of up to 2^16 cells is a radix sort
+    order = np.argsort(key.astype(np.min_scalar_type(width * width)), kind="stable")
     ranked = key[order] * n + order
     # each reference point looks up (cell + neighbour) * n + time bound for
     # its 9 neighbour cells; in (cell, bound) order of the reference points
@@ -221,41 +277,60 @@ def _close_pairs(x, t, r, tau, qx=None, qt=None):
         t_lo = np.searchsorted(t, qt - tau - pad)
         qorder = np.argsort(base + t_lo, kind="stable")
         base, t_lo = base[qorder], t_lo[qorder]
-    shifts = np.array([a * width + b for a in (-1, 0, 1) for b in (-1, 0, 1)])[:, None] * n
+    nq = len(qt)
+    shifts = np.array([[(a * width + b) * n] for a in (-1, 0, 1) for b in (-1, 0, 1)])
     needles = (base + np.stack((t_lo, t_hi[qorder])))[:, None] + shifts
-    bounds = np.empty((2, len(qt), 9), dtype=np.int64)
-    bounds[:, qorder] = np.searchsorted(ranked, needles).transpose(0, 2, 1)
-    lo, counts = bounds[0].ravel(), (bounds[1] - bounds[0]).ravel()
+    lo, hi = np.searchsorted(ranked, needles).reshape(2, -1)
+    # row k = 9 * reference point + neighbour gathers its bounds from
+    # column inverse[point] of the neighbour's row of needles
+    inverse = np.empty_like(qorder)
+    inverse[qorder] = np.arange(nq)
+    rows = (inverse[:, None] + np.arange(0, 9 * nq, nq)).ravel()
+    counts = (hi - lo)[rows]
     ends = np.cumsum(counts)
     total = int(ends[-1])
     # candidate c, counted over all rows, of row k is the event at position
     # to_ranked[k] + c of ranked; the events' coordinates are held in the
     # same order
-    to_ranked = lo - (ends - counts)
+    to_ranked = lo[rows] - ends + counts
+    del needles, lo, hi, rows, counts  # free the 9n-long set-up arrays before the chunks
     ex, ey, et = x[:, 0][order], x[:, 1][order], t[order]
     qx0, qx1 = qx[:, 0], qx[:, 1]
+    # hypot(a, b) <= r implies a * a + b * b <= r2, rounding and underflow
+    # included
+    r2 = r * r * (1 + 1e-9) + np.finfo(float).tiny
     for start in range(0, total, _PAIR_CHUNK):
         stop = min(start + _PAIR_CHUNK, total)
         first, last = np.searchsorted(ends, (start, stop - 1), side="right")
-        rows = slice(first, last + 1)
-        # the runs of these rows, less the parts in the chunks either side
-        skip = start - int(ends[first] - counts[first])
-        part = slice(skip, skip + stop - start)
-        pos = np.repeat(to_ranked[rows], counts[rows])[part] + np.arange(start, stop)
-        i = np.repeat(np.arange(first, last + 1) // 9, counts[rows])[part]
-        # the exact cut in two stages; hypot(a, b) >= a, so the first drops
-        # only candidates that the second would drop
-        d0 = ex[pos] - qx0[i]
-        np.abs(d0, out=d0)
-        k = np.flatnonzero(d0 <= r)
-        pos, i, d0 = pos[k], i[k], d0[k]
-        d1 = ey[pos] - qx1[i]
-        np.abs(d1, out=d1)
-        ds = np.hypot(d0, d1)
+        # the row of each candidate: first, plus the rows ending at or before
+        # it; the steps below work in place where they can, to keep down the
+        # arrays of a chunk's length held at once
+        row = np.bincount(ends[first:last] - start, minlength=stop - start)
+        np.cumsum(row, out=row)
+        row += first
+        pos = to_ranked[row]
+        pos += np.arange(start, stop)
+        i = np.floor_divide(row, 9, out=row)
+        # the exact cut in two stages: a * a + b * b <= r2 drops only
+        # candidates that hypot(a, b) <= r would drop
+        d0, d1 = ex[pos], ey[pos]
+        d0 -= qx0[i]
+        d1 -= qx1[i]
+        sq = d0 * d0
+        sq += d1 * d1
+        k = np.flatnonzero(sq <= r2)
+        pos, i = pos[k], i[k]
+        dx = np.empty((len(k), 2))
+        np.abs(d0[k], out=dx[:, 0])
+        np.abs(d1[k], out=dx[:, 1])
+        ds = np.hypot(dx[:, 0], dx[:, 1])
         dt = et[pos] - qt[i]
         np.abs(dt, out=dt)
-        k = np.flatnonzero((ds <= r) & (dt <= tau))
-        yield i[k], order[pos[k]], np.column_stack((d0[k], d1[k])), ds[k], dt[k]
+        keep = (ds <= r) & (dt <= tau)
+        if not keep.all():  # rare: the candidates passed looser tests
+            k = np.flatnonzero(keep)
+            pos, i, dx, ds, dt = pos[k], i[k], dx[k], ds[k], dt[k]
+        yield i, order[pos], dx, ds, dt
 
 
 def _boundary_distances(pattern: SpaceTimePattern, raster):
@@ -328,10 +403,10 @@ def _estimate_K_border(pattern, lam, grid: KGrid) -> KEstimate:
         # and dt <= tau_b <= d_t[ref]: a contiguous block, applied by
         # inclusion-exclusion on a difference array
         ref = np.concatenate([i, j])
-        a_lo = np.tile(np.searchsorted(grid.r, ds), 2)
-        b_lo = np.tile(np.searchsorted(grid.tau, dt), 2)
-        a_hi = np.searchsorted(grid.r, d_s[ref], side="right")
-        b_hi = np.searchsorted(grid.tau, d_t[ref], side="right")
+        a_lo = np.tile(_bins(grid.r, ds), 2)
+        b_lo = np.tile(_bins(grid.tau, dt), 2)
+        a_hi = _bins(grid.r, d_s[ref], side="right")
+        b_hi = _bins(grid.tau, d_t[ref], side="right")
         ok = (a_lo < a_hi) & (b_lo < b_hi)
         w = np.tile(1.0 / (lam_vals[i] * lam_vals[j]), 2)[ok]
         a_lo, b_lo, a_hi, b_hi = a_lo[ok], b_lo[ok], a_hi[ok], b_hi[ok]

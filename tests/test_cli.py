@@ -1030,7 +1030,7 @@ class TestMain:
             # these ended in a traceback and exit 1 at the parent
             ("simulate", {"simulate": {"pi0": [0.5]}},
              "simulate.pi0 must be a number in (0, 1], got [0.5]"),
-            ("ripley-k", {"kgrid": {"n_r": [5]}}, "kgrid.n_r must be an integer >= 2, got [5]"),
+            ("ripley-k", {"kgrid": {"n_r": [5]}}, "kgrid.n_r must be an integer >= 3, got [5]"),
             ("intensity", {"bandwidth": {"temporal": 0.05, "search": {"n_candidates": "4"}}},
              "bandwidth.search.n_candidates must be an integer >= 1, got '4'"),
             ("prop2-check", {"prop2": {"seeds": [1]}},
@@ -1053,6 +1053,10 @@ class TestMain:
             # a partial geographic window names its first missing key
             ("simulate", {"window": {"lat": [44.0, 45.0], "time": [0, 3600]}},
              "missing config key 'window.lon'"),
+            # the K averages need 3 grid values per axis; 2 passed the config
+            # and failed only after the ingest, the thinning and the observed K
+            ("ripley-k", {"kgrid": {"n_r": 2}}, "kgrid.n_r must be an integer >= 3, got 2"),
+            ("ripley-k", {"kgrid": {"n_tau": 2}}, "kgrid.n_tau must be an integer >= 3, got 2"),
         ],
         ids=[
             "spatial-scalar", "temporal-list", "spatial-zero", "spatial-float",
@@ -1064,6 +1068,7 @@ class TestMain:
             "simulate-pi0-list", "n-r-list", "n-candidates-string", "prop2-seeds-list",
             "target-count-list", "window-t-string", "cluster-missing-field", "input-null",
             "window-both-forms", "window-time-unparseable", "window-without-lon",
+            "n-r-two", "n-tau-two",
         ],
     )
     def test_bad_config_value_exits_2(self, tmp_path, capsys, task, extra, message):

@@ -100,6 +100,51 @@ def frozen_close_pairs(x, t, r, tau, qx=None, qt=None):
         yield i[near], j[near], dx[near], ds[near], dt[near]
 
 
+def searchsorted_K(pattern, lam, grid, correction="translation", correction_cap=20.0):
+    """(k, winsorized) of estimate_K as first binned: ``np.searchsorted`` on
+    both grid axes, over the chunks of ``frozen_close_pairs``.  Test-only
+    oracle; every weight, sum and order is the estimator's, so its surface
+    is bit-identical to a correct one."""
+    window, n = pattern.window, len(pattern)
+    n_r, n_t = len(grid.r), len(grid.tau)
+    lam_vals = secondorder._lambda_at_events(lam, pattern)
+    pairs = frozen_close_pairs(pattern.x, pattern.t, grid.r[-1], grid.tau[-1])
+    if correction == "translation":
+        lx = window.x_range[1] - window.x_range[0]
+        ly = window.y_range[1] - window.y_range[0]
+        k, winsorized = np.zeros(n_r * n_t), 0
+        for i, j, dx, ds, dt in pairs:
+            overlap = (lx - dx[:, 0]) * (ly - dx[:, 1]) * (window.duration - dt)
+            e = window.volume / overlap
+            winsorized += int((e > correction_cap).sum())
+            e = np.minimum(e, correction_cap)
+            w = 2.0 * e / (lam_vals[i] * lam_vals[j]) / window.volume
+            bins = np.searchsorted(grid.r, ds) * n_t + np.searchsorted(grid.tau, dt)
+            k += np.bincount(bins, weights=w, minlength=n_r * n_t)
+        return k.reshape(n_r, n_t).cumsum(axis=0).cumsum(axis=1), winsorized
+    raster = secondorder._mask_boundary_raster(window)
+    d_s, d_t = secondorder._boundary_distances(pattern, raster)
+    areas = secondorder._eroded_areas(window, grid.r, raster)
+    volumes = areas[:, None] * np.maximum(window.duration - 2 * grid.tau, 0.0)[None, :]
+    hist = np.zeros((n_r + 1) * (n_t + 1))
+    for i, j, _, ds, dt in pairs:
+        ref = np.concatenate([i, j])
+        a_lo = np.tile(np.searchsorted(grid.r, ds), 2)
+        b_lo = np.tile(np.searchsorted(grid.tau, dt), 2)
+        a_hi = np.searchsorted(grid.r, d_s[ref], side="right")
+        b_hi = np.searchsorted(grid.tau, d_t[ref], side="right")
+        ok = (a_lo < a_hi) & (b_lo < b_hi)
+        w = np.tile(1.0 / (lam_vals[i] * lam_vals[j]), 2)[ok]
+        a_lo, b_lo, a_hi, b_hi = a_lo[ok], b_lo[ok], a_hi[ok], b_hi[ok]
+        corners = np.concatenate([a_lo, a_hi, a_lo, a_hi]) * (n_t + 1)
+        corners += np.concatenate([b_lo, b_lo, b_hi, b_hi])
+        hist += np.bincount(corners, np.concatenate([w, -w, -w, w]), len(hist))
+    sums = hist.reshape(n_r + 1, n_t + 1).cumsum(axis=0).cumsum(axis=1)[:n_r, :n_t]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.where(volumes > 0, sums / np.where(volumes > 0, volumes, 1.0), np.nan)
+    return k, 0
+
+
 def brute_force_covered(pattern, xy, tt, r, tau, exclude_self):
     """Share of the query points with a cylinder neighbour, from all pairs."""
     ds = np.hypot(*np.abs(pattern.x[None, :, :] - xy[:, None, :]).transpose(2, 0, 1))
@@ -369,6 +414,93 @@ def enumerator_cases():
     }
 
 
+class TestKGrid:
+    @pytest.mark.parametrize(
+        "r",
+        [
+            [0.0], [[0.0, 0.1]], [0.0, 0.1, 0.1], [0.1, 0.0], [-0.1, 0.0, 0.1],
+            # NaN fails every comparison, so these once passed
+            [0.0, math.nan, 0.1], [0.0, 0.05, math.inf], [math.nan, 0.05, 0.1],
+        ],
+        ids=["one-value", "two-dimensional", "tie", "decreasing", "negative",
+             "nan-inside", "inf-last", "nan-first"],
+    )
+    @pytest.mark.parametrize("axis", ["r", "tau"])
+    def test_invalid_axis_rejected(self, r, axis):
+        good = [0.0, 0.05, 0.1]
+        args = (r, good) if axis == "r" else (good, r)
+        with pytest.raises(ValueError, match=f"^{axis} values must be finite, nonnegative"):
+            KGrid(*args)
+
+
+def bins_axes():
+    """KGrid axes for the _bins tests: the defaults, every np.linspace axis of
+    2 to 200 values, and uneven ones."""
+    unit = KGrid.default(UNIT)
+    wide = KGrid.default(Window((0.0, 100.0), (0.0, 100.0), (0.0, 3650.0)))
+    axes = [unit.r, unit.tau, wide.r, wide.tau]
+    axes += [np.linspace(0.0, 0.2, m) for m in range(2, 201)]
+    axes += [np.linspace(0.04, 0.2, 20), np.linspace(1e3, 3e7, 7)]
+    axes += [np.geomspace(1e-3, 1.0, 30), np.array([0.0, 1e-9, 0.5, 0.51, 7.0])]
+    return axes
+
+
+def bins_values(axis, rng):
+    """Every grid point, its two float neighbours, 0, values beyond the last
+    grid point (the border K's distances to the boundary) and uniform draws."""
+    end = axis[-1]
+    return np.concatenate([
+        axis, np.nextafter(axis, -np.inf), np.nextafter(axis, np.inf),
+        [0.0, -0.0, end * 1.5, end * 1e6, np.inf, np.nan],
+        rng.uniform(0.0, 1.2 * end, 2000),
+    ])
+
+
+class TestBins:
+    @pytest.mark.parametrize("bins_min", [None, 0], ids=["default", "always-guess"])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_equals_searchsorted(self, side, bins_min, monkeypatch):
+        if bins_min is not None:
+            monkeypatch.setattr(secondorder, "_BINS_MIN", bins_min)
+        rng = substream(5, 40)
+        for axis in bins_axes():
+            values = bins_values(axis, rng)
+            assert len(values) >= secondorder._BINS_MIN
+            want = np.searchsorted(axis, values, side)
+            got = secondorder._bins(axis, values, side)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            # and value by value, which short arrays reach when bins_min is 0
+            for v in values[::97]:
+                one = secondorder._bins(axis, np.array([v]), side)
+                assert one == np.searchsorted(axis, v, side)
+
+
+def searchsorted_cases():
+    """(pattern, lam, grid): a ~5000-event Poisson replicate on the planar
+    benchmark window (100 km x 100 km x 3650 days) at the default grid, as
+    ripley-k draws them, and a ~100-event unit-cube pattern."""
+    bench = Window((0.0, 100.0), (0.0, 100.0), (0.0, 3650.0))
+    big = simulate_poisson(IntensityModel.const(5100 / bench.volume), bench, substream(6, 50))
+    small = simulate_poisson(IntensityModel.const(100), UNIT, substream(6, 51))
+    return {
+        "poisson-5000": (big, len(big) / bench.volume, KGrid.default(bench)),
+        "poisson-100": (small, varying_lambda(small, 100.0), KGrid.default(UNIT, 20, 20)),
+    }
+
+
+class TestEstimateKBinning:
+    @pytest.mark.parametrize("correction", ["translation", "border"])
+    @pytest.mark.parametrize("case", sorted(searchsorted_cases()))
+    def test_same_surface_as_searchsorted_oracle(self, case, correction):
+        pat, lam, grid = searchsorted_cases()[case]
+        assert 4500 <= len(pat) <= 5700 if case == "poisson-5000" else 70 <= len(pat) <= 130
+        est = estimate_K(pat, lam, grid, correction=correction, correction_cap=1.2)
+        k, winsorized = searchsorted_K(pat, lam, grid, correction, correction_cap=1.2)
+        assert np.array_equal(est.k, k, equal_nan=True) and np.nanmax(k) > 0
+        assert est.winsorized_pairs == winsorized
+        assert winsorized > 0 or correction == "border"
+
+
 class TestClosePairs:
     @pytest.mark.parametrize("chunk", [5, 97, None], ids=["chunk5", "chunk97", "default"])
     @pytest.mark.parametrize("case", sorted(enumerator_cases()))
@@ -384,6 +516,37 @@ class TestClosePairs:
                 assert a.dtype == b.dtype and np.array_equal(a, b)
         if case in ("self", "query", "tied-times", "far-offset", "one-cell", "lattice"):
             assert sum(len(c[0]) for c in want) > 0
+
+    def test_events_on_cell_edges(self):
+        # events at m * side, the edges of the enumerator's cells: for some m
+        # the quotient (x - origin) / side rounds up to m, while the cell
+        # (x - origin) // side is m - 1
+        r, span = 0.06, 1.0
+        side = r * (1 + 1e-9) + 1e-9 * span
+        edges = np.append(np.arange(17) * side, span)
+        assert (np.floor(edges / side) != edges // side).sum() >= 2
+        rng = substream(7, 61)
+        x = np.concatenate([np.stack(np.meshgrid(edges, edges), -1).reshape(-1, 2),
+                            rng.uniform(0.0, span, (1500, 2))])
+        t = np.sort(rng.uniform(0.0, 1.0, len(x)))
+        got = list(secondorder._close_pairs(x, t, r, 0.2))
+        want = list(frozen_close_pairs(x, t, r, 0.2))
+        assert len(got) == len(want) == 1 and len(want[0][0]) > 0
+        for a, b in zip(got[0], want[0], strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_pairs_at_exactly_r_kept(self):
+        # a * a + b * b rounds above hypot(a, b) ** 2 for about a quarter of
+        # offsets; the squared-distance pre-cut must keep those pairs at
+        # r = hypot(a, b), where the exact cut keeps them
+        ab = substream(7, 60).uniform(0.0, 1.0, (400, 2))
+        r = np.hypot(ab[:, 0], ab[:, 1])
+        rounded_up = ab[:, 0] * ab[:, 0] + ab[:, 1] * ab[:, 1] > r * r
+        assert rounded_up.sum() >= 50
+        for (a, b), rr in zip(ab[rounded_up], r[rounded_up]):
+            x, t = np.array([[0.0, 0.0], [a, b]]), np.zeros(2)
+            (i, j, dx, ds, dt), = secondorder._close_pairs(x, t, rr, 0.0)
+            assert list(i) == [0] and list(j) == [1] and list(ds) == [rr]
 
 
 class TestAverageK:
