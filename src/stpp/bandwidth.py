@@ -11,9 +11,12 @@ inverse-residual loss
 
 evaluated by k-fold cross-validation on a thinned subsample, repeated and
 averaged, which is what makes the selector affordable on large patterns.
-Per repeat, one pass over the subsample gives the Diggle corrections at
-every candidate, and per fold one ``exp`` over a (candidates x train x
-test) block gives every candidate's kernel values.
+One pass over the distinct points that the repeats draw gives their
+Diggle corrections at every candidate.  Per repeat, one pass over the
+subsample's pairs closer than ``_NEAR_FIELD`` times the largest candidate,
+those of two different folds, gives every fold's held-out intensities at
+every candidate: a pair adds to the held-out intensity at b only within
+``_NEAR_FIELD`` b, beyond which the kernel is below exp(-50) of its peak.
 """
 
 from __future__ import annotations
@@ -25,9 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridSpec, SpatialPattern, TemporalPattern, _blocks, substream
+from .core import GridSpec, SpatialPattern, TemporalPattern, substream
 from .simulate import thin as thin_spatial
 from .intensity import _MIN_CORRECTION, _spatial_corrections
+from .secondorder import _close_pairs
 
 __all__ = [
     "BandwidthSearch",
@@ -36,6 +40,8 @@ __all__ = [
     "select_bandwidth_spatial",
     "select_bandwidth_temporal",
 ]
+
+_NEAR_FIELD = 10.0  # a pair's kernel at bandwidth b counts within this many b
 
 
 def default_candidates(window, num: int = 16) -> np.ndarray:
@@ -48,7 +54,7 @@ def default_candidates(window, num: int = 16) -> np.ndarray:
 class BandwidthSearch:
     """Search plan for the spatial selector.
 
-    candidates must be positive and sorted; ``folds`` is the k of the
+    candidates must be finite, positive and sorted; ``folds`` is the k of the
     cross-validation, ``retention`` the thinning probability applied before
     each repeat, ``repeats`` the number of thinned subsamples whose
     selected bandwidths are averaged.
@@ -63,8 +69,9 @@ class BandwidthSearch:
 
     def __post_init__(self):
         c = np.asarray(self.candidates, dtype=float)
-        if c.ndim != 1 or len(c) == 0 or (c <= 0).any() or (np.diff(c) < 0).any():
-            raise ValueError("candidates must be positive and sorted ascending")
+        if c.ndim != 1 or len(c) == 0 or not (np.isfinite(c) & (c > 0)).all() \
+                or (np.diff(c) < 0).any():
+            raise ValueError("candidates must be finite, positive and sorted ascending")
         self.candidates = c
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
@@ -130,31 +137,46 @@ def cvl_loss(pattern: SpatialPattern, b: float, eval_points=None, grid=None) -> 
     return inverse_residual_loss(lam, window.area)
 
 
-def _fold_lambdas(xy, e, fold_ids, candidates):
-    """Held-out kernel intensities of each fold at each candidate bandwidth.
+def _held_out_lambdas(xy, w, fold_of, candidates):
+    """Held-out kernel intensities (k, n) of the points at the k candidates.
 
-    ``e`` (k, n) holds the floored Diggle corrections of the points ``xy``
-    at the k candidates.  Yields ``(f, js, lam)``: ``lam[i]`` is the
-    intensity at the points of fold f from all other points at bandwidth
-    ``candidates[js][i]``, equal bit for bit to ``cvl_loss``'s.  One
-    ``exp`` per block of candidates covers a fold, the candidates of a
-    block being as many as fit ``core._BLOCK_BYTES`` of train x test kernel
-    values; the products keep one vector-matrix product per candidate.
+    ``w`` (k, n) holds the reciprocals of the points' floored Diggle
+    corrections at the candidates and ``fold_of`` (n,) each point's fold.
+    ``lam[c, i]`` sums the kernel at bandwidth b = ``candidates[c]`` from
+    every point of another fold within ``_NEAR_FIELD`` b of point i, each
+    term divided by that partner's correction; a point with no such
+    partner gets 0.
+    The unordered pairs come from ``secondorder._close_pairs`` with all
+    times equal, one chunk at a time, so memory is bounded by the chunk.
+    Each kernel value is ``cvl_loss``'s bit for bit; the sums run in
+    another order (1e-12 relative by test).
     """
-    hold = np.zeros(len(xy), dtype=bool)
-    for f, fold in enumerate(fold_ids):
-        hold[:] = False
-        hold[fold] = True
-        h = -0.5 * _sq_distances(xy[~hold], xy[hold])
-        # compress keeps C order; a strided row of e[:, ~hold] would take
-        # another BLAS path for its product, with other last bits
-        w = 1.0 / e.compress(~hold, axis=1)
-        for js in _blocks(len(candidates), h.nbytes):
-            c = candidates[js, None, None]
-            k = h / (c * c)
-            np.exp(k, out=k)
-            k /= 2.0 * math.pi * c * c
-            yield f, js, np.stack([wj @ kj for wj, kj in zip(w[js], k)])
+    n, k = len(xy), len(candidates)
+    lam = np.zeros((k, n))
+    reach = _NEAR_FIELD * candidates
+    for i, j, dx, ds, _ in _close_pairs(xy, np.zeros(n), reach[-1], 0.0):
+        # the first candidate whose reach holds each pair, k for a pair within
+        # one fold; sorted by it, the pairs of candidate c are a prefix
+        first = np.zeros(len(ds), dtype=np.min_scalar_type(k))
+        for r in reach[:-1]:
+            first += ds > r
+        first[fold_of[i] == fold_of[j]] = k
+        order = np.argsort(first, kind="stable")  # a radix sort of small keys
+        ends = np.cumsum(np.bincount(first, minlength=k + 1)[:k])
+        order = order[:ends[-1]]
+        i, j, dx = i[order], j[order], dx[order]
+        # -0.5 * ||dx||^2 as the oracle's _sq_distances makes it
+        dx *= dx
+        h = dx[:, 0] + dx[:, 1]
+        h *= -0.5
+        for c, m in enumerate(ends):
+            b = candidates[c]
+            kern = h[:m] / (b * b)
+            np.exp(kern, out=kern)
+            kern /= 2.0 * math.pi * b * b
+            lam[c] += np.bincount(i[:m], kern * np.take(w[c], j[:m]), n)
+            lam[c] += np.bincount(j[:m], kern * np.take(w[c], i[:m]), n)
+    return lam
 
 
 def select_bandwidth_spatial(pattern: SpatialPattern, search: BandwidthSearch) -> float:
@@ -165,19 +187,26 @@ def select_bandwidth_spatial(pattern: SpatialPattern, search: BandwidthSearch) -
     points, average over folds and take the argmin over candidates.  The
     returned value averages the per-repeat argmins.
 
-    The result equals calling ``cvl_loss`` per fold and candidate, bit for
-    bit.  The window is rasterized once; per repeat, one pass over the
-    subsample gives every candidate's corrections (a point's correction
-    depends only on its own position, so they serve the training set of
-    every fold), and ``_fold_lambdas`` the held-out intensities.  Memory
-    peaks at a fold's train x test distances plus one block of kernel
-    values, at most ``core._BLOCK_BYTES`` unless one candidate's exceeds it.
+    Every repeat's subsample and fold permutation are drawn first, from
+    ``substream(seed, r)``.  One pass over the distinct drawn points then
+    gives their corrections at every candidate (a point's correction
+    depends only on its own position, so it serves every repeat and every
+    fold that draws it), and ``_held_out_lambdas`` each repeat's held-out
+    intensities from its close cross-fold pairs.  A held-out point with
+    no partner within ``_NEAR_FIELD`` b gets intensity 0, and its fold's
+    loss at b is +inf; beyond that reach the dense sum adds less than
+    exp(-50) of a kernel's peak.  The losses equal the per-fold,
+    per-candidate ``cvl_loss`` procedure's to 1e-9 relative (tested).
+    Memory is the corrections, (k, n) for the n distinct drawn points,
+    plus one pair chunk; it does not grow with the square of a subsample.
+
+    Warns once when, with two or more candidates, some repeats choose the
+    first or the last candidate, as the best bandwidth may lie outside them.
     """
     window = pattern.window
     grid = search.grid or GridSpec.spatial(window, 128, 128)
-    mask = window.raster(grid)
     candidates = search.candidates
-    chosen = []
+    draws = []
     for r in range(search.repeats):
         rng = substream(search.seed, r)
         sub = thin_spatial(pattern, search.retention, rng)
@@ -185,20 +214,38 @@ def select_bandwidth_spatial(pattern: SpatialPattern, search: BandwidthSearch) -
         if n_sub < search.folds:
             warnings.warn(f"repeat {r}: subsample of {n_sub} points too small, discarded")
             continue
-        perm = rng.permutation(n_sub)
-        fold_ids = np.array_split(perm, search.folds)
-        if min(len(f) for f in fold_ids) == 0:
-            warnings.warn(f"repeat {r}: empty fold, discarded")
-            continue
-        e = np.maximum(_spatial_corrections(sub.points, grid, mask, candidates), _MIN_CORRECTION)
-        losses = np.zeros(len(candidates))
-        for _, js, lam in _fold_lambdas(sub.points, e, fold_ids, candidates):
-            losses[js] += inverse_residual_loss(lam, window.area)
-        losses /= search.folds
-        chosen.append(candidates[int(np.argmin(losses))])
-    if not chosen:
+        fold_of = np.empty(n_sub, dtype=np.intp)
+        for f, fold in enumerate(np.array_split(rng.permutation(n_sub), search.folds)):
+            fold_of[fold] = f
+        draws.append((sub.points, fold_of))
+    if not draws:
         raise ValueError("all repeats were discarded; use a larger retention or pattern")
-    return float(np.mean(chosen))
+    # each drawn point as one complex number, whose sort is by (x1, x2)
+    drawn, inverse = np.unique(
+        np.concatenate([xy for xy, _ in draws]).view(np.complex128).ravel(),
+        return_inverse=True,
+    )
+    w = _spatial_corrections(drawn.view(float).reshape(-1, 2), grid, window.raster(grid),
+                             candidates)
+    np.divide(1.0, np.maximum(w, _MIN_CORRECTION, out=w), out=w)  # reciprocal corrections
+    chosen, start = [], 0
+    for xy, fold_of in draws:
+        rows = inverse[start:start + len(xy)]
+        start += len(xy)
+        lam = _held_out_lambdas(xy, w[:, rows], fold_of, candidates)
+        losses = np.zeros(len(candidates))
+        for f in range(search.folds):
+            losses += inverse_residual_loss(lam[:, fold_of == f], window.area)
+        losses /= search.folds
+        chosen.append(int(np.argmin(losses)))
+    ends = [chosen.count(0), chosen.count(len(candidates) - 1)]
+    if len(candidates) > 1 and any(ends):
+        warnings.warn(
+            f"{ends[0]} of {len(chosen)} repeats chose the smallest candidate "
+            f"{candidates[0]:g} and {ends[1]} the largest {candidates[-1]:g}; "
+            "the best bandwidth may lie outside the candidates"
+        )
+    return float(np.mean(candidates[chosen]))
 
 
 _HERMITE = {4: (1.0, -6.0, 3.0), 6: (1.0, -15.0, 45.0, -15.0)}  # phi^(r)(u) = P_r(u^2) phi(u)

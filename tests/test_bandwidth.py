@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from stpp import bandwidth, core, intensity
+from stpp import bandwidth, intensity, secondorder
 from stpp.bandwidth import (
     BandwidthSearch,
     cvl_loss,
@@ -121,7 +121,9 @@ class TestSelectSpatial:
         # replay the documented procedure with cvl_loss per fold and
         # candidate: per repeat, thin with substream(seed, r), permute with
         # the continued stream, split into contiguous fold chunks, evaluate
-        # held-out loss, argmin; then average the repeats' argmins
+        # held-out loss, argmin; then average the repeats' argmins.  The
+        # selection's losses match these to a tolerance (see the next
+        # test), and the chosen candidates, hence their mean, exactly
         pat = poisson_spatial(800, 3, window)
         candidates = np.geomspace(0.02, 0.3, 16)
         grid = GridSpec.spatial(window, 64, 64)
@@ -148,42 +150,79 @@ class TestSelectSpatial:
         assert got == float(np.mean(chosen))
 
     @pytest.mark.parametrize("window", [UNIT, POLYGON], ids=["rectangle", "polygon"])
-    @pytest.mark.parametrize("group", [1, 3, 16])
-    def test_batched_folds_match_cvl_loss(self, monkeypatch, window, group):
-        # every (fold, candidate) intensity and loss of the batched pass is
-        # the cvl_loss route's, whether the 16 candidates of a fold go in
-        # blocks of 1, of 3 or all together
+    @pytest.mark.parametrize("chunks", [1, 3, 16])
+    def test_batched_folds_match_cvl_loss(self, monkeypatch, window, chunks):
+        # every (fold, candidate) intensity and loss of the pair pass is the
+        # cvl_loss route's to the stated tolerance, whether the pairs come
+        # in 1, 3 or 16 chunks; only the order of the sums differs
         pat = poisson_spatial(800, 3, window)
         candidates = np.geomspace(0.02, 0.3, 16)
         grid = GridSpec.spatial(window, 64, 64)
         sub = thin(pat, 0.5, substream(11, 0))
         folds = np.array_split(substream(11, 1).permutation(len(sub)), 5)
-        want = {}
+        fold_of = np.empty(len(sub), dtype=np.intp)
+        for f, fold in enumerate(folds):
+            fold_of[fold] = f
+        pairs = len(sub) * (len(sub) - 1) // 2  # all within 10 x 0.3
+        monkeypatch.setattr(secondorder, "_PAIR_CHUNK", -(-pairs // chunks))
+        assert len(list(secondorder._close_pairs(sub.points, np.zeros(len(sub)), 3.0, 0.0))) \
+            == chunks
+        e = intensity._spatial_corrections(sub.points, grid, window.raster(grid), candidates)
+        w = 1.0 / np.maximum(e, intensity._MIN_CORRECTION)
+        lam = bandwidth._held_out_lambdas(sub.points, w, fold_of, candidates)
         for f, fold in enumerate(folds):
             hold = np.zeros(len(sub), dtype=bool)
             hold[fold] = True
             train = SpatialPattern.__new__(SpatialPattern)
             train.points = sub.points[~hold]
             train.window = window
+            got = inverse_residual_loss(lam[:, hold], window.area)
             for j, b in enumerate(candidates):
-                lam = bandwidth._lambda_at_points(
+                want = bandwidth._lambda_at_points(
                     train.points, sub.points[hold], b, window, grid, loo=False
                 )
-                want[f, j] = lam, cvl_loss(train, b, eval_points=sub.points[hold], grid=grid)
+                np.testing.assert_allclose(lam[j, hold], want, rtol=1e-12, atol=0)
+                loss = cvl_loss(train, b, eval_points=sub.points[hold], grid=grid)
+                assert got[j] == pytest.approx(loss, rel=1e-9, abs=0), (f, j)
 
-        block = max(8 * (len(sub) - len(f)) * len(f) for f in folds)
-        monkeypatch.setattr(core, "_BLOCK_BYTES", group * block)
-        e = intensity._spatial_corrections(sub.points, grid, window.raster(grid), candidates)
-        e = np.maximum(e, intensity._MIN_CORRECTION)
-        seen = []
-        for f, js, lam in bandwidth._fold_lambdas(sub.points, e, folds, candidates):
-            assert len(lam) == min(group, 16 - js.start)
-            losses = inverse_residual_loss(lam, window.area)
-            for i, j in enumerate(range(16)[js]):
-                assert np.array_equal(lam[i], want[f, j][0]), (f, j)
-                assert losses[i] == want[f, j][1], (f, j)
-                seen.append((f, j))
-        assert seen == sorted(want)
+    def test_no_partner_within_reach_gives_zero(self):
+        # two clusters 0.5 apart: the first all in fold 0, the second in
+        # fold 1 but for one point.  At b = 0.02 the clusters lie 25 b
+        # apart, beyond the 10 b reach, so the first cluster's held-out
+        # points get 0 and fold 0's loss is +inf, where the dense sum gives
+        # tiny positive values; at b = 0.1 they are in reach and match it
+        rng = np.random.default_rng(4)
+        xy = np.concatenate([rng.uniform(0.2, 0.21, (6, 2)), rng.uniform(0.7, 0.71, (6, 2))])
+        fold_of = np.array([0] * 6 + [1] * 5 + [0])
+        candidates = np.array([0.02, 0.1])
+        w = np.ones((2, len(xy)))
+        lam = bandwidth._held_out_lambdas(xy, w, fold_of, candidates)
+        assert (lam[0, :6] == 0).all() and (lam[0, 6:] > 0).all()
+        assert inverse_residual_loss(lam[0, fold_of == 0], 1.0) == math.inf
+        assert math.isfinite(inverse_residual_loss(lam[0, fold_of == 1], 1.0))
+        d2 = ((xy[:, None] - xy[None]) ** 2).sum(-1)
+        cross = fold_of[:, None] != fold_of[None, :]
+        for j, b in enumerate(candidates):
+            dense = (cross * np.exp(-0.5 * d2 / b**2)).sum(0) / (2 * math.pi * b**2)
+            assert (dense > 0).all()
+            if j == 1:
+                np.testing.assert_allclose(lam[j], dense, rtol=1e-12, atol=0)
+
+    def test_warns_when_repeats_choose_an_end(self):
+        pat = poisson_spatial(800, 5)
+        search = BandwidthSearch(np.array([0.3, 0.4, 0.5]), folds=5, retention=0.5,
+                                 repeats=3, seed=2)
+        with pytest.warns(UserWarning, match="3 of 3 repeats chose the smallest candidate 0.3 "
+                                             "and 0 the largest 0.5") as record:
+            assert select_bandwidth_spatial(pat, search) == 0.3
+        assert len(record) == 1
+
+    def test_single_candidate_does_not_warn(self):
+        pat = poisson_spatial(500, 2)
+        search = BandwidthSearch(np.array([0.07]), folds=2, retention=0.5, repeats=2, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            select_bandwidth_spatial(pat, search)
 
     def test_scale_equivariance_within_one_step(self):
         pat = poisson_spatial(1200, 4)
@@ -504,3 +543,11 @@ def test_search_validation():
         BandwidthSearch(np.array([0.1]), folds=1)
     with pytest.raises(ValueError):
         BandwidthSearch(np.array([0.1]), repeats=0)
+
+
+@pytest.mark.parametrize("candidates", [[math.nan], [0.1, math.inf], [-math.inf, 0.1]],
+                         ids=["nan", "inf", "minus-inf"])
+def test_search_rejects_nonfinite_candidates(candidates):
+    # the pair pass sizes its search from 10 x the largest candidate
+    with pytest.raises(ValueError, match="finite"):
+        BandwidthSearch(np.array(candidates))

@@ -632,6 +632,37 @@ class TestChunkedEstimators:
             assert np.array_equal(bits(est.field.values), bits(want))
         np.testing.assert_allclose(est.field.values, want, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("b_t", [0.004, 0.03, 1e-9])
+    def test_lambda_t_blocks_build_only_reached_time_cells(self, monkeypatch, b_t):
+        # blocks of 3 time-sorted events build their rows only on the time
+        # cells within exp's underflow reach of their ends: at b_t = 0.004
+        # and 1e-9 a part of the 200, at 0.03 (reach 1.16) all of them.  The
+        # field is the full-width blocked sum's to 1e-14 (the product runs
+        # over fewer columns), and the unblocked oracle's to 1e-12
+        grid = GridSpec.temporal(UNIT, 200)
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 3 * 8 * 200)
+        _, tp = project(chunk_pattern(UNIT, 5))
+        widths = []
+        factors = intensity._gauss_factors
+
+        def counted(points, centers, step, b, out=None):
+            widths.append(len(centers))
+            return factors(points, centers, step, b, out)
+
+        monkeypatch.setattr(intensity, "_gauss_factors", counted)
+        est = estimate_lambda_t(tp, KernelSpec(b_t), grid)
+        e = temporal_corrections(tp.times, UNIT, b_t)
+        full = np.zeros(200)
+        for rows in core._blocks(len(tp), 8 * 200):
+            g = oracle_gauss_factors(tp.times[rows], grid.centers(0), 1.0, b_t)
+            full += (1.0 / e[rows]) @ g
+        np.testing.assert_allclose(est.field.values, full, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(
+            est.field.values, oracle_lambda_t(tp, b_t, grid), rtol=1e-12, atol=0
+        )
+        assert len(widths) == -(-len(tp) // 3)
+        assert (max(widths) == 200) == (b_t == 0.03)
+
     @pytest.mark.parametrize("window", [UNIT, POLYGON], ids=["rectangle", "polygon"])
     @pytest.mark.parametrize("b_t", [0.004, 1e-9])
     def test_lambda_st_blocks_skip_unreached_time_cells(self, monkeypatch, window, b_t):

@@ -548,6 +548,29 @@ class TestClosePairs:
             (i, j, dx, ds, dt), = secondorder._close_pairs(x, t, rr, 0.0)
             assert list(i) == [0] and list(j) == [1] and list(ds) == [rr]
 
+    @pytest.mark.parametrize("where", ["below-spacing", "at-a-pair", "beyond-diameter"])
+    def test_all_times_equal_gives_each_close_pair_once(self, where):
+        # the spatial bandwidth selector's use: every unordered pair with
+        # hypot <= r exactly once, when r is below the closest pair's
+        # distance (none), equal to some pair's, or beyond the window's
+        # diameter (one cell holds every point)
+        rng = substream(7, 62)
+        x = rng.uniform(0.0, 1.0, (300, 2))
+        a, b = np.triu_indices(len(x), k=1)
+        d = np.hypot(x[b, 0] - x[a, 0], x[b, 1] - x[a, 1])
+        r = {"below-spacing": 0.5 * d.min(), "at-a-pair": np.sort(d)[2000],
+             "beyond-diameter": 2.0}[where]
+        chunks = list(secondorder._close_pairs(x, np.zeros(len(x)), r, 0.0))
+        i, j, dx, ds, dt = (np.concatenate(c) for c in zip(*chunks)) if chunks else [[]] * 5
+        got = sorted(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist()))
+        want = sorted(zip(a[d <= r].tolist(), b[d <= r].tolist()))
+        assert got == want and len(set(got)) == len(got)
+        assert len(want) == {"below-spacing": 0, "at-a-pair": 2001,
+                             "beyond-diameter": len(d)}[where]
+        if len(want):
+            assert np.array_equal(ds, np.hypot(x[j, 0] - x[i, 0], x[j, 1] - x[i, 1]))
+            assert not np.any(dt)
+
 
 class TestAverageK:
     def test_poisson_surface_reproduces_identities(self):
