@@ -160,14 +160,16 @@ def parallel_map(fn, n_items: int, threads: int):
     return results
 
 
-# bytes of the owner search's scratch per raster cell (its ~50, rounded up)
-_RASTER_CELL_BYTES = 64
-# side of the square tiles whose owners _nearest_owners resolves together,
+# bytes of the owner search's scratch per raster cell: its ~120, doubled.
+# At 128, two concurrent blocks raised the peak RSS of a 10^6-event
+# raster by 8 MB
+_RASTER_CELL_BYTES = 256
+# side of the square tiles whose owners _nearest_owners certifies together,
 # and how many generators nearest a tile's centre it fetches
 _TILE = 4
-_TILE_CANDIDATES = 16
-# relative slack on a tile's candidate radius d1 + 2r, and the relative gap
-# under which a cell's two best squared distances count as a tie
+_TILE_CANDIDATES = 8
+# relative slack on a cell's certificate, and the relative gap under which
+# a cell's two best squared distances count as a tie
 _RADIUS_SLACK = 1e-9
 _TIE_MARGIN = 1e-12
 
@@ -180,27 +182,24 @@ def _nearest_owners(tree, xs, ys, inside) -> np.ndarray:
     ``_owner_grid`` checks that the indices fit.
 
     The grid is cut into tiles of at most 4 x 4 cells.  One query fetches
-    the k = min(16, n) generators nearest each tile's centre; d1 is the
-    nearest distance and r the largest centre-to-cell distance.  A cell's
-    owner g satisfies |c - g| <= |c - g1|, so by the triangle inequality
-    it lies within d1 + 2r of the centre.  If the k-th distance exceeds
-    that radius (times 1 + 1e-9), or k = n, the sorted prefix within the
-    radius holds every possible owner, ties included, and each cell takes
-    the candidate of least ``dx*dx + dy*dy``, the sum ``cKDTree`` compares.
-    Generators outside the radius are at least 1e-9 relatively farther
-    from every cell than g1.  Every cell of the other tiles, and every
-    cell whose two best candidates lie within a relative 1e-12 (far above
-    the few ulps between two evaluations of one sum), is queried on its
-    own, so exact ties resolve by ``cKDTree``'s own traversal and the grid
-    equals one ``tree.query`` of all centres.  On a raster coarser than
-    the generators, where a tile's disc of radius 2r holds more than k of
-    them on average, no tile can resolve and every cell is queried on its
-    own from the start.
+    the k = min(8, n) generators nearest each tile's centre C, the k-th at
+    distance d_k.  Each cell c of the tile takes the candidate of least
+    ``dx*dx + dy*dy``, the sum ``cKDTree`` compares, at ``best``.  Every
+    generator not fetched lies at least d_k from C, so at least
+    d_k - |C - c| from c.  The cell is certified when no other candidate
+    lies within a relative 1e-12 of ``best`` (far above the few ulps
+    between two evaluations of one sum) and, unless k = n,
+    (|C - c| + sqrt(best)) * (1 + 1e-9) < d_k: then every generator not
+    fetched is strictly farther.  Every other cell, ties included, is
+    queried on its own, so exact ties resolve by ``cKDTree``'s own
+    traversal and the grid equals one ``tree.query`` of all centres.  On a
+    raster coarser than the generators, where a disc of twice a tile's
+    radius holds more than k of them on average, few cells could be
+    certified and every cell is queried on its own from the start.
 
-    Memory: besides the grid, about 50 bytes per cell (the tiles' k
-    nearest neighbours, the owners and the cells left to query) and at
-    most ``_BLOCK_BYTES`` of squared distances at a time.  Queries run on
-    one thread, so callers may run blocks in parallel.
+    Memory: besides the grid, about 120 bytes per cell at k = 8, mostly
+    the (candidate, cell) squared distances.  Queries run on one thread,
+    so callers may run blocks in parallel.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -221,66 +220,52 @@ def _nearest_owners(tree, xs, ys, inside) -> np.ndarray:
     # the farthest cell of a tile from its centre is a corner cell
     r = np.hypot(np.maximum(cx - x0, x1 - cx), np.maximum(cy - y0, y1 - cy))
     k = min(_TILE_CANDIDATES, tree.n)
-    pending = np.zeros((nx, ny), dtype=bool)
     if k < tree.n and tree.n * math.pi * (2.0 * r.max()) ** 2 > k * np.prod(tree.maxes - tree.mins):
-        # a raster coarser than the generators: the candidate disc of a
-        # tile holds more than k of them on average, so tiles cannot resolve
-        pending[:] = True
+        # a raster coarser than the generators
+        i, j = np.nonzero(inside)
     else:
-        _resolve_tiles(tree, xs, ys, ri, ci, cx, cy, r, k, owners, pending)
-    i, j = np.nonzero(pending & inside)
+        dist, idx = tree.query(np.column_stack([cx, cy]), k=k, workers=1)
+        idx = np.ascontiguousarray(idx.reshape(-1, k).T)
+        # (row or column, tile) cell coordinates and (candidate, row, column,
+        # tile) squared distances: tiles last, so each pass runs over slabs
+        px, py = np.ascontiguousarray(xs[ri].T), np.ascontiguousarray(ys[ci].T)
+        dx = tree.data[idx, 0][:, None, :] - px
+        dy = tree.data[idx, 1][:, None, :] - py
+        dx *= dx
+        dy *= dy
+        sq = dx[:, :, None, :] + dy[:, None, :, :]
+        del dx, dy
+        best = sq.min(axis=0)
+        close = (sq <= best * (1.0 + _TIE_MARGIN)).view(np.uint8)
+        del sq
+        sure = np.add.reduce(close, axis=0) == 1
+        # a cell with one close candidate gets its rank as the ranks' sum;
+        # the uint8 counts hold for k below 256
+        close *= np.arange(k, dtype=np.uint8)[:, None, None, None]
+        rank = np.minimum(np.add.reduce(close, axis=0), k - 1)
+        if k < tree.n:
+            off = np.hypot((px - cx)[:, None, :], (py - cy)[None, :, :])
+            sure &= (off + np.sqrt(best)) * (1.0 + _RADIUS_SLACK) < dist.reshape(-1, k)[:, -1]
+        rows, cols = np.broadcast_arrays(ri.T[:, None, :], ci.T[None, :, :])
+        owners[rows, cols] = idx[rank, np.arange(len(cx))]
+        # a grid, so that a padded cell is queried once
+        left = np.zeros((nx, ny), dtype=bool)
+        left[rows[~sure], cols[~sure]] = True
+        i, j = np.nonzero(left & inside)
     if len(i):
         owners[i, j] = tree.query(np.column_stack([xs[i], ys[j]]), workers=1)[1]
     owners[~inside] = -1
     return owners
 
 
-def _resolve_tiles(tree, xs, ys, ri, ci, cx, cy, r, k, owners, pending):
-    """The tile pass of ``_nearest_owners``.
-
-    Tile t covers cell rows ``ri[t]`` and columns ``ci[t]`` around centre
-    (cx[t], cy[t]) within r[t].  Writes the owners of the cells of resolved
-    tiles and marks in ``pending`` the cells left for a query of their own.
-    """
-    dist, idx = tree.query(np.column_stack([cx, cy]), k=k, workers=1)
-    dist, idx = dist.reshape(-1, k), idx.reshape(-1, k)
-    radius = (dist[:, 0] + 2.0 * r) * (1.0 + _RADIUS_SLACK)
-    resolved = dist[:, -1] > radius if k < tree.n else np.ones(len(dist), dtype=bool)
-    prefix = (dist <= radius[:, None]).sum(axis=1)
-    pending[ri[~resolved, :, None], ci[~resolved, None, :]] = True
-    single = resolved & (prefix == 1)
-    owners[ri[single, :, None], ci[single, None, :]] = idx[single, :1, None]
-    data = tree.data
-    for length in np.unique(prefix[resolved & (prefix > 1)]):
-        tiles = np.flatnonzero(resolved & (prefix == length))
-        # 32 bytes per cell and candidate: dx, dy and sq
-        for block in _blocks(len(tiles), 32 * _TILE * _TILE * length):
-            t = tiles[block]
-            cand = idx[t, :length].T
-            dx = data[cand, 0][:, :, None, None] - xs[ri[t]][None, :, :, None]
-            dy = data[cand, 1][:, :, None, None] - ys[ci[t]][None, :, None, :]
-            sq = dx * dx + dy * dy  # (candidate, tile, tile row, tile column)
-            limit = sq.min(axis=0) * (1.0 + _TIE_MARGIN)
-            own = np.empty(limit.shape, dtype=np.int32)
-            near = np.zeros(limit.shape, dtype=np.int8)
-            for g, d in zip(cand, sq):
-                close = d <= limit
-                near += close
-                np.copyto(own, g[:, None, None], where=close)
-            rows, cols = np.broadcast_arrays(ri[t, :, None], ci[t, None, :])
-            owners[rows, cols] = own
-            tie = near > 1
-            pending[rows[tie], cols[tie]] = True
-
-
 def _owner_grid(tree, xs, ys, inside) -> np.ndarray:
-    """``_nearest_owners`` of a whole grid, in blocks of whole rows.
+    """``_nearest_owners`` of a whole grid, in blocks of whole rows of tiles.
 
-    Blocks of ``_BLOCK_BYTES`` at 64 bytes a cell run through
-    :func:`parallel_map` on ``os.cpu_count()`` threads, the count
-    ``workers=-1`` uses; each queries on one thread, so its numpy work runs
-    in parallel too.  Every block writes its own rows, so the grid does
-    not depend on the thread count.
+    Blocks of ``_BLOCK_BYTES`` at ``_RASTER_CELL_BYTES`` a cell (8 rows of
+    a 4000-column raster) run through :func:`parallel_map` on
+    ``os.cpu_count()`` threads, the count ``workers=-1`` uses; each queries
+    on one thread, so its numpy work runs in parallel too.  Every block
+    writes its own rows, so the grid does not depend on the thread count.
 
     The grid is int32, half the bytes of an intp one.  Its indices fit
     below 2^31 generators; that many would hold 32 GB of coordinates in
@@ -291,7 +276,11 @@ def _owner_grid(tree, xs, ys, inside) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     owners = np.empty((len(xs), len(ys)), dtype=np.int32)
-    blocks = _blocks(len(xs), _RASTER_CELL_BYTES * len(ys))
+    # whole rows of tiles: a block that cut one would pad it to full size
+    blocks = [
+        slice(_TILE * b.start, min(_TILE * b.stop, len(xs)))
+        for b in _blocks(-(-len(xs) // _TILE), _TILE * _RASTER_CELL_BYTES * len(ys))
+    ]
 
     def assign(i):
         rows = blocks[i]

@@ -395,8 +395,9 @@ def estimate_lambda_st(
     field as estimated.
 
     Memory is one block of (m, nx*ny + nt) kernel rows, at most
-    ``core._BLOCK_BYTES``, plus the 3D grid; when those need more than
-    ``_MEMORY_CAP_MB`` MB, ``MemoryError`` is raised before any work.
+    ``core._BLOCK_BYTES``, plus the 3D grid and one grid-sized buffer for
+    the blocks' products; when those need more than ``_MEMORY_CAP_MB`` MB,
+    ``MemoryError`` is raised before any work.
     """
     if not (0.0 < pi0 <= 1.0):
         raise ValueError(f"pi0 must be in (0, 1], got {pi0}")
@@ -405,8 +406,8 @@ def estimate_lambda_st(
         grid = GridSpec.spacetime(window, 64, 64, 250)
     nx, ny, nt = grid.shape
     blocks = _blocks(len(pattern), 8 * (nx * ny + nt))
-    # the largest block's rows S and T, and the 3D field
-    _check_memory((blocks[0].stop if blocks else 0) * (nx * ny + nt) + nx * ny * nt)
+    # the largest block's rows S and T, the 3D field and the products' buffer
+    _check_memory((blocks[0].stop if blocks else 0) * (nx * ny + nt) + 2 * nx * ny * nt)
     if len(pattern) == 0:
         warnings.warn("empty pattern: returning a zero intensity field")
         mask2d = window.raster(GridSpec.spatial(window, nx, ny))
@@ -414,6 +415,10 @@ def estimate_lambda_st(
         return IntensityEstimate(field, empty=True)
     _check_resolvable(kernel_s.bandwidth, grid, (0, 1))
     values = np.zeros((nx * ny, nt))
+    # every block's product lands in one buffer, resident only as far as
+    # the widest block writes; a new array of each block's width made the
+    # peak RSS depend on what earlier stages left on the heap (up to 8 MB)
+    buf = np.empty(nx * ny * nt)
     for rows in blocks:
         gx, gy, T, e_s, e_t, mask2d = _spacetime_rows(
             pattern.x[rows], pattern.t[rows], window, grid,
@@ -422,14 +427,15 @@ def estimate_lambda_st(
         if (e_s < _MIN_CORRECTION).any() or (e_t < _MIN_CORRECTION).any():
             raise ValueError("edge-correction weight underflow at a data point")
         S = _spatial_kernel_rows(gx, gy)
-        cols = slice(None)
+        lo, hi = 0, nt
         if len(blocks) > 1:
             # a block of time-sorted events reaches only the time cells
             # near it; its products with the others are exact zeros.  One
             # block keeps the whole product, the oracle's bit for bit
             reached = np.flatnonzero(T.any(axis=0))
-            cols = slice(reached[0], reached[-1] + 1) if len(reached) else slice(0, 0)
-        values[:, cols] += S.T @ T[:, cols]
+            lo, hi = (reached[0], reached[-1] + 1) if len(reached) else (0, 0)
+        product = buf[:nx * ny * (hi - lo)].reshape(nx * ny, hi - lo)
+        values[:, lo:hi] += np.matmul(S.T, T[:, lo:hi], out=product)
         del S, T, gx, gy  # before the next block's rows are built
     values = values.reshape(nx, ny, nt)
     values /= pi0
@@ -485,19 +491,23 @@ def voronoi_intensity(
     is max(256, sqrt(16 n)) cells per axis, so dense patterns keep about
     16 raster cells per generator.
 
-    Owners come from ``core._nearest_owners`` and equal one
-    ``cKDTree.query`` of every in-mask cell centre, exact ties included
-    (see there for the argument).  The raster runs in blocks of whole rows,
-    ``core._BLOCK_BYTES`` at 64 bytes a cell (2^17 cells), on
-    ``os.cpu_count()`` threads, and does not depend on the thread count.
-    The owners are then counted one such block at a time, which adds the
-    integer counts exactly.  The estimate's field is built on first access
-    to ``.field``.
+    Owners come from ``core._nearest_owners``: one k-d tree query per 4 x 4
+    tile fetches the k = 8 generators nearest its centre, a certificate
+    keeps a cell's nearest candidate when no generator left out can be
+    as near, and every other cell, ties included, is queried on its own.
+    They equal one ``cKDTree.query`` of every in-mask cell centre, exact
+    ties included (see there for the argument).  The raster runs in
+    blocks of whole tile rows, ``core._BLOCK_BYTES`` at
+    ``core._RASTER_CELL_BYTES`` (256) bytes a cell, on ``os.cpu_count()``
+    threads, and does not depend on the thread count.  The owners are then
+    counted in blocks of as many rows, which adds the integer counts
+    exactly.  The estimate's field is built on first access to ``.field``.
 
-    Memory: besides the k-d tree, about 50 bytes per cell of each running
+    Memory: besides the k-d tree, about 120 bytes per cell of each running
     block, plus the int32 owner grid and the boolean mask: at 10^6 events
-    (a 4000 x 4000 raster) about 6 MB per block, 64 MB for the owners and
-    16 MB for the mask.  Reading ``.field`` adds the 128 MB float64 field.
+    (a 4000 x 4000 raster, 8 rows a block) about 4 MB per block, 64 MB for
+    the owners and 16 MB for the mask.  Reading ``.field`` adds the 128 MB
+    float64 field.
     """
     from scipy.spatial import cKDTree
 

@@ -291,7 +291,7 @@ class TestVoronoi:
     )
     @pytest.mark.parametrize("block", [1, 200, 1 << 20])
     def test_row_blocks_match_single_query(self, monkeypatch, window, block):
-        monkeypatch.setattr(core, "_BLOCK_BYTES", 64 * block)
+        monkeypatch.setattr(core, "_BLOCK_BYTES", core._RASTER_CELL_BYTES * block)
         rng = substream(3, 9)
         xy = rng.uniform(size=(400, 2))
         # 400 uniform points plus generators on every 8th cell centre of
@@ -320,7 +320,7 @@ class TestVoronoi:
         # blocks of one and of two rows of the 53-row raster, the last
         # block short; a clump of 20 points within 1e-3 of a centre leaves
         # most of them no raster cell
-        monkeypatch.setattr(core, "_BLOCK_BYTES", 64 * block)
+        monkeypatch.setattr(core, "_BLOCK_BYTES", core._RASTER_CELL_BYTES * block)
         rng = substream(4, 2)
         xy = rng.uniform(size=(300, 2))
         xy = np.vstack([xy, 0.5 + rng.uniform(-1e-3, 1e-3, size=(20, 2))])
@@ -417,10 +417,10 @@ class TestNearestOwners:
     )
 
     @WINDOWS
-    @pytest.mark.parametrize("candidates", [1, 2, 16])
+    @pytest.mark.parametrize("candidates", sorted({1, 2, core._TILE_CANDIDATES, 16}))
     def test_every_path_matches_single_query(self, monkeypatch, window, candidates):
-        # one candidate never resolves a tile, so every cell falls back;
-        # two resolve some tiles; 16 is the default
+        # one candidate never certifies a cell, so every cell falls back;
+        # two certify some; core._TILE_CANDIDATES is the default
         monkeypatch.setattr(core, "_TILE_CANDIDATES", candidates)
         pat = tie_generators(window, near_pairs=40)
         for resolution in (64, 67):
@@ -428,7 +428,7 @@ class TestNearestOwners:
 
     @WINDOWS
     @pytest.mark.parametrize("n", [1, 3, 15])
-    @pytest.mark.parametrize("candidates", [2, 16])
+    @pytest.mark.parametrize("candidates", sorted({2, core._TILE_CANDIDATES, 16}))
     def test_fewer_generators_than_candidates(self, monkeypatch, window, n, candidates):
         monkeypatch.setattr(core, "_TILE_CANDIDATES", candidates)
         pat = first_generators(window, n)
@@ -437,7 +437,7 @@ class TestNearestOwners:
         if n == 1:
             assert (cells.assignment[cells.raster_mask] == 0).all()
 
-    @pytest.mark.parametrize("candidates", [1, 16])
+    @pytest.mark.parametrize("candidates", sorted({1, core._TILE_CANDIDATES, 16}))
     def test_ties_and_unresolved_tiles_are_queried_per_cell(self, monkeypatch, candidates):
         monkeypatch.setattr(core, "_TILE_CANDIDATES", candidates)
         tree = QueryLog(tie_generators(UNIT, near_pairs=40).points)
@@ -459,11 +459,79 @@ class TestNearestOwners:
         if candidates == 1:
             assert queried == every
         else:
-            assert any(k == 16 for k, _ in tree.log)
+            assert any(k == candidates for k, _ in tree.log)
             assert len(queried) < len(cells) // 2
 
+    def test_certified_cells_skip_their_own_query(self, monkeypatch):
+        # one 4 x 4 tile of unit cells centred on C = (2, 2), at k = 8.
+        # Sorted by distance from C the generators are (2.5, 3) at 1.118,
+        # (1, 1), (3, 1) and (1, 3) at 1.414, (2.5, 4) at 2.06 and four on
+        # the axes at d_8 = 2.5; four far ones keep the raster finer than
+        # the generators.  d_8 lies within d1 + 2r = 5.36, so no candidate
+        # radius about C holds every owner, yet 10 of the 16 cells satisfy
+        # |C - c| + sqrt(best) < d_8.  The other six are queried: three
+        # corners too far from C, and three exact ties with (2.5, 3)
+        monkeypatch.setattr(core, "_TILE_CANDIDATES", 8)
+        near = [(2.5, 3), (1, 1), (3, 1), (1, 3), (2.5, 4), (4.5, 2), (2, 4.5), (-0.5, 2), (2, -0.5)]
+        far = [(-1e3, -1e3), (-1e3, 1e3), (1e3, -1e3), (1e3, 1e3)]
+        tree = QueryLog(np.array(near + far, dtype=float))
+        centres = np.arange(4) + 0.5
+        owners = core._nearest_owners(tree, centres, centres, None)
+        gx, gy = np.meshgrid(centres, centres, indexing="ij")
+        cells = np.column_stack([gx.ravel(), gy.ravel()])
+        _, oracle = cKDTree(tree.data).query(cells)
+        assert np.array_equal(owners.ravel(), oracle)
+        dist, _ = cKDTree(tree.data).query([(2, 2)], k=8)
+        assert dist[0, -1] == 2.5 and dist[0, -1] < dist[0, 0] + 2 * math.hypot(1.5, 1.5)
+        (k, tile), (one, queried) = tree.log
+        assert (k, tile.tolist()) == (8, [[2.0, 2.0]])
+        corners = {(0.5, 0.5), (3.5, 0.5), (0.5, 3.5)}
+        ties = {(2.5, 3.5), (3.5, 3.5), (3.5, 2.5)}
+        assert one == 1 and {tuple(c) for c in queried.tolist()} == corners | ties
+        assert len(queried) == 6
+
+    def test_certificate_slack_covers_rounding(self, monkeypatch):
+        # the tile of the cells (+-u, +-v) has its centre C at the origin.
+        # The owner of c = (u, v) is g, nearly on the ray from C through c
+        # and just beyond the 8th candidate q, so g is not fetched; b is
+        # fetched and its squared distance to c exceeds g's by an ulp.  In
+        # floating point |C - c| + sqrt(best) < d_8 holds, so without the
+        # relative slack the cell would be certified with the wrong owner
+        monkeypatch.setattr(core, "_TILE_CANDIDATES", 8)
+        u, v = 0.8593949837041148, 0.8323568467197717
+        g = (1.3627890521112243, 1.319913217634126)
+        b = (0.18466777720693506, 1.0217242138640321)
+        q = (1.897199225869408, 0.0)
+        near = [(-0.05 * i * u, -0.05 * i * v) for i in range(1, 7)]
+        far = [(-1e3, -1e3), (-1e3, 1e3), (1e3, -1e3), (1e3, 1e3)]
+        data = np.array([g, b, q] + near + far)
+        tree = QueryLog(data)
+        owners = core._nearest_owners(tree, np.array([-u, u]), np.array([-v, v]), None)
+        gx, gy = np.meshgrid([-u, u], [-v, v], indexing="ij")
+        _, oracle = cKDTree(data).query(np.column_stack([gx.ravel(), gy.ravel()]))
+        assert np.array_equal(owners.ravel(), oracle)
+        dist, fetched = cKDTree(data).query([(0.0, 0.0)], k=8)
+        best = ((data[fetched[0]] - (u, v)) ** 2).sum(axis=1).min()
+        assert oracle[3] == 0 and 0 not in fetched
+        assert math.hypot(u, v) + math.sqrt(best) < dist[0, -1]
+        assert any([u, v] in x.tolist() for k, x in tree.log if k == 1)
+
+    @pytest.mark.parametrize("window", [UNIT, POLYGON], ids=["rectangle", "polygon"])
+    def test_clustered_generators_at_default_resolution(self, window):
+        # 2·10^4 generators in 400 Gaussian clusters of sd 0.005: dense
+        # clusters, sparse gaps and cells on either side of the certificate
+        rng = substream(7, 2)
+        xy = np.repeat(rng.uniform(size=(400, 2)), 50, axis=0)
+        xy += rng.normal(scale=0.005, size=xy.shape)
+        pat = SpatialPattern(xy[window.contains_xy(xy)], window)
+        _, cells = voronoi_intensity(pat)
+        resolution = cells.grid.shape[0]
+        assert resolution == math.ceil(math.sqrt(16 * len(pat))) > 256
+        assignment = oracle_voronoi(pat, resolution)[3]
+        assert np.array_equal(cells.assignment, assignment)
+
     def test_raster_coarser_than_generators_queries_every_cell(self):
-        # about 11 generators per cell: no 4 x 4 tile could resolve
+        # about 11 generators per cell: few cells could be certified
         tree = QueryLog(substream(6, 1).uniform(size=(3000, 2)))
         xs, ys = (np.arange(16) + 0.5) / 16, (np.arange(17) + 0.5) / 17
         owners = core._nearest_owners(tree, xs, ys, None)
@@ -484,6 +552,19 @@ class TestNearestOwners:
         assert np.array_equal(owners[30:40, 5], oracle)
         assert (owners[~inside] == -1).all()
 
+    def test_scratch_within_raster_cell_bytes(self):
+        # 16 raster cells per generator, as voronoi_intensity's default
+        # resolution gives: one block of 8 rows of a 1000-column raster
+        tree = cKDTree(substream(8, 3).uniform(size=(62500, 2)))
+        centres = (np.arange(1000) + 0.5) / 1000
+        tracemalloc.start()
+        try:
+            core._nearest_owners(tree, centres[:8], centres, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < core._RASTER_CELL_BYTES * 8 * 1000
+
     def test_more_generators_than_int32_indices_raise(self):
         tree = types.SimpleNamespace(n=2**31)
         with pytest.raises(ValueError, match="int32"):
@@ -491,11 +572,11 @@ class TestNearestOwners:
 
     @WINDOWS
     def test_thread_count_does_not_change_the_grid(self, monkeypatch, window):
-        # 67 cells per block: one row of the 67-cell raster each; eight
+        # one row of tiles per block: 17 blocks of the 67-cell raster; eight
         # workers (more than the cores) switching threads every microsecond
         # must not lose or mix any block's rows.  One worker takes
         # parallel_map's serial path and starts no pool
-        monkeypatch.setattr(core, "_BLOCK_BYTES", 64 * 67)
+        monkeypatch.setattr(core, "_BLOCK_BYTES", core._TILE * core._RASTER_CELL_BYTES * 67)
         pools = []
 
         class Pool(ThreadPoolExecutor):
