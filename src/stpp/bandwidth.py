@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 _NEAR_FIELD = 10.0  # a pair's kernel at bandwidth b counts within this many b
+_CV_GRID = 128  # cells per axis of the grid the CV's Diggle corrections sum over
 
 
 def default_candidates(window, num: int = 16) -> np.ndarray:
@@ -65,7 +66,6 @@ class BandwidthSearch:
     retention: float = 0.025
     repeats: int = 50
     seed: int = 0
-    grid: GridSpec | None = None
 
     def __post_init__(self):
         c = np.asarray(self.candidates, dtype=float)
@@ -127,7 +127,7 @@ def cvl_loss(pattern: SpatialPattern, b: float, eval_points=None, grid=None) -> 
         raise ValueError("bandwidth must be positive")
     window = pattern.window
     if grid is None:
-        grid = GridSpec.spatial(window, 128, 128)
+        grid = GridSpec.spatial(window, _CV_GRID, _CV_GRID)
     xy = pattern.points
     if eval_points is None:
         lam = _lambda_at_points(xy, xy, b, window, grid, loo=True)
@@ -204,7 +204,7 @@ def select_bandwidth_spatial(pattern: SpatialPattern, search: BandwidthSearch) -
     first or the last candidate, as the best bandwidth may lie outside them.
     """
     window = pattern.window
-    grid = search.grid or GridSpec.spatial(window, 128, 128)
+    grid = GridSpec.spatial(window, _CV_GRID, _CV_GRID)
     candidates = search.candidates
     draws = []
     for r in range(search.repeats):

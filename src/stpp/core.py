@@ -106,29 +106,34 @@ class PolygonMask:
 class VoronoiRegionMask:
     """Union of Voronoi cells of a generator set, used as a window mask.
 
-    Containment is exact (nearest-generator membership in ``tree``, a
-    ``scipy.spatial.cKDTree`` over the generators); the area is taken from
-    a raster assignment computed at construction so that it stays
-    consistent with the per-cell areas of the tessellation it came from.
+    A point is in the region when its nearest generator in ``tree`` (a
+    ``scipy.spatial.cKDTree``) is flagged in ``member`` and ``parent``, the
+    mask the tessellation was clipped to (None for a rectangle), contains
+    it.  ``area`` is given, consistent with the tessellation's cell areas.
     """
 
-    def __init__(self, tree, member, area, raster_xs, raster_ys, raster_mask):
+    def __init__(self, tree, member, area, parent=None):
         self.member = np.asarray(member, dtype=bool)
         self.area = float(area)
+        self.parent = parent
         self._tree = tree
-        self._raster_xs = np.asarray(raster_xs)
-        self._raster_ys = np.asarray(raster_ys)
-        self._raster_mask = np.asarray(raster_mask, dtype=bool)
+
+    @property
+    def n_cells(self) -> int:
+        return int(self.member.sum())
 
     def contains(self, xy) -> np.ndarray:
         xy = np.atleast_2d(np.asarray(xy, dtype=float))
         _, idx = self._tree.query(xy)
-        return self.member[idx]
+        inside = self.member[idx]
+        if self.parent is not None:
+            inside &= self.parent.contains(xy)
+        return inside
 
     def raster(self, xs, ys) -> np.ndarray:
-        if np.array_equal(xs, self._raster_xs) and np.array_equal(ys, self._raster_ys):
-            return self._raster_mask
-        return self.member[_owner_grid(self._tree, xs, ys, None)]
+        inside = None if self.parent is None else self.parent.raster(xs, ys)
+        # cells outside the parent hold -1, which picks the appended False
+        return np.append(self.member, False)[_owner_grid(self._tree, xs, ys, inside)]
 
 
 # bytes of scratch that each blocked loop (λ_s, λ_t, λ_st, the Diggle

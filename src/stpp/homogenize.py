@@ -16,16 +16,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import SpatialPattern, VoronoiRegionMask, Window, _is_count, _trusted, substream
+from .core import SpatialPattern, VoronoiRegionMask, _is_count, _trusted, substream
 from .inference import quadrat_test
 from .intensity import VoronoiCells, voronoi_intensity
 
 __all__ = [
-    "LevelSetEstimate",
     "HomogenizeConfig",
     "HomogenizeReport",
     "level_set",
@@ -36,19 +35,6 @@ __all__ = [
 # relative loss at the minimum above which the target count is reported as
 # unattainable
 _LOSS_TOLERANCE = 1e-9
-
-
-@dataclass
-class LevelSetEstimate:
-    """Voronoi cells whose estimated intensity is at least mu."""
-
-    mu: float
-    member: np.ndarray  # boolean per generator
-    area: float
-
-    @property
-    def n_cells(self) -> int:
-        return int(self.member.sum())
 
 
 @dataclass
@@ -77,17 +63,19 @@ class HomogenizeReport:
     quadrat_p: float
 
 
-def level_set(cells: VoronoiCells, mu: float) -> LevelSetEstimate:
-    """Cells with estimated intensity (1 / cell area) at least mu.
+def level_set(cells: VoronoiCells, mu: float) -> VoronoiRegionMask:
+    """The region of cells with estimated intensity (1 / cell area) at least mu.
 
     Increasing mu never adds cells; the area is the sum of member raster
     areas.  Generators that captured no raster cell carry value +inf, so
-    they belong to every level set with zero area contribution.
+    they belong to every level set with zero area contribution.  The
+    region keeps the cells' window mask as its parent and stays inside it.
     """
     if mu < 0:
         raise ValueError("mu must be nonnegative")
     member = cells.values >= mu
-    return LevelSetEstimate(mu, member, float(cells.areas[member].sum()))
+    area = float(cells.areas[member].sum())
+    return VoronoiRegionMask(cells.tree, member, area, cells.window_mask)
 
 
 def minimize_loss(cells: VoronoiCells, config: HomogenizeConfig) -> float:
@@ -144,27 +132,19 @@ def homogenize(
 
     Runs the Voronoi estimate, minimizes the loss over mu, keeps points of
     the level set with probability min(1, mu * cell area), and reports the
-    quadrat test of the retained pattern on the level-set region.
+    quadrat test of the retained pattern on the level-set region.  That
+    region is the output window's mask; it stays inside the input window's
+    mask.
     """
     _, cells = voronoi_intensity(pattern, resolution=config.resolution)
     mu = minimize_loss(cells, config)
-    ls = level_set(cells, mu)
-    loss = (config.target_count - mu * ls.area) ** 2
-    retain_p = np.where(ls.member, np.minimum(1.0, mu * cells.areas), 0.0)
+    region = level_set(cells, mu)
+    loss = (config.target_count - mu * region.area) ** 2
+    retain_p = np.where(region.member, np.minimum(1.0, mu * cells.areas), 0.0)
     rng = substream(config.seed, 29)
     keep = rng.uniform(size=len(pattern)) < retain_p
 
-    region = VoronoiRegionMask(
-        cells.tree,
-        ls.member,
-        ls.area,
-        cells.grid.centers(0),
-        cells.grid.centers(1),
-        _member_raster(cells, ls.member),
-    )
-    window = pattern.window
-    masked = Window(window.x_range, window.y_range, window.t_range, region)
-    out = _trusted(SpatialPattern, pattern.points[keep], masked)
+    out = _trusted(SpatialPattern, pattern.points[keep], replace(pattern.window, mask=region))
 
     retained = len(out)
     if retained < 20:
@@ -173,10 +153,5 @@ def homogenize(
         stat, p = quadrat_test(out) if retained else (math.nan, math.nan)
     except ValueError:
         stat, p = math.nan, math.nan
-    report = HomogenizeReport(mu, ls.area, ls.n_cells, loss, retained, stat, p)
+    report = HomogenizeReport(mu, region.area, region.n_cells, loss, retained, stat, p)
     return out, report
-
-
-def _member_raster(cells: VoronoiCells, member: np.ndarray) -> np.ndarray:
-    # unassigned raster cells hold -1, which picks the appended False
-    return np.append(member, False)[cells.assignment]

@@ -50,9 +50,11 @@ import numpy as np
 
 from .core import (
     GridSpec,
+    PolygonMask,
     ScalarField,
     SpatialPattern,
     TemporalPattern,
+    VoronoiRegionMask,
     Window,
     _RASTER_CELL_BYTES,
     _blocks,
@@ -395,9 +397,9 @@ def estimate_lambda_st(
     field as estimated.
 
     Memory is one block of (m, nx*ny + nt) kernel rows, at most
-    ``core._BLOCK_BYTES``, plus the 3D grid and one grid-sized buffer for
-    the blocks' products; when those need more than ``_MEMORY_CAP_MB`` MB,
-    ``MemoryError`` is raised before any work.
+    ``core._BLOCK_BYTES``, plus the 3D grid and one block's product, which
+    can reach the grid's size; when those need more than ``_MEMORY_CAP_MB``
+    MB, ``MemoryError`` is raised before any work.
     """
     if not (0.0 < pi0 <= 1.0):
         raise ValueError(f"pi0 must be in (0, 1], got {pi0}")
@@ -406,7 +408,7 @@ def estimate_lambda_st(
         grid = GridSpec.spacetime(window, 64, 64, 250)
     nx, ny, nt = grid.shape
     blocks = _blocks(len(pattern), 8 * (nx * ny + nt))
-    # the largest block's rows S and T, the 3D field and the products' buffer
+    # the largest block's rows S and T, the 3D field and a block's product
     _check_memory((blocks[0].stop if blocks else 0) * (nx * ny + nt) + 2 * nx * ny * nt)
     if len(pattern) == 0:
         warnings.warn("empty pattern: returning a zero intensity field")
@@ -415,10 +417,6 @@ def estimate_lambda_st(
         return IntensityEstimate(field, empty=True)
     _check_resolvable(kernel_s.bandwidth, grid, (0, 1))
     values = np.zeros((nx * ny, nt))
-    # every block's product lands in one buffer, resident only as far as
-    # the widest block writes; a new array of each block's width made the
-    # peak RSS depend on what earlier stages left on the heap (up to 8 MB)
-    buf = np.empty(nx * ny * nt)
     for rows in blocks:
         gx, gy, T, e_s, e_t, mask2d = _spacetime_rows(
             pattern.x[rows], pattern.t[rows], window, grid,
@@ -427,15 +425,14 @@ def estimate_lambda_st(
         if (e_s < _MIN_CORRECTION).any() or (e_t < _MIN_CORRECTION).any():
             raise ValueError("edge-correction weight underflow at a data point")
         S = _spatial_kernel_rows(gx, gy)
-        lo, hi = 0, nt
+        cols = slice(None)
         if len(blocks) > 1:
             # a block of time-sorted events reaches only the time cells
             # near it; its products with the others are exact zeros.  One
             # block keeps the whole product, the oracle's bit for bit
             reached = np.flatnonzero(T.any(axis=0))
-            lo, hi = (reached[0], reached[-1] + 1) if len(reached) else (0, 0)
-        product = buf[:nx * ny * (hi - lo)].reshape(nx * ny, hi - lo)
-        values[:, lo:hi] += np.matmul(S.T, T[:, lo:hi], out=product)
+            cols = slice(reached[0], reached[-1] + 1) if len(reached) else slice(0, 0)
+        values[:, cols] += S.T @ T[:, cols]
         del S, T, gx, gy  # before the next block's rows are built
     values = values.reshape(nx, ny, nt)
     values /= pi0
@@ -453,7 +450,9 @@ class VoronoiCells:
     raster cell).  ``assignment`` is the int32 grid of each masked-in
     raster cell's generator index, -1 outside the mask.  ``tree`` is the
     k-d tree over the generators that made the assignment, kept for
-    nearest-generator queries.
+    nearest-generator queries.  ``window_mask`` is the window's mask the
+    tessellation was clipped to (None for a rectangle); a level set of the
+    cells keeps it as its parent, so the region stays inside the window.
     """
 
     tree: cKDTree
@@ -462,6 +461,7 @@ class VoronoiCells:
     grid: GridSpec
     assignment: np.ndarray
     raster_mask: np.ndarray
+    window_mask: PolygonMask | VoronoiRegionMask | None = None
 
 
 class _VoronoiEstimate(IntensityEstimate):
@@ -531,5 +531,5 @@ def voronoi_intensity(
     areas = counts[:n] * grid.cell_volume
     with np.errstate(divide="ignore"):
         values = 1.0 / areas  # inf marks generators that captured no raster cell
-    cells = VoronoiCells(tree, areas, values, grid, assignment, mask)
+    cells = VoronoiCells(tree, areas, values, grid, assignment, mask, window.mask)
     return _VoronoiEstimate(cells), cells

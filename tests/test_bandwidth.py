@@ -126,9 +126,7 @@ class TestSelectSpatial:
         # test), and the chosen candidates, hence their mean, exactly
         pat = poisson_spatial(800, 3, window)
         candidates = np.geomspace(0.02, 0.3, 16)
-        grid = GridSpec.spatial(window, 64, 64)
-        search = BandwidthSearch(candidates, folds=5, retention=0.5, repeats=3,
-                                 seed=11, grid=grid)
+        search = BandwidthSearch(candidates, folds=5, retention=0.5, repeats=3, seed=11)
         got = select_bandwidth_spatial(pat, search)
 
         chosen = []
@@ -144,7 +142,8 @@ class TestSelectSpatial:
                 train.points = sub.points[~hold]
                 train.window = window
                 for j, b in enumerate(candidates):
-                    losses[j] += cvl_loss(train, b, eval_points=sub.points[hold], grid=grid)
+                    # cvl_loss's default grid is the selector's
+                    losses[j] += cvl_loss(train, b, eval_points=sub.points[hold])
             chosen.append(candidates[int(np.argmin(losses / 5))])
         assert len(set(chosen)) > 1  # the average, not one argmin, is compared
         assert got == float(np.mean(chosen))

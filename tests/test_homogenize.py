@@ -18,6 +18,7 @@ UNIT = Window((0, 1), (0, 1), (0, 1))
 POLYGON = Window(
     (0, 1), (0, 1), (0, 1), PolygonMask([(0.05, 0.0), (1.0, 0.1), (0.9, 1.0), (0.0, 0.85)])
 )
+TRIANGLE = Window((0, 1), (0, 1), (0, 1), PolygonMask([(0.0, 0.0), (1.0, 0.0), (0.0, 0.6)]))
 
 
 def poisson_cells(lam, seed):
@@ -189,8 +190,9 @@ class TestHomogenize:
             assert abs(report.retained - 500) <= 3 * math.sqrt(500)
             assert report.quadrat_p > 0.05
 
-    def test_report_consistency(self):
-        pat = simulate_poisson_spatial(300.0, UNIT, 8)
+    @pytest.mark.parametrize("window", [UNIT, POLYGON], ids=["rectangle", "polygon"])
+    def test_report_consistency(self, window):
+        pat = simulate_poisson_spatial(300.0, window, 8)
         sub, report = homogenize(pat, HomogenizeConfig(target_count=100.0, seed=2))
         assert len(sub) == report.retained
         assert sub.window.mask is not None
@@ -233,9 +235,8 @@ class TestHomogenize:
 
     def test_memory_per_raster_cell(self, monkeypatch):
         # on one thread, one block of the owner search runs at a time; the
-        # int32 owner grid, the boolean mask and level-set raster and that
-        # block fit the bound, an int64 grid copied to count it or a
-        # float64 field would not
+        # int32 owner grid, the boolean mask and that block fit the bound,
+        # an int64 grid copied to count it or a float64 field would not
         monkeypatch.setattr(core.os, "cpu_count", lambda: 1)
         pat = SpatialPattern(substream(8, 1).uniform(size=(20000, 2)), UNIT)
         # a small run first, so imports made on first use are not traced
@@ -269,6 +270,40 @@ class TestHomogenize:
             assert raster.shape == shape
             assert np.array_equal(raster, oracle.reshape(shape))
             assert 0 < raster.sum() < raster.size
+            inside = window.raster(grid)
+            if inside is not None:
+                assert not (raster & ~inside).any()
+
+    @pytest.mark.parametrize("window", [UNIT, POLYGON], ids=["rectangle", "polygon"])
+    def test_region_raster_on_voronoi_grid_is_member_of_assignment(self, window):
+        pat = simulate_poisson_spatial(300.0, window, 8)
+        _, cells = voronoi_intensity(pat)
+        region = level_set(cells, minimize_loss(cells, HomogenizeConfig(target_count=100.0)))
+        raster = region.raster(cells.grid.centers(0), cells.grid.centers(1))
+        # -1 marks raster cells outside the window's mask
+        expected = np.where(cells.assignment >= 0, region.member[cells.assignment], False)
+        assert np.array_equal(raster, expected)
+        assert 0 < raster.sum() < cells.raster_mask.sum()
+
+    def test_polygon_region_stays_inside_polygon(self):
+        # Poisson patterns in a triangle of area 0.3: the level-set region
+        # must not spill into the rest of the unit square, and the quadrat
+        # test on it must see a homogeneous pattern
+        polygon = TRIANGLE.mask
+        g = (np.arange(200) + 0.5) / 200
+        gx, gy = np.meshgrid(g, g, indexing="ij")
+        probe = np.column_stack([gx.ravel(), gy.ravel()])
+        outside = probe[~polygon.contains(probe)]
+        p_values = []
+        for s in range(5):
+            pat = simulate_poisson_spatial(3000.0, TRIANGLE, substream(s, 31))
+            sub, report = homogenize(pat, HomogenizeConfig(target_count=500.0, seed=s))
+            region = sub.window.mask
+            assert region.parent is polygon
+            assert not region.contains(outside).any()
+            assert region.area <= polygon.area
+            p_values.append(report.quadrat_p)
+        assert min(p_values) > 0.01, p_values
 
     def test_expected_retained_count(self):
         # E[retained] tracks the target over seeds
