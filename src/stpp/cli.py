@@ -53,7 +53,7 @@ from .secondorder import (
     poisson_series_fgj,
 )
 from .separability import separability_test
-from .simulate import ClusterModel, IntensityModel, simulate_cluster, simulate_poisson, thin
+from .simulate import ClusterModel, simulate_cluster, simulate_poisson, thin
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -600,8 +600,8 @@ def _task_intensity(pattern, cfg, seed, report, out_dir, outputs):
     sp, tp = project(pattern)
     lam_s = estimate_lambda_s(sp, KernelSpec(b_s), GridSpec.spatial(window, *cfg["grids.spatial"]))
     lam_t = estimate_lambda_t(tp, KernelSpec(b_t), GridSpec.temporal(window, cfg["grids.temporal"]))
-    _write_field_2d(out_dir / "intensity_s.csv", lam_s.field)
-    _write_field_1d(out_dir / "intensity_t.csv", lam_t.field)
+    _write_field_2d(out_dir / "intensity_s.csv", lam_s)
+    _write_field_1d(out_dir / "intensity_t.csv", lam_t)
     outputs += ["intensity_s.csv", "intensity_t.csv"]
     report["integral_s"] = lam_s.integrate()
     report["integral_t"] = lam_t.integrate()
@@ -614,7 +614,7 @@ def _task_intensity(pattern, cfg, seed, report, out_dir, outputs):
             GridSpec.spacetime(window, *(cfg["grids.spacetime"] or (64, 64, 250))),
             pi0=pi0,
         )
-        _write_field_3d(out_dir / "intensity_st.csv", lam_st.field)
+        _write_field_3d(out_dir / "intensity_st.csv", lam_st)
         outputs.append("intensity_st.csv")
         report["integral_st"] = lam_st.integrate()
 
@@ -655,7 +655,6 @@ def _task_ripley_k(pattern, cfg, seed, report, out_dir, outputs, threads):
     lam_mode = cfg["intensity"]
     if lam_mode == "constant":
         lam = len(sub) / window.volume
-        model = IntensityModel.const(lam)
     else:
         b_s, b_t = _bandwidths(sub, cfg, seed)
         report.update(bandwidth_spatial=b_s, bandwidth_temporal=b_t)
@@ -663,13 +662,12 @@ def _task_ripley_k(pattern, cfg, seed, report, out_dir, outputs, threads):
             sub, KernelSpec(b_s), KernelSpec(b_t),
             GridSpec.spacetime(window, *(cfg["grids.spacetime"] or (32, 32, 100))),
         )
-        model = IntensityModel(field=lam.field)
     obs_est = estimate_K(sub, lam, grid)
     report["winsorized_pairs"] = obs_est.winsorized_pairs
     kt_obs, ks_obs = average_K(obs_est)
 
     def one_replicate(b):
-        rep = simulate_poisson(model, window, substream(seed, 100 + b))
+        rep = simulate_poisson(lam, window, substream(seed, 100 + b))
         lam_rep = len(rep) / window.volume if lam_mode == "constant" else lam
         return average_K(estimate_K(rep, lam_rep, grid))
 
@@ -706,12 +704,12 @@ def _task_prop2(cfg, report):
 
 def _model(cfg, block: str):
     """The model of the ``simulate`` or ``prop2`` block and its report entry:
-    the ``cluster`` if given, else the constant ``lambda``."""
+    a ClusterModel if ``cluster`` is given, else the number ``lambda``."""
     cluster = {k: cfg[f"{block}.cluster.{k}"] for k in _CLUSTER}
     if cluster["kappa"] is not None:
         return ClusterModel(**cluster), {"cluster": cluster}
     lam = cfg[f"{block}.lambda"]
-    return IntensityModel.const(lam), {"lambda": lam}
+    return lam, {"lambda": lam}
 
 
 def _thread_count(flag: str | None) -> int:

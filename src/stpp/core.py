@@ -599,7 +599,8 @@ class ScalarField:
 
     ``integrate`` is the exact integral of the cell-constant interpolant
     over the masked-in cells; it is the quadrature used everywhere a field
-    is integrated against the window.
+    is integrated against the window.  ``rate_at`` is the one lookup of a
+    field at events, which K's weights and ``simulate_poisson`` both use.
     """
 
     def __init__(self, grid: GridSpec, values, mask=None):
@@ -627,17 +628,15 @@ class ScalarField:
     def integrate(self) -> float:
         return float(self.values[self.mask].sum() * self.grid.cell_volume)
 
-    def value_at(self, coords) -> np.ndarray:
-        """Nearest-cell lookup; coords shape (n, ndim) or (n,) for 1D grids."""
-        coords = np.asarray(coords, dtype=float)
-        if self.grid.ndim == 1 and coords.ndim == 1:
-            coords = coords[:, None]
-        idx = self.grid.locate(coords)
-        return self.values[idx]
+    def max_rate(self) -> float:
+        """The largest value on the mask, 0 if the mask is empty."""
+        inside = self.values[self.mask]
+        return float(inside.max()) if inside.size else 0.0
 
-    def mask_at(self, coords) -> np.ndarray:
-        coords = np.asarray(coords, dtype=float)
-        if self.grid.ndim == 1 and coords.ndim == 1:
-            coords = coords[:, None]
-        idx = self.grid.locate(coords)
-        return self.mask[idx]
+    def rate_at(self, xy, t) -> np.ndarray:
+        """Values of the cells holding the space-time points (xy, t), 0 off
+        the mask: a spatial field reads xy (n, 2), a temporal one t (n,), a
+        space-time one both."""
+        coords = {1: [t], 2: [xy], 3: [xy, t]}[self.grid.ndim]
+        idx = self.grid.locate(np.column_stack(coords))
+        return np.where(self.mask[idx], self.values[idx], 0.0)

@@ -209,8 +209,10 @@ def quadrat_test(pattern: SpatialPattern, tiles=None) -> tuple[float, float]:
 
     Tiles the window (default rule: ceil(sqrt(n/10)) per axis, at most 10),
     compares observed tile counts with expectations proportional to tile
-    area, and refers the statistic to chi-square with #tiles - 1 degrees
-    of freedom.  Tiles are coarsened while any expected count is below 5.
+    area, and refers the statistic to chi-square with #cells - 1 degrees
+    of freedom.  Slivers, tiles that expect fewer than 5 events and meet
+    the window in less than half a tile's area, are pooled into one cell;
+    tiles are coarsened while any cell still expects fewer than 5.
 
     Returns
     -------
@@ -229,13 +231,16 @@ def quadrat_test(pattern: SpatialPattern, tiles=None) -> tuple[float, float]:
         nx, ny = tiles
     fine = GridSpec.spatial(window, _FINE_RASTER, _FINE_RASTER)
     inside = window.raster(fine)
+    full = (window.x_range[1] - window.x_range[0]) * (window.y_range[1] - window.y_range[0])
     coarsened = False
     while True:
         areas = _tile_areas(window, fine, inside, nx, ny)
-        total = areas.sum()
-        expected = n * areas / total
+        expected = n * areas / areas.sum()
         nonzero = areas > 0
-        if expected[nonzero].min() >= 5 or (nx <= 1 and ny <= 1):
+        sliver = nonzero & (expected < 5) & (areas < 0.5 * full / (nx * ny))
+        whole = nonzero & ~sliver
+        cells = np.append(expected[whole], expected[sliver].sum() if sliver.any() else np.inf)
+        if cells.min() >= 5 or (nx <= 1 and ny <= 1):
             break
         coarsened = True
         nx, ny = max(nx - 1, 1), max(ny - 1, 1)
@@ -244,9 +249,12 @@ def quadrat_test(pattern: SpatialPattern, tiles=None) -> tuple[float, float]:
     xe = np.linspace(window.x_range[0], window.x_range[1], nx + 1)
     ye = np.linspace(window.y_range[0], window.y_range[1], ny + 1)
     counts, _, _ = np.histogram2d(pattern.points[:, 0], pattern.points[:, 1], bins=[xe, ye])
-    nonzero = areas > 0
-    stat = float(((counts[nonzero] - expected[nonzero]) ** 2 / expected[nonzero]).sum())
-    dof = int(nonzero.sum()) - 1
+    stat = float(((counts[whole] - expected[whole]) ** 2 / expected[whole]).sum())
+    dof = int(whole.sum()) - 1
+    if sliver.any():
+        pooled = expected[sliver].sum()
+        stat += float((counts[sliver].sum() - pooled) ** 2 / pooled)
+        dof += 1
     if dof < 1:
         raise ValueError("fewer than two tiles intersect the window")
     return stat, float(chdtrc(dof, stat))

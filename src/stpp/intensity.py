@@ -16,6 +16,10 @@ catalogue).  That mass is a difference of two normal CDFs from
 :func:`_ndtr`, a port of Cephes' ``ndtr`` that the tests check ``==`` to
 ``scipy.special.ndtr``.
 
+The kernel estimators return the fitted ``core.ScalarField`` itself, the
+same object K weighs pairs by and ``simulate_poisson`` draws from; an
+empty pattern warns and gets a zero field.
+
 ``_spatial_rows`` and ``_spacetime_rows`` are the one place the per-event
 Diggle-corrected kernel factor rows are built, and ``_spatial_kernel_rows``
 the one place their outer products, the spatial kernel rows, are; the
@@ -66,7 +70,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "KernelSpec",
-    "IntensityEstimate",
     "estimate_lambda_s",
     "estimate_lambda_t",
     "estimate_lambda_st",
@@ -92,17 +95,6 @@ class KernelSpec:
     def __post_init__(self):
         if not (self.bandwidth > 0 and math.isfinite(self.bandwidth)):
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
-
-
-@dataclass
-class IntensityEstimate:
-    """A fitted intensity field; ``empty`` marks the zero field of no events."""
-
-    field: ScalarField
-    empty: bool = False
-
-    def integrate(self) -> float:
-        return self.field.integrate()
 
 
 def _gauss_factors(points_1d, centers, step, b, out=None):
@@ -302,7 +294,7 @@ def temporal_corrections(times, window: Window, b) -> np.ndarray:
 
 def estimate_lambda_s(
     pattern: SpatialPattern, kernel: KernelSpec, grid: GridSpec | None = None
-) -> IntensityEstimate:
+) -> ScalarField:
     """Diggle-corrected Gaussian kernel estimate of the spatial intensity.
 
     Parameters
@@ -320,8 +312,7 @@ def estimate_lambda_s(
         grid = GridSpec.spatial(window, 256, 256)
     if len(pattern) == 0:
         warnings.warn("empty pattern: returning a zero intensity field")
-        field = ScalarField(grid, np.zeros(grid.shape), window.raster(grid))
-        return IntensityEstimate(field, empty=True)
+        return ScalarField(grid, np.zeros(grid.shape), window.raster(grid))
     _check_resolvable(kernel.bandwidth, grid, (0, 1))
     mask = window.raster(grid)
     values = np.zeros(grid.shape)
@@ -334,13 +325,12 @@ def estimate_lambda_s(
         del gx, gy  # before the next block's rows are built
     if mask is not None:
         values[~mask] = 0.0
-    field = ScalarField(grid, values, mask)
-    return IntensityEstimate(field)
+    return ScalarField(grid, values, mask)
 
 
 def estimate_lambda_t(
     pattern: TemporalPattern, kernel: KernelSpec, grid: GridSpec | None = None
-) -> IntensityEstimate:
+) -> ScalarField:
     """Diggle-corrected Gaussian kernel estimate of the temporal intensity.
 
     The correction uses the exact Gaussian interval mass; the default grid
@@ -355,7 +345,7 @@ def estimate_lambda_t(
         grid = GridSpec.temporal(window, 1000)
     if len(pattern) == 0:
         warnings.warn("empty pattern: returning a zero intensity field")
-        return IntensityEstimate(ScalarField(grid, np.zeros(grid.shape)), empty=True)
+        return ScalarField(grid, np.zeros(grid.shape))
     b = kernel.bandwidth
     e = temporal_corrections(pattern.times, window, b)
     if (e < _MIN_CORRECTION).any():
@@ -377,7 +367,7 @@ def estimate_lambda_t(
         g = buf[:len(t) * (hi - lo)].reshape(len(t), hi - lo)
         _gauss_factors(t, centers[lo:hi], 1.0, b, out=g)
         values[lo:hi] += (1.0 / e[rows]) @ g  # density values
-    return IntensityEstimate(ScalarField(grid, values))
+    return ScalarField(grid, values)
 
 
 def estimate_lambda_st(
@@ -386,7 +376,7 @@ def estimate_lambda_st(
     kernel_t: KernelSpec,
     grid: GridSpec | None = None,
     pi0: float = 1.0,
-) -> IntensityEstimate:
+) -> ScalarField:
     """Product-kernel estimate of the space-time intensity on a 3D grid.
 
     Each event contributes a spatial Gaussian (corrected by its quadrature
@@ -413,8 +403,7 @@ def estimate_lambda_st(
     if len(pattern) == 0:
         warnings.warn("empty pattern: returning a zero intensity field")
         mask2d = window.raster(GridSpec.spatial(window, nx, ny))
-        field = ScalarField(grid, np.zeros(grid.shape), mask2d)
-        return IntensityEstimate(field, empty=True)
+        return ScalarField(grid, np.zeros(grid.shape), mask2d)
     _check_resolvable(kernel_s.bandwidth, grid, (0, 1))
     values = np.zeros((nx * ny, nt))
     for rows in blocks:
@@ -438,7 +427,7 @@ def estimate_lambda_st(
     values /= pi0
     if mask2d is not None:
         values[~mask2d] = 0.0
-    return IntensityEstimate(ScalarField(grid, values, mask2d))
+    return ScalarField(grid, values, mask2d)
 
 
 @dataclass
@@ -464,13 +453,12 @@ class VoronoiCells:
     window_mask: PolygonMask | VoronoiRegionMask | None = None
 
 
-class _VoronoiEstimate(IntensityEstimate):
-    """The Voronoi estimate of ``cells``, its grid-sized field built on first
-    access: ``homogenize`` needs only the cells."""
+class _VoronoiEstimate:
+    """The Voronoi estimate of ``cells``, its grid-sized ``field`` built on
+    first read: ``homogenize`` needs only the cells."""
 
     def __init__(self, cells: VoronoiCells):
         self.cells = cells
-        self.empty = False
 
     @cached_property
     def field(self) -> ScalarField:
@@ -482,7 +470,7 @@ class _VoronoiEstimate(IntensityEstimate):
 
 def voronoi_intensity(
     pattern: SpatialPattern, resolution: int | None = None
-) -> tuple[IntensityEstimate, VoronoiCells]:
+) -> tuple[_VoronoiEstimate, VoronoiCells]:
     """Voronoi (1 / cell area) intensity estimate, clipped to the window.
 
     Cell areas are measured by assigning raster cells to their nearest

@@ -40,6 +40,7 @@ square of the retention probability.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +48,7 @@ import numpy as np
 from .core import (
     _FINE_RASTER, GridSpec, ScalarField, SpaceTimePattern, Window, ball_volume, substream,
 )
-from .intensity import IntensityEstimate
-from .simulate import ClusterModel, IntensityModel, simulate_cluster, simulate_poisson, thin
+from .simulate import ClusterModel, simulate_cluster, simulate_poisson, thin
 
 __all__ = [
     "KGrid",
@@ -104,21 +104,17 @@ class KEstimate:
     grid: KGrid
     edge_correction: str = "translation"
     winsorized_pairs: int = 0
-    n_points: int = 0
 
 
 def _lambda_at_events(lam, pattern: SpaceTimePattern) -> np.ndarray:
     """Intensity values at the events, floored away from zero.
 
-    ``lam`` may be a constant, a 1-D array-like of per-event values, a
-    ScalarField or an IntensityEstimate (looked up at event coordinates).
+    ``lam`` may be a constant, a 1-D array-like of per-event values or a
+    ScalarField on W, T or W x T, read at the events by its ``rate_at``.
     """
     n = len(pattern)
-    if isinstance(lam, IntensityEstimate):
-        return _lambda_at_events(lam.field, pattern)
-    if isinstance(lam, ScalarField):  # on W, T or W x T
-        coords = {3: pattern.points, 2: pattern.x}.get(lam.grid.ndim, pattern.t)
-        vals = lam.value_at(coords)
+    if isinstance(lam, ScalarField):
+        vals = lam.rate_at(pattern.x, pattern.t)
     else:
         vals = np.asarray(lam, dtype=float)
         if vals.ndim == 0:
@@ -147,9 +143,10 @@ def estimate_K(
     is exactly unbiased; ``correction="border"`` restricts reference
     points to the eroded window and also works on masked windows.
 
-    ``lam`` is the intensity plugged into the pair weights (constant,
-    per-event array, field or estimate); values at events are floored at
-    the 1% quantile of the positive values to stop weight explosions.
+    ``lam`` is the intensity plugged into the pair weights: a number,
+    per-event values or a ScalarField (see ``_lambda_at_events``); values
+    at events are floored at the 1% quantile of the positive values to
+    stop weight explosions.
     Pairs whose translation correction exceeds ``correction_cap`` are
     winsorized at the cap and counted.
     """
@@ -169,7 +166,7 @@ def estimate_K(
     n_r, n_t = len(grid.r), len(grid.tau)
     k = np.zeros(n_r * n_t)
     if n < 2:
-        return KEstimate(k.reshape(n_r, n_t), grid, n_points=n)
+        return KEstimate(k.reshape(n_r, n_t), grid)
     lam_vals = _lambda_at_events(lam, pattern)
     lx = window.x_range[1] - window.x_range[0]
     ly = window.y_range[1] - window.y_range[0]
@@ -184,7 +181,7 @@ def estimate_K(
         bins = _bins(grid.r, ds) * n_t + _bins(grid.tau, dt)
         k += np.bincount(bins, weights=w, minlength=n_r * n_t)
     k = k.reshape(n_r, n_t).cumsum(axis=0).cumsum(axis=1)
-    return KEstimate(k, grid, winsorized_pairs=winsorized, n_points=n)
+    return KEstimate(k, grid, winsorized_pairs=winsorized)
 
 
 def _bins(axis, values, side="left"):
@@ -416,10 +413,10 @@ def _estimate_K_border(pattern, lam, grid: KGrid) -> KEstimate:
     sums = hist.reshape(n_r + 1, n_t + 1).cumsum(axis=0).cumsum(axis=1)[:n_r, :n_t]
     with np.errstate(divide="ignore", invalid="ignore"):
         k = np.where(volumes > 0, sums / np.where(volumes > 0, volumes, 1.0), np.nan)
-    return KEstimate(k, grid, edge_correction="border", n_points=n)
+    return KEstimate(k, grid, edge_correction="border")
 
 
-def average_K(est: KEstimate, grid: KGrid | None = None) -> tuple[np.ndarray, np.ndarray]:
+def average_K(est: KEstimate) -> tuple[np.ndarray, np.ndarray]:
     """One-dimensional K averages, calibrated to the Poisson identities.
 
     K_t(tau) integrates the surface over r with weight 3 / (pi (r_M^3 -
@@ -427,8 +424,7 @@ def average_K(est: KEstimate, grid: KGrid | None = None) -> tuple[np.ndarray, np
     tau_m^2).  Plugging the Poisson surface 2 tau pi r^2 returns 2 tau and
     pi r^2 up to trapezoid error.
     """
-    grid = grid or est.grid
-    r, tau = grid.r, grid.tau
+    r, tau = est.grid.r, est.grid.tau
     if len(r) < 3 or len(tau) < 3:
         raise ValueError("need at least 3 grid values per axis to average")
     k_t = np.trapezoid(est.k, r, axis=0) * 3.0 / (math.pi * (r[-1] ** 3 - r[0] ** 3))
@@ -560,9 +556,9 @@ def j_residual_ratio(
     is averaged over seeds; its magnitude should scale like pi0^2, so the
     returned ratio (residual at p over residual at p/2) targets 4.
 
-    ``model`` is a ClusterModel or IntensityModel with constant intensity;
-    K_hat is estimated from each unthinned pattern with the true constant
-    intensity plugged in.
+    ``model`` is a ClusterModel or a number, the constant intensity of a
+    Poisson model; K_hat is estimated from each unthinned pattern with the
+    true constant intensity plugged in.
     """
     if not (0 < p < 1):
         raise ValueError("p must be in (0, 1)")
@@ -571,11 +567,11 @@ def j_residual_ratio(
     if isinstance(model, ClusterModel):
         lam_const = model.intensity
         draw = lambda rng: simulate_cluster(model, window, rng)
-    elif isinstance(model, IntensityModel) and model.constant is not None:
-        lam_const = model.constant
-        draw = lambda rng: simulate_poisson(model, window, rng)
+    elif isinstance(model, numbers.Real):
+        lam_const = float(model)
+        draw = lambda rng: simulate_poisson(lam_const, window, rng)
     else:
-        raise ValueError("model must be a ClusterModel or constant IntensityModel")
+        raise ValueError("model must be a ClusterModel or a constant intensity")
     vol = ball_volume(r, tau)
     kgrid = KGrid(np.array([0.0, r]), np.array([0.0, tau]))
     levels = (p, p / 2.0)

@@ -1,4 +1,8 @@
-"""Poisson and cluster pattern generators plus independent Bernoulli thinning."""
+"""Poisson and cluster pattern generators plus independent Bernoulli thinning.
+
+A Poisson intensity is a number or a ``core.ScalarField``, the type the
+kernel estimators return; a cluster process is a :class:`ClusterModel`.
+"""
 
 from __future__ import annotations
 
@@ -6,52 +10,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpaceTimePattern, Window, _trusted, as_rng
+from .core import ScalarField, SpaceTimePattern, Window, _trusted, as_rng
 
 __all__ = [
-    "IntensityModel",
     "ClusterModel",
     "simulate_poisson",
     "simulate_cluster",
     "thin",
 ]
-
-
-class IntensityModel:
-    """First-order intensity over W x T: a constant rate or a cell-constant
-    :class:`ScalarField`.
-
-    ``simulate_poisson`` reads only ``constant``, ``max_rate()`` and
-    ``rate_at(xy, t)``, so any object with those three can stand in for it.
-    """
-
-    def __init__(self, constant=None, field=None):
-        if (constant is None) == (field is None):
-            raise ValueError("specify exactly one of constant, field")
-        if constant is not None and constant < 0:
-            raise ValueError("constant intensity must be nonnegative")
-        if field is not None and (field.values[field.mask] < 0).any():
-            raise ValueError("intensity field must be nonnegative")
-        self.constant = constant
-        self.field = field
-
-    @classmethod
-    def const(cls, lam: float) -> "IntensityModel":
-        return cls(constant=float(lam))
-
-    def max_rate(self) -> float:
-        if self.constant is not None:
-            return self.constant
-        inside = self.field.values[self.field.mask]
-        return float(inside.max()) if inside.size else 0.0
-
-    def rate_at(self, xy, t) -> np.ndarray:
-        if self.constant is not None:
-            return np.full(len(t), self.constant)
-        coords = np.column_stack([xy, t]) if self.field.grid.ndim == 3 else xy
-        vals = self.field.value_at(coords)
-        vals = np.where(self.field.mask_at(coords), vals, 0.0)
-        return vals
 
 
 @dataclass(frozen=True)
@@ -97,23 +63,31 @@ def _uniform_in_window(n: int, window: Window, rng) -> np.ndarray:
     return out
 
 
-def simulate_poisson(model: IntensityModel, window: Window, seed) -> SpaceTimePattern:
+def simulate_poisson(lam, window: Window, seed) -> SpaceTimePattern:
     """Draw an (in)homogeneous Poisson pattern on the window.
 
-    Homogeneous models sample Poisson(lam * |W| * |T|) uniform events;
-    inhomogeneous models draw a dominating homogeneous pattern at
-    ``model.max_rate()`` and keep each proposal with probability
-    lam(y)/max_rate.  A proposal where lam exceeds that bound is a hard error.
+    ``lam`` is a nonnegative number, or any object with ``max_rate()`` and
+    ``rate_at(xy, t)``, such as a :class:`ScalarField` on W, T or W x T.
+    A number samples Poisson(lam * |W| * |T|) uniform events; otherwise a
+    dominating homogeneous pattern is drawn at ``lam.max_rate()`` and each
+    proposal kept with probability lam(y)/max_rate.  A negative number, or
+    a field negative on its mask, is refused before any draw; a proposal
+    where lam exceeds its bound is a hard error.
     """
+    inhomogeneous = hasattr(lam, "rate_at")
+    if not inhomogeneous and lam < 0:
+        raise ValueError("constant intensity must be nonnegative")
+    if isinstance(lam, ScalarField) and ((lam.values < 0) & lam.mask).any():
+        raise ValueError("intensity field must be nonnegative")
     rng = as_rng(seed)
-    lam_max = model.max_rate()
+    lam_max = lam.max_rate() if inhomogeneous else float(lam)
     if lam_max == 0:
         return SpaceTimePattern(np.empty((0, 3)), window)
     n = rng.poisson(lam_max * window.volume)
     xy = _uniform_in_window(n, window, rng)
     t = rng.uniform(window.t_range[0], window.t_range[1], n)
-    if model.constant is None:
-        rate = model.rate_at(xy, t)
+    if inhomogeneous:
+        rate = lam.rate_at(xy, t)
         if (rate > lam_max * (1 + 1e-12)).any():
             raise ValueError("intensity exceeds its declared upper bound at a proposal")
         keep = rng.uniform(size=n) < rate / lam_max

@@ -11,10 +11,9 @@ class AnalyticModel:
     """Intensity ``function(x1, x2, t)`` dominated by a declared ``bound``.
 
     ``simulate_poisson`` draws a homogeneous pattern at the bound and keeps
-    each proposal with probability function / bound.
+    each proposal with probability function / bound, as it does for a
+    ``ScalarField``: both have ``max_rate()`` and ``rate_at(xy, t)``.
     """
-
-    constant = None
 
     def __init__(self, function, bound):
         self.function = function

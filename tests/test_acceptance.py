@@ -35,7 +35,6 @@ from stpp.secondorder import (
 from stpp.separability import separability_test
 from stpp.simulate import (
     ClusterModel,
-    IntensityModel,
     simulate_cluster,
     simulate_poisson,
     thin,
@@ -57,7 +56,7 @@ def test_poisson_k_calibration():
     ks_acc = np.zeros(len(grid.r))
     runs = 100
     for s in range(runs):
-        pat = simulate_poisson(IntensityModel.const(lam), UNIT, substream(s, 100))
+        pat = simulate_poisson(lam, UNIT, substream(s, 100))
         est = estimate_K(pat, lam, grid)
         acc += est.k
         kt, ks = average_K(est)
@@ -76,7 +75,7 @@ def test_poisson_k_calibration():
 
 def test_campbell_mass():
     """Diggle-corrected estimates integrate to n: 0.5% in 2D/3D, 0.1% in 1D."""
-    pat = simulate_poisson(IntensityModel.const(2000), UNIT, substream(0, 101))
+    pat = simulate_poisson(2000, UNIT, substream(0, 101))
     n = len(pat)
     sp, tp = project(pat)
     est_s = estimate_lambda_s(sp, KernelSpec(0.05))
@@ -129,7 +128,7 @@ def test_prop2_order_check():
 
 
 def _k_curves(lam, grid, rng):
-    pat = simulate_poisson(IntensityModel.const(lam), UNIT, rng)
+    pat = simulate_poisson(lam, UNIT, rng)
     return average_K(estimate_K(pat, lam, grid))
 
 
@@ -272,7 +271,7 @@ def test_quadrat_calibration():
     runs = 1000
     for s in range(runs):
         sp, _ = project(
-            simulate_poisson(IntensityModel.const(800), UNIT, substream(s, 50))
+            simulate_poisson(800, UNIT, substream(s, 50))
         )
         hits += quadrat_test(sp)[1] <= 0.05
     assert 0.03 <= hits / runs <= 0.07

@@ -17,7 +17,7 @@ from stpp.bandwidth import (
     select_bandwidth_temporal,
 )
 from stpp.core import GridSpec, PolygonMask, SpatialPattern, Window, project, substream
-from stpp.simulate import IntensityModel, simulate_poisson, thin
+from stpp.simulate import simulate_poisson, thin
 
 UNIT = Window((0, 1), (0, 1), (0, 1))
 POLYGON = Window(
@@ -35,7 +35,7 @@ def normal_reference_bandwidth(x) -> float:
 
 
 def poisson_spatial(lam, seed, window=UNIT):
-    sp, _ = project(simulate_poisson(IntensityModel.const(lam), window, seed))
+    sp, _ = project(simulate_poisson(lam, window, seed))
     return sp
 
 

@@ -16,7 +16,7 @@ from stpp.core import (
     project,
     substream,
 )
-from stpp.simulate import IntensityModel, simulate_poisson
+from stpp.simulate import simulate_poisson
 
 UNIT = Window((0, 1), (0, 1), (0, 1))
 
@@ -161,7 +161,7 @@ def test_project_preserves_cardinality_and_values():
     sp, tp = project(empty)
     assert len(sp) == 0 and len(tp) == 0
 
-    sim = simulate_poisson(IntensityModel.const(300), UNIT, 0)
+    sim = simulate_poisson(300, UNIT, 0)
     sp, tp = project(sim)
     assert len(sp) == len(sim) == len(tp)
     assert type(sp) is SpatialPattern and type(tp) is TemporalPattern
@@ -219,7 +219,20 @@ def test_grid_builders_reject_bad_cell_counts(bad):
 def test_scalar_field_lookup():
     grid = GridSpec.temporal(UNIT, 10)
     f = ScalarField(grid, np.arange(10, dtype=float))
-    assert f.value_at(np.array([0.05, 0.95])).tolist() == [0.0, 9.0]
+    xy = np.array([[0.95, 0.5], [0.05, 0.5]])
+    assert f.rate_at(xy, np.array([0.05, 0.95])).tolist() == [0.0, 9.0]
+    assert f.max_rate() == 9.0
+    # a spatial field reads xy, a space-time one (xy, t); off the mask is 0
+    values = np.arange(4, dtype=float).reshape(2, 2)
+    mask = np.array([[True, True], [True, False]])
+    s = ScalarField(GridSpec.spatial(UNIT, 2, 2), values, mask)
+    xy = np.array([[0.25, 0.75], [0.75, 0.25], [0.75, 0.75]])
+    assert s.rate_at(xy, np.array([0.9, 0.1, 0.5])).tolist() == [1.0, 2.0, 0.0]
+    assert s.max_rate() == 2.0
+    st = ScalarField(GridSpec.spacetime(UNIT, 2, 2, 2), np.arange(8.0).reshape(2, 2, 2), mask)
+    assert st.rate_at(xy, np.array([0.9, 0.1, 0.5])).tolist() == [3.0, 4.0, 0.0]
+    assert st.max_rate() == 5.0
+    assert ScalarField(grid, np.ones(10), np.zeros(10, dtype=bool)).max_rate() == 0.0
 
 
 def test_substream_independent_of_order():
@@ -233,7 +246,7 @@ def test_simulation_paths_keep_invariants():
     # construction invariants hold after simulation and thinning
     from stpp.simulate import thin
 
-    pat = simulate_poisson(IntensityModel.const(400), UNIT, 3)
+    pat = simulate_poisson(400, UNIT, 3)
     assert np.all(np.diff(pat.t) >= 0)
     sub = thin(pat, 0.3, 4)
     assert np.all(np.diff(sub.t) >= 0)

@@ -305,6 +305,17 @@ class TestHomogenize:
             p_values.append(report.quadrat_p)
         assert min(p_values) > 0.01, p_values
 
+    def test_quadrat_pools_slivers_of_a_thin_polygon(self):
+        # tiles that meet the triangle's hypotenuse in a sliver never expect
+        # 5 events; pooled into one cell they no longer force the test down
+        # to a single tile and a NaN p-value (seeds 0 and 4 did)
+        p_values = []
+        for s in range(5):
+            pat = simulate_poisson_spatial(2000.0, TRIANGLE, substream(s, 31))
+            _, report = homogenize(pat, HomogenizeConfig(200.0, seed=s))
+            p_values.append(report.quadrat_p)
+        assert np.isfinite(p_values).all() and min(p_values) > 0.01, p_values
+
     def test_expected_retained_count(self):
         # E[retained] tracks the target over seeds
         counts = []

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, rankdata
 
-from stpp import inference
-from stpp.core import PolygonMask, SpatialPattern, Window, project, substream
-from stpp.inference import CurveSet, combined_erl_test, erl_test, quadrat_test
-from stpp.simulate import IntensityModel, simulate_poisson
+from stpp import core, inference
+from stpp.core import GridSpec, PolygonMask, SpatialPattern, Window, project, substream
+from stpp.inference import CurveSet, _tile_areas, combined_erl_test, erl_test, quadrat_test
+from stpp.simulate import simulate_poisson
 
 UNIT = Window((0, 1), (0, 1), (0, 1))
 ARGS = np.linspace(0.0, 1.0, 25)
@@ -239,6 +239,27 @@ class TestQuadrat:
         with pytest.warns(UserWarning, match="coarsen"):
             quadrat_test(pat, (10, 10))
 
+    def test_slivers_pooled_into_one_cell(self):
+        # a 10x10 tiling of a thin triangle: tiles cut to less than half a
+        # tile that expect fewer than 5 events are one chi-square cell
+        window = Window((0, 1), (0, 1), (0, 1), PolygonMask([(0, 0), (1, 0), (0, 0.6)]))
+        xy = substream(4, 1).uniform(size=(4000, 2))
+        pat = SpatialPattern(xy[window.contains_xy(xy)][:1000], window)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stat, p = quadrat_test(pat, (10, 10))
+        fine = GridSpec.spatial(window, core._FINE_RASTER, core._FINE_RASTER)
+        areas = _tile_areas(window, fine, window.raster(fine), 10, 10)
+        expected = 1000 * areas / areas.sum()
+        sliver = (areas > 0) & (expected < 5) & (areas < 0.5 / 100)
+        whole = (areas > 0) & ~sliver
+        assert sliver.sum() >= 2 and expected[whole].min() >= 5
+        counts, _, _ = np.histogram2d(*pat.points.T, bins=10, range=[[0, 1], [0, 1]])
+        cells = np.append(counts[whole], counts[sliver].sum())
+        means = np.append(expected[whole], expected[sliver].sum())
+        assert stat == pytest.approx(((cells - means) ** 2 / means).sum(), rel=1e-12)
+        assert p == float(chi2.sf(stat, len(cells) - 1))
+
     def test_window_rasterized_once(self, monkeypatch):
         # coarsening from 10x10 re-tiles the same raster, never re-rasterizes
         window = Window((0, 1), (0, 1), (0, 1), PolygonMask([(0, 0), (1, 0), (0.5, 1)]))
@@ -269,6 +290,6 @@ class TestQuadrat:
         hits = 0
         runs = 400
         for s in range(runs):
-            sp, _ = project(simulate_poisson(IntensityModel.const(800), UNIT, substream(s, 2)))
+            sp, _ = project(simulate_poisson(800, UNIT, substream(s, 2)))
             hits += quadrat_test(sp)[1] <= 0.05
         assert 0.03 <= hits / runs <= 0.07

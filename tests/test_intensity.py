@@ -31,7 +31,7 @@ from stpp.intensity import (
     temporal_corrections,
     voronoi_intensity,
 )
-from stpp.simulate import IntensityModel, simulate_poisson, thin
+from stpp.simulate import simulate_poisson, thin
 
 UNIT = Window((0, 1), (0, 1), (0, 1))
 POLYGON = Window(
@@ -124,21 +124,21 @@ class TestLambdaS:
         assert est.integrate() == pytest.approx(1.0, abs=1e-3)
 
     def test_campbell_mass(self):
-        pat, _ = project(simulate_poisson(IntensityModel.const(2000), UNIT, 0))
+        pat, _ = project(simulate_poisson(2000, UNIT, 0))
         est = estimate_lambda_s(pat, KernelSpec(0.05))
         assert est.integrate() == pytest.approx(len(pat), rel=1e-3)
 
     def test_homogeneous_field_mean(self):
-        pat, _ = project(simulate_poisson(IntensityModel.const(2000), UNIT, 1))
+        pat, _ = project(simulate_poisson(2000, UNIT, 1))
         est = estimate_lambda_s(pat, KernelSpec(0.05))
-        mean = est.field.values.mean()
+        mean = est.values.mean()
         assert mean == pytest.approx(len(pat), rel=0.05)
 
     def test_empty_pattern_warns_zero_field(self):
         pat = SpatialPattern(np.empty((0, 2)), UNIT)
         with pytest.warns(UserWarning):
             est = estimate_lambda_s(pat, KernelSpec(0.05))
-        assert est.empty and est.integrate() == 0.0
+        assert est.integrate() == 0.0 and not est.values.any()
 
     def test_masked_window_campbell(self):
         mask = PolygonMask([(0, 0), (1, 0), (1, 1)])
@@ -164,7 +164,7 @@ class TestLambdaS:
                                 GridSpec.spatial(UNIT, 64, 64))
         est_r = estimate_lambda_s(SpatialPattern(1.0 - pts, UNIT), KernelSpec(0.06),
                                   GridSpec.spatial(UNIT, 64, 64))
-        assert np.allclose(est.field.values, est_r.field.values[::-1, ::-1])
+        assert np.allclose(est.values, est_r.values[::-1, ::-1])
 
 
 class TestLambdaT:
@@ -174,35 +174,35 @@ class TestLambdaT:
         assert est.integrate() == pytest.approx(1.0, abs=1e-6)
 
     def test_campbell_mass(self):
-        _, pat = project(simulate_poisson(IntensityModel.const(2000), UNIT, 2))
+        _, pat = project(simulate_poisson(2000, UNIT, 2))
         est = estimate_lambda_t(pat, KernelSpec(0.02))
         assert est.integrate() == pytest.approx(len(pat), rel=1e-3)
 
     def test_two_separated_bumps(self):
         pat = TemporalPattern([0.25, 0.75], UNIT)
         est = estimate_lambda_t(pat, KernelSpec(0.01))
-        ts = est.field.grid.centers(0)
-        mid = est.field.values[np.abs(ts - 0.5) < 0.05]
+        ts = est.grid.centers(0)
+        mid = est.values[np.abs(ts - 0.5) < 0.05]
         assert mid.max() < 1e-6
-        left = est.field.values[ts < 0.5].sum() * est.field.grid.cell_volume
+        left = est.values[ts < 0.5].sum() * est.grid.cell_volume
         assert left == pytest.approx(1.0, abs=1e-4)
 
 
 class TestLambdaST:
     def test_single_point_product_kernel(self):
-        pat = simulate_poisson(IntensityModel.const(0.0), UNIT, 0)
+        pat = simulate_poisson(0.0, UNIT, 0)
         pat_one = pat.__class__([(0.5, 0.5, 0.5)], UNIT)
         grid = GridSpec.spacetime(UNIT, 32, 32, 50)
         est = estimate_lambda_st(pat_one, KernelSpec(0.05), KernelSpec(0.05), grid)
         assert est.integrate() == pytest.approx(1.0, rel=1e-3)
-        peak = np.unravel_index(np.argmax(est.field.values), grid.shape)
+        peak = np.unravel_index(np.argmax(est.values), grid.shape)
         xs, ys, ts = grid.centers(0), grid.centers(1), grid.centers(2)
         assert abs(xs[peak[0]] - 0.5) < 0.05
         assert abs(ys[peak[1]] - 0.5) < 0.05
         assert abs(ts[peak[2]] - 0.5) < 0.05
 
     def test_campbell_mass_3d(self):
-        pat = simulate_poisson(IntensityModel.const(1500), UNIT, 3)
+        pat = simulate_poisson(1500, UNIT, 3)
         est = estimate_lambda_st(pat, KernelSpec(0.05), KernelSpec(0.02),
                                  GridSpec.spacetime(UNIT, 48, 48, 200))
         assert est.integrate() == pytest.approx(len(pat), rel=5e-3)
@@ -213,7 +213,7 @@ class TestLambdaST:
         parent_lam = 2000.0
         means = []
         for s in range(200):
-            pat = simulate_poisson(IntensityModel.const(parent_lam), UNIT, substream(s, 1))
+            pat = simulate_poisson(parent_lam, UNIT, substream(s, 1))
             sub = thin(pat, 0.025, substream(s, 2))
             if len(sub) < 5:
                 continue
@@ -222,14 +222,14 @@ class TestLambdaST:
                 GridSpec.spacetime(UNIT, 24, 24, 40),
                 pi0=0.025,
             )
-            v = est.field.values
+            v = est.values
             means.append(v[8:16, 8:16, 14:26].mean())
         assert np.mean(means) == pytest.approx(parent_lam, rel=0.10)
 
     @pytest.mark.parametrize("pi0", [0.0, -0.1, 1.5, float("nan")])
     def test_retention_outside_unit_interval_rejected(self, pi0):
         # rejected before any work: pi0 = 0 would divide the field by zero
-        pat = simulate_poisson(IntensityModel.const(100), UNIT, 0)
+        pat = simulate_poisson(100, UNIT, 0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"^pi0 must be in \(0, 1\]"):
@@ -238,7 +238,7 @@ class TestLambdaST:
 
     def test_memory_cap(self, monkeypatch):
         monkeypatch.setattr(intensity, "_MEMORY_CAP_MB", 1.0)
-        pat = simulate_poisson(IntensityModel.const(100), UNIT, 0)
+        pat = simulate_poisson(100, UNIT, 0)
         with pytest.raises(MemoryError, match="coarser"):
             estimate_lambda_st(pat, KernelSpec(0.05), KernelSpec(0.02),
                                GridSpec.spacetime(UNIT, 64, 64, 250))
@@ -250,14 +250,14 @@ class TestThinningMonotonicity:
         pi0 = 0.3
         ratios = []
         for s in range(100):
-            pat = simulate_poisson(IntensityModel.const(800), UNIT, substream(s, 3))
+            pat = simulate_poisson(800, UNIT, substream(s, 3))
             sub = thin(pat, pi0, substream(s, 4))
             sp_full, _ = project(pat)
             sp_sub, _ = project(sub)
             grid = GridSpec.spatial(UNIT, 32, 32)
             f_full = estimate_lambda_s(sp_full, KernelSpec(0.1), grid)
             f_sub = estimate_lambda_s(sp_sub, KernelSpec(0.1), grid)
-            ratios.append(f_sub.field.values.mean() / f_full.field.values.mean())
+            ratios.append(f_sub.values.mean() / f_full.values.mean())
         se = np.std(ratios) / np.sqrt(len(ratios))
         assert abs(np.mean(ratios) - pi0) < 3 * se
 
@@ -346,16 +346,16 @@ class TestVoronoi:
         assert np.allclose(est.field.values, 1.0)
 
     def test_partition_identity(self):
-        pat, _ = project(simulate_poisson(IntensityModel.const(300), UNIT, 4))
+        pat, _ = project(simulate_poisson(300, UNIT, 4))
         est, cells = voronoi_intensity(pat)
         assert cells.areas.sum() == pytest.approx(1.0, rel=1e-9)
-        assert est.integrate() == pytest.approx(len(pat), rel=5e-3)
+        assert est.field.integrate() == pytest.approx(len(pat), rel=5e-3)
 
     def test_median_cell_value_near_truth(self):
         lam = 500.0
         medians = []
         for s in range(50):
-            pat, _ = project(simulate_poisson(IntensityModel.const(lam), UNIT, substream(s, 5)))
+            pat, _ = project(simulate_poisson(lam, UNIT, substream(s, 5)))
             _, cells = voronoi_intensity(pat)
             medians.append(np.median(cells.values[np.isfinite(cells.values)]))
         assert abs(np.median(medians) - lam) / lam < 0.25
@@ -684,8 +684,8 @@ class TestChunkedEstimators:
         est = estimate_lambda_s(sp, KernelSpec(0.06), grid)
         want = oracle_lambda_s(sp, 0.06, grid)
         if budget == BUDGETS[-1]:
-            assert np.array_equal(bits(est.field.values), bits(want))
-        np.testing.assert_allclose(est.field.values, want, rtol=1e-12, atol=0)
+            assert np.array_equal(bits(est.values), bits(want))
+        np.testing.assert_allclose(est.values, want, rtol=1e-12, atol=0)
         assert est.integrate() == pytest.approx(len(sp), rel=1e-9)
 
     @pytest.mark.parametrize("budget", BUDGETS)
@@ -696,8 +696,8 @@ class TestChunkedEstimators:
         est = estimate_lambda_t(tp, KernelSpec(0.03), grid)
         want = oracle_lambda_t(tp, 0.03, grid)
         if budget == BUDGETS[-1]:
-            assert np.array_equal(bits(est.field.values), bits(want))
-        np.testing.assert_allclose(est.field.values, want, rtol=1e-12, atol=0)
+            assert np.array_equal(bits(est.values), bits(want))
+        np.testing.assert_allclose(est.values, want, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("window", [UNIT, POLYGON], ids=["rectangle", "polygon"])
     @pytest.mark.parametrize("budget", BUDGETS)
@@ -710,8 +710,8 @@ class TestChunkedEstimators:
         )
         want = oracle_lambda_st(pat, 0.1, 0.05, grid, 0.5)
         if budget == BUDGETS[-1]:
-            assert np.array_equal(bits(est.field.values), bits(want))
-        np.testing.assert_allclose(est.field.values, want, rtol=1e-12, atol=0)
+            assert np.array_equal(bits(est.values), bits(want))
+        np.testing.assert_allclose(est.values, want, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("b_t", [0.004, 0.03, 1e-9])
     def test_lambda_t_blocks_build_only_reached_time_cells(self, monkeypatch, b_t):
@@ -737,9 +737,9 @@ class TestChunkedEstimators:
         for rows in core._blocks(len(tp), 8 * 200):
             g = oracle_gauss_factors(tp.times[rows], grid.centers(0), 1.0, b_t)
             full += (1.0 / e[rows]) @ g
-        np.testing.assert_allclose(est.field.values, full, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(est.values, full, rtol=1e-14, atol=0)
         np.testing.assert_allclose(
-            est.field.values, oracle_lambda_t(tp, b_t, grid), rtol=1e-12, atol=0
+            est.values, oracle_lambda_t(tp, b_t, grid), rtol=1e-12, atol=0
         )
         assert len(widths) == -(-len(tp) // 3)
         assert (max(widths) == 200) == (b_t == 0.03)
@@ -754,7 +754,7 @@ class TestChunkedEstimators:
         pat = chunk_pattern(window, 5)
         est = estimate_lambda_st(pat, KernelSpec(0.1), KernelSpec(b_t), grid)
         want = oracle_lambda_st(pat, 0.1, b_t, grid, 1.0)
-        np.testing.assert_allclose(est.field.values, want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(est.values, want, rtol=1e-12, atol=0)
         assert (want == 0).all() == (b_t < 1e-3)
 
     def test_memory_cap_counts_one_chunk(self, monkeypatch):

@@ -15,7 +15,7 @@ from stpp.secondorder import (
     j_residual_ratio,
     poisson_series_fgj,
 )
-from stpp.simulate import ClusterModel, IntensityModel, simulate_cluster, simulate_poisson, thin
+from stpp.simulate import ClusterModel, simulate_cluster, simulate_poisson, thin
 
 UNIT = Window((0, 1), (0, 1), (0, 1))
 KITE = Window((0, 1), (0, 1), (0, 1), PolygonMask([(0, 0), (1, 0), (1, 1), (0.2, 0.9)]))
@@ -169,7 +169,7 @@ def varying_lambda(pattern, level):
 def oracle_patterns():
     cluster = ClusterModel(kappa=40.0, mean_offspring=25.0, sigma=0.03, sigma_t=0.03)
     return {
-        "poisson": simulate_poisson(IntensityModel.const(1200), UNIT, substream(0, 20)),
+        "poisson": simulate_poisson(1200, UNIT, substream(0, 20)),
         "cluster": simulate_cluster(cluster, UNIT, substream(0, 21)),
     }
 
@@ -215,21 +215,21 @@ class TestEstimateK:
         acc = np.zeros_like(vol)
         runs = 40
         for s in range(runs):
-            pat = simulate_poisson(IntensityModel.const(2000), UNIT, substream(s, 0))
+            pat = simulate_poisson(2000, UNIT, substream(s, 0))
             acc += estimate_K(pat, 2000.0, grid).k
         ratio = acc / runs / np.where(vol > 0, vol, np.inf)
         mid = ratio[15:, 15:]
         assert mid.min() > 0.95 and mid.max() < 1.05
 
     def test_monotone_in_both_arguments(self):
-        pat = simulate_poisson(IntensityModel.const(500), UNIT, 1)
+        pat = simulate_poisson(500, UNIT, 1)
         est = estimate_K(pat, 500.0, KGrid.default(UNIT, 20, 20))
         assert (np.diff(est.k, axis=0) >= 0).all()
         assert (np.diff(est.k, axis=1) >= 0).all()
 
     def test_symmetric_in_pair_order(self):
         # reversing the point order leaves the estimate unchanged
-        pat = simulate_poisson(IntensityModel.const(300), UNIT, 2)
+        pat = simulate_poisson(300, UNIT, 2)
         rev = SpaceTimePattern(pat.points[::-1], UNIT)
         grid = KGrid.default(UNIT, 15, 15)
         assert np.allclose(estimate_K(pat, 300.0, grid).k, estimate_K(rev, 300.0, grid).k)
@@ -243,7 +243,7 @@ class TestEstimateK:
         assert est.k.max() == pytest.approx(2 * 20.0)
 
     def test_intensity_floor_applied(self):
-        pat = simulate_poisson(IntensityModel.const(200), UNIT, 3)
+        pat = simulate_poisson(200, UNIT, 3)
         vals = np.full(len(pat), 200.0)
         vals[0] = 0.0  # would explode without the floor
         est = estimate_K(pat, vals, KGrid.default(UNIT, 10, 10))
@@ -265,7 +265,7 @@ class TestEstimateK:
         acc = np.zeros((8, 8))
         runs = 60
         for s in range(runs):
-            pat = simulate_poisson(IntensityModel.const(1000), UNIT, substream(s, 9))
+            pat = simulate_poisson(1000, UNIT, substream(s, 9))
             acc += estimate_K(pat, 1000.0, grid, correction="border").k
         ratio = acc / runs / vol
         assert 0.9 <= ratio[2:, 2:].min() and ratio[2:, 2:].max() <= 1.1
@@ -279,7 +279,7 @@ class TestEstimateK:
         acc = np.zeros((8, 8))
         cnt = np.zeros((8, 8))
         for s in range(60):
-            pat = simulate_poisson(IntensityModel.const(2000), w, substream(s, 10))
+            pat = simulate_poisson(2000, w, substream(s, 10))
             k = estimate_K(pat, 2000.0, grid, correction="border").k
             good = np.isfinite(k)
             acc[good] += k[good]
@@ -293,12 +293,12 @@ class TestEstimateK:
         monkeypatch.setattr(
             secondorder, "_mask_boundary_raster", lambda w: calls.append(w) or build(w)
         )
-        pat = simulate_poisson(IntensityModel.const(300), KITE, 5)
+        pat = simulate_poisson(300, KITE, 5)
         estimate_K(pat, 300.0, KGrid.default(KITE, 5, 5), correction="border")
         assert len(calls) == 1
 
     def test_unknown_correction_rejected(self):
-        pat = simulate_poisson(IntensityModel.const(50), UNIT, 0)
+        pat = simulate_poisson(50, UNIT, 0)
         with pytest.raises(ValueError, match="correction"):
             estimate_K(pat, 50.0, KGrid.default(UNIT, 5, 5), correction="ripley")
 
@@ -333,21 +333,21 @@ class TestEstimateK:
     def test_far_offset_window_matches_brute_force(self):
         # projected-metre coordinates: cell indices come from large offsets
         window = Window((6.1e5, 6.2e5), (4.9e6, 4.91e6), (0.0, 3.0e7))
-        pat = simulate_poisson(IntensityModel.const(800 / window.volume), window, 6)
+        pat = simulate_poisson(800 / window.volume, window, 6)
         lam = np.full(len(pat), len(pat) / window.volume)
         grid = KGrid.default(window, 10, 10)
         assert_surface_close(estimate_K(pat, lam, grid).k, brute_force_K(pat, lam, grid)[0])
 
     @pytest.mark.parametrize("window", [UNIT, KITE], ids=["rectangle", "polygon"])
     def test_border_matches_brute_force(self, window):
-        pat = simulate_poisson(IntensityModel.const(1200), window, substream(1, 22))
+        pat = simulate_poisson(1200, window, substream(1, 22))
         lam = varying_lambda(pat, 1000.0)
         est = estimate_K(pat, lam, WIDE, correction="border")
         assert_surface_close(est.k, brute_force_K(pat, lam, WIDE, "border")[0])
 
     def test_chunking_does_not_change_results(self, monkeypatch):
-        pat = simulate_poisson(IntensityModel.const(400), UNIT, substream(2, 23))
-        masked = simulate_poisson(IntensityModel.const(400), KITE, substream(2, 24))
+        pat = simulate_poisson(400, UNIT, substream(2, 23))
+        masked = simulate_poisson(400, KITE, substream(2, 24))
         xy = substream(2, 25).uniform(0.1, 0.9, (200, 2))
         tt = substream(2, 26).uniform(0.1, 0.9, 200)
 
@@ -370,7 +370,7 @@ class TestEstimateK:
         assert chunked[4] == whole[4]
 
     def test_per_event_intensity_list(self):
-        pat = simulate_poisson(IntensityModel.const(200), UNIT, 4)
+        pat = simulate_poisson(200, UNIT, 4)
         vals = varying_lambda(pat, 200.0)
         grid = KGrid.default(UNIT, 10, 10)
         from_list = estimate_K(pat, vals.tolist(), grid).k
@@ -480,8 +480,8 @@ def searchsorted_cases():
     benchmark window (100 km x 100 km x 3650 days) at the default grid, as
     ripley-k draws them, and a ~100-event unit-cube pattern."""
     bench = Window((0.0, 100.0), (0.0, 100.0), (0.0, 3650.0))
-    big = simulate_poisson(IntensityModel.const(5100 / bench.volume), bench, substream(6, 50))
-    small = simulate_poisson(IntensityModel.const(100), UNIT, substream(6, 51))
+    big = simulate_poisson(5100 / bench.volume, bench, substream(6, 50))
+    small = simulate_poisson(100, UNIT, substream(6, 51))
     return {
         "poisson-5000": (big, len(big) / bench.volume, KGrid.default(bench)),
         "poisson-100": (small, varying_lambda(small, 100.0), KGrid.default(UNIT, 20, 20)),
@@ -648,7 +648,7 @@ class TestEmpiricalFGJ:
     def test_poisson_j_near_one(self):
         js = []
         for s in range(30):
-            pat = simulate_poisson(IntensityModel.const(300), UNIT, substream(s, 4))
+            pat = simulate_poisson(300, UNIT, substream(s, 4))
             _, _, j = empirical_fgj(pat, 0.08, 0.04, seed=s)
             js.append(j)
         assert abs(np.mean(js) - 1.0) < 0.05
@@ -664,14 +664,14 @@ class TestEmpiricalFGJ:
         assert below >= 0.9 * runs
 
     def test_too_large_radius_rejected(self):
-        pat = simulate_poisson(IntensityModel.const(100), UNIT, 0)
+        pat = simulate_poisson(100, UNIT, 0)
         with pytest.raises(ValueError):
             empirical_fgj(pat, 0.6, 0.05)
 
     def test_window_narrow_only_in_y_rejected(self):
         # 2r exceeds the y extent only; the x and t extents are wide enough
         strip = Window((0, 1), (0, 0.15), (0, 1))
-        pat = simulate_poisson(IntensityModel.const(2000), strip, 0)
+        pat = simulate_poisson(2000, strip, 0)
         with pytest.raises(ValueError, match="window too small"):
             empirical_fgj(pat, 0.1, 0.05)
 
@@ -693,7 +693,7 @@ class TestEmpiricalFGJ:
 class TestResidualRatio:
     def test_poisson_residual_is_small(self):
         res = j_residual_ratio(
-            IntensityModel.const(4000.0), p=0.05, r=0.1, tau=0.05,
+            4000.0, p=0.05, r=0.1, tau=0.05,
             seeds=range(60), thinnings=3, n_test=2048,
         )
         assert res["residuals"][0.05] < 0.05
@@ -713,7 +713,7 @@ class TestResidualRatio:
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError, match="need"):
             j_residual_ratio(
-                IntensityModel.const(100.0), p=0.05, seeds=range(2), thinnings=1,
+                100.0, p=0.05, seeds=range(2), thinnings=1,
             )
 
     def test_invalid_model_rejected(self):

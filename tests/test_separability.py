@@ -8,14 +8,13 @@ from stpp import core, intensity, separability
 from stpp.core import GridSpec, PolygonMask, ScalarField, SpaceTimePattern, Window, _trusted, project, substream
 from stpp.inference import CurveSet, combined_erl_test
 from stpp.intensity import (
-    IntensityEstimate,
     KernelSpec,
     estimate_lambda_s,
     estimate_lambda_st,
     estimate_lambda_t,
 )
 from stpp.separability import _SeparabilityEngine, separability_test
-from stpp.simulate import IntensityModel, simulate_poisson, thin
+from stpp.simulate import simulate_poisson, thin
 
 from helpers import AnalyticModel
 
@@ -42,9 +41,9 @@ class SeparabilityStats:
 
 def compute_S(
     pattern: SpaceTimePattern,
-    lam_st: IntensityEstimate,
-    lam_s: IntensityEstimate,
-    lam_t: IntensityEstimate,
+    lam_st: ScalarField,
+    lam_s: ScalarField,
+    lam_t: ScalarField,
     include_zero_cells: bool = True,
 ) -> SeparabilityStats:
     """Cellwise S statistics from plugged-in intensity estimates.
@@ -56,7 +55,7 @@ def compute_S(
     included by default, or dropped from the averaging measure with
     ``include_zero_cells=False``.
     """
-    f3, f2, f1 = lam_st.field, lam_s.field, lam_t.field
+    f3, f2, f1 = lam_st, lam_s, lam_t
     if f3.grid.shape[:2] != f2.grid.shape or f3.grid.shape[2] != f1.grid.shape[0]:
         raise ValueError("intensity estimates live on incompatible grids")
     n = float(len(pattern))
@@ -169,11 +168,11 @@ def pairings(n, B, seed):
 
 class TestComputeS:
     def test_exact_separable_plugin_is_one(self):
-        pat = simulate_poisson(IntensityModel.const(600), UNIT, 0)
+        pat = simulate_poisson(600, UNIT, 0)
         grid = GridSpec.spacetime(UNIT, 12, 12, 30)
         lam_st, lam_s, lam_t = estimates(pat, grid)
-        sep_vals = lam_s.field.values[:, :, None] * lam_t.field.values[None, None, :] / len(pat)
-        sep = IntensityEstimate(ScalarField(grid, sep_vals), (KS.bandwidth, KT.bandwidth))
+        sep_vals = lam_s.values[:, :, None] * lam_t.values[None, None, :] / len(pat)
+        sep = ScalarField(grid, sep_vals)
         stats = compute_S(pat, sep, lam_s, lam_t)
         assert np.allclose(stats.s_st.values, 1.0)
         assert np.allclose(stats.s_s.values, 1.0)
@@ -184,14 +183,14 @@ class TestComputeS:
         pat = SpaceTimePattern([(0.5, 0.5, 0.5)], UNIT)
         grid = GridSpec.spacetime(UNIT, 8, 8, 8)
         lam_st, lam_s, lam_t = estimates(pat, grid, KernelSpec(0.12), KernelSpec(0.12))
-        zeroed = lam_s.field.values.copy()
+        zeroed = lam_s.values.copy()
         zeroed[0, :] = 0.0
-        lam_s_z = IntensityEstimate(ScalarField(lam_s.field.grid, zeroed), (KS.bandwidth,))
+        lam_s_z = ScalarField(lam_s.grid, zeroed)
         stats = compute_S(pat, lam_st, lam_s_z, lam_t)
         assert (stats.s_st.values[0] == 0.0).all()
 
     def test_incompatible_grids_rejected(self):
-        pat = simulate_poisson(IntensityModel.const(100), UNIT, 1)
+        pat = simulate_poisson(100, UNIT, 1)
         big = KernelSpec(0.2)
         lam_st, lam_s, lam_t = estimates(pat, GridSpec.spacetime(UNIT, 8, 8, 8), big, big)
         _, lam_s_small, _ = estimates(pat, GridSpec.spacetime(UNIT, 4, 4, 8), big, big)
@@ -200,16 +199,16 @@ class TestComputeS:
 
     def test_zero_cell_exclusion_config(self):
         # excluding a/0 cells from the averages changes only the measure
-        pat = simulate_poisson(IntensityModel.const(400), UNIT, 10)
+        pat = simulate_poisson(400, UNIT, 10)
         grid = GridSpec.spacetime(UNIT, 10, 10, 20)
         lam_st, lam_s, lam_t = estimates(pat, grid, KernelSpec(0.12), KernelSpec(0.08))
         incl = compute_S(pat, lam_st, lam_s, lam_t, include_zero_cells=True)
         excl = compute_S(pat, lam_st, lam_s, lam_t, include_zero_cells=False)
         # dense estimates keep every denominator positive, so both agree
         assert np.allclose(incl.s_t.values, excl.s_t.values)
-        zeroed = lam_s.field.values.copy()
+        zeroed = lam_s.values.copy()
         zeroed[:5] = 0.0
-        lam_s_z = IntensityEstimate(ScalarField(lam_s.field.grid, zeroed), (0.12,))
+        lam_s_z = ScalarField(lam_s.grid, zeroed)
         incl = compute_S(pat, lam_st, lam_s_z, lam_t, include_zero_cells=True)
         excl = compute_S(pat, lam_st, lam_s_z, lam_t, include_zero_cells=False)
         assert (excl.s_t.values >= incl.s_t.values).all()
@@ -221,7 +220,7 @@ class TestComputeS:
         ks, kt = KernelSpec(0.15), KernelSpec(0.1)
 
         def discrepancy(lam, seed):
-            pat = simulate_poisson(IntensityModel.const(lam), UNIT, seed)
+            pat = simulate_poisson(lam, UNIT, seed)
             sub = thin(pat, 0.5, substream(seed, 1))
             full = observed_curves(_SeparabilityEngine(pat, ks, kt, grid), len(pat))[0]
             thinned = observed_curves(_SeparabilityEngine(sub, ks, kt, grid), len(sub))[0]
@@ -249,7 +248,7 @@ class TestComputeS:
 class TestEngine:
     @pytest.mark.parametrize("window", [UNIT, POLYGON], ids=["rectangle", "polygon"])
     def test_matches_compute_s(self, window):
-        pat = simulate_poisson(IntensityModel.const(700), window, 3)
+        pat = simulate_poisson(700, window, 3)
         grid = GridSpec.spacetime(window, 10, 14, 22)
         stats = compute_S(pat, *estimates(pat, grid))
         eng = _SeparabilityEngine(pat, KS, KT, grid)
@@ -260,7 +259,7 @@ class TestEngine:
         assert np.allclose(s_s, stats.s_s.values[mask])
 
     def test_permuted_curves_match_recomputation(self):
-        pat = simulate_poisson(IntensityModel.const(300), UNIT, 4)
+        pat = simulate_poisson(300, UNIT, 4)
         grid = GridSpec.spacetime(UNIT, 8, 8, 16)
         ks, kt = KernelSpec(0.12), KernelSpec(0.08)
         eng = _SeparabilityEngine(pat, ks, kt, grid)
@@ -274,7 +273,7 @@ class TestEngine:
     def test_blocks_match_recomputation(self, monkeypatch, window):
         # three pairings per block, so the observed curves and 7 replicates
         # take three calls; each row must match its own full recomputation
-        pat = simulate_poisson(IntensityModel.const(300), window, 15)
+        pat = simulate_poisson(300, window, 15)
         n = len(pat)
         grid = GridSpec.spacetime(window, 8, 10, 16)
         ks, kt = KernelSpec(0.12), KernelSpec(0.08)
@@ -302,7 +301,7 @@ class TestEngine:
     @pytest.mark.parametrize("window", [UNIT, POLYGON], ids=["rectangle", "polygon"])
     @pytest.mark.parametrize("rows", [4, None], ids=["blocks", "one-block"])
     def test_p_value_matches_permutation_loop(self, monkeypatch, window, rows):
-        pat = simulate_poisson(IntensityModel.const(300), window, 17)
+        pat = simulate_poisson(300, window, 17)
         n = len(pat)
         grid = GridSpec.spacetime(window, 8, 10, 16)
         ks, kt = KernelSpec(0.12), KernelSpec(0.08)
@@ -325,7 +324,7 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("window", [UNIT, POLYGON], ids=["rectangle", "polygon"])
     def test_one_block_equals_whole_rows(self, window):
-        pat = simulate_poisson(IntensityModel.const(700), window, 19)
+        pat = simulate_poisson(700, window, 19)
         grid = GridSpec.spacetime(window, *self.GRID)
         eng = _SeparabilityEngine(pat, KS, KT, grid)
         assert len(eng.blocks) == 1
@@ -338,7 +337,7 @@ class TestRowBlocks:
     @pytest.mark.parametrize("window", [UNIT, POLYGON], ids=["rectangle", "polygon"])
     @pytest.mark.parametrize("rows", [1, 2, 7, 64])
     def test_blocks_agree_with_whole_rows(self, monkeypatch, window, rows):
-        pat = simulate_poisson(IntensityModel.const(700), window, 19)
+        pat = simulate_poisson(700, window, 19)
         nx, ny, _ = self.GRID
         monkeypatch.setattr(core, "_BLOCK_BYTES", rows * 8 * nx * ny)
         grid = GridSpec.spacetime(window, *self.GRID)
@@ -353,7 +352,7 @@ class TestRowBlocks:
     @pytest.mark.parametrize("window", [UNIT, POLYGON], ids=["rectangle", "polygon"])
     @pytest.mark.parametrize("budget", [None, 5 * 8 * 140, 48 * 8 * 140, 8 * 8 * 700])
     def test_p_values_equal_whole_rows(self, monkeypatch, window, budget):
-        pat = simulate_poisson(IntensityModel.const(500), window, 21)
+        pat = simulate_poisson(500, window, 21)
         grid = GridSpec.spacetime(window, *self.GRID)
         if budget:
             monkeypatch.setattr(core, "_BLOCK_BYTES", budget)
@@ -369,7 +368,7 @@ class TestRowBlocks:
         # about 2000 events on a 40 x 40 grid: S whole is 26 MB; in blocks
         # of 100 events the engine holds 1.5 MB of factor and T rows and
         # builds one 1.3 MB S block at a time
-        pat = simulate_poisson(IntensityModel.const(2000), UNIT, 23)
+        pat = simulate_poisson(2000, UNIT, 23)
         n = len(pat)
         nx, ny, nt = 40, 40, 10
         monkeypatch.setattr(core, "_BLOCK_BYTES", 100 * 8 * nx * ny)
@@ -398,7 +397,7 @@ class TestPermuteNull:
         assert np.array_equal(rep.points, pat.points)
 
     def test_marginals_preserved(self):
-        pat = simulate_poisson(IntensityModel.const(200), UNIT, 5)
+        pat = simulate_poisson(200, UNIT, 5)
         for rep in permute_null(pat, 5, 1):
             sp0, tp0 = project(pat)
             sp1, tp1 = project(rep)
@@ -406,7 +405,7 @@ class TestPermuteNull:
             assert np.array_equal(tp1.times, tp0.times)
 
     def test_replicates_differ_from_original(self):
-        pat = simulate_poisson(IntensityModel.const(200), UNIT, 6)
+        pat = simulate_poisson(200, UNIT, 6)
         reps = permute_null(pat, 3, 2)
         assert any(not np.array_equal(r.points, pat.points) for r in reps)
 
@@ -415,19 +414,19 @@ class TestSeparabilityTest:
     def test_thinning_leaves_s_targets(self):
         # constant thinning preserves the S statistics' target: the same
         # exact-separable plug-in stays identically 1 on the thinned pattern
-        pat = simulate_poisson(IntensityModel.const(2000), UNIT, 7)
+        pat = simulate_poisson(2000, UNIT, 7)
         sub = thin(pat, 0.2, 8)
         grid = GridSpec.spacetime(UNIT, 10, 10, 20)
         lam_st, lam_s, lam_t = estimates(sub, grid)
-        sep_vals = lam_s.field.values[:, :, None] * lam_t.field.values[None, None, :] / len(sub)
-        sep = IntensityEstimate(ScalarField(grid, sep_vals), (KS.bandwidth, KT.bandwidth))
+        sep_vals = lam_s.values[:, :, None] * lam_t.values[None, None, :] / len(sub)
+        sep = ScalarField(grid, sep_vals)
         stats = compute_S(sub, sep, lam_s, lam_t)
         assert np.allclose(stats.s_t.values, 1.0)
 
     def test_null_replicate_band_brackets_one(self):
         # permutation replicates of a separable pattern produce S_t values
         # whose empirical 95% band contains 1 at most grid times
-        pat = simulate_poisson(IntensityModel.const(1500), UNIT, 9)
+        pat = simulate_poisson(1500, UNIT, 9)
         grid = GridSpec.spacetime(UNIT, 12, 12, 25)
         eng = _SeparabilityEngine(pat, KS, KT, grid)
         reps = []
@@ -455,7 +454,7 @@ class TestSeparabilityTest:
         hits = 0
         runs = 30
         for s in range(runs):
-            pat = simulate_poisson(IntensityModel.const(800), UNIT, substream(s, 13))
+            pat = simulate_poisson(800, UNIT, substream(s, 13))
             res = separability_test(pat, KernelSpec(0.1), KernelSpec(0.06), B=49,
                                     grid=GridSpec.spacetime(UNIT, 12, 12, 30),
                                     seed=(s, 14))

@@ -5,7 +5,6 @@ from stpp.core import GridSpec, ScalarField, Window, substream
 from stpp.inference import quadrat_test
 from stpp.simulate import (
     ClusterModel,
-    IntensityModel,
     simulate_cluster,
     simulate_poisson,
     thin,
@@ -17,12 +16,12 @@ UNIT = Window((0, 1), (0, 1), (0, 1))
 
 
 def test_zero_intensity_gives_empty_pattern():
-    assert len(simulate_poisson(IntensityModel.const(0.0), UNIT, 0)) == 0
+    assert len(simulate_poisson(0.0, UNIT, 0)) == 0
 
 
 def test_homogeneous_mean_count():
     # Poisson moments: mean over 500 seeds within 3 standard errors
-    counts = [len(simulate_poisson(IntensityModel.const(1000), UNIT, s)) for s in range(500)]
+    counts = [len(simulate_poisson(1000, UNIT, s)) for s in range(500)]
     se = np.sqrt(1000 / 500)
     assert abs(np.mean(counts) - 1000) < 3 * se
 
@@ -46,10 +45,41 @@ def test_field_model_simulation():
     grid = GridSpec.spacetime(UNIT, 4, 4, 4)
     values = np.zeros(grid.shape)
     values[:2] = 800.0  # only x1 < 0.5 active
-    model = IntensityModel(field=ScalarField(grid, values))
-    pat = simulate_poisson(model, UNIT, 0)
+    pat = simulate_poisson(ScalarField(grid, values), UNIT, 0)
     assert (pat.x[:, 0] < 0.5).all()
     assert abs(len(pat) - 400) < 4 * np.sqrt(400)
+
+
+def test_temporal_field_keeps_events_by_time():
+    # a field on T is read at each proposal's time, not at its x1
+    window = Window((0, 10), (0, 1), (0, 1))
+    grid = GridSpec.temporal(window, 10)
+    field = ScalarField(grid, np.where(grid.centers(0) < 0.5, 100.0, 0.0))
+    xy = np.array([[9.5, 0.5], [0.5, 0.5]])
+    assert field.rate_at(xy, np.array([0.1, 0.9])).tolist() == [100.0, 0.0]
+    pat = simulate_poisson(field, window, 0)
+    assert (pat.t < 0.5).all()
+    assert (pat.x[:, 0] > 5).sum() > 0.4 * len(pat)
+    assert abs(len(pat) - 500) < 4 * np.sqrt(500)
+
+
+@pytest.mark.parametrize("kind", ["constant", "field"])
+def test_negative_intensity_refused_before_drawing(kind):
+    grid = GridSpec.spatial(UNIT, 2, 2)
+    mask = np.array([[True, True], [True, False]])
+    if kind == "constant":
+        lam, match = -1.0, "constant intensity must be nonnegative"
+    else:
+        lam = ScalarField(grid, [[500.0, 100.0], [-1.0, 0.0]], mask)
+        match = "field must be nonnegative"
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=match):
+        simulate_poisson(lam, UNIT, rng)
+    assert rng.bit_generator.state == state
+    # negative values off the mask are never read
+    off = ScalarField(grid, [[500.0, 100.0], [100.0, -1.0]], mask)
+    assert len(simulate_poisson(off, UNIT, 0)) > 0
 
 
 def test_cluster_negligible_offspring():
@@ -81,7 +111,7 @@ def test_cluster_clusters_more_than_poisson():
 
 
 def test_thin_identity_and_empty():
-    pat = simulate_poisson(IntensityModel.const(300), UNIT, 0)
+    pat = simulate_poisson(300, UNIT, 0)
     same = thin(pat, 1.0, 1)
     assert np.array_equal(same.points, pat.points)
     none = thin(pat, 0.0, 1)
@@ -93,7 +123,7 @@ def test_thin_binomial_mean_and_quadrat():
     flat = 0
     runs = 300
     for s in range(runs):
-        pat = simulate_poisson(IntensityModel.const(1000), UNIT, substream(s, 0))
+        pat = simulate_poisson(1000, UNIT, substream(s, 0))
         sub = thin(pat, 0.025, substream(s, 1))
         kept.append(len(sub))
     se = np.sqrt(25 / runs)
@@ -101,7 +131,7 @@ def test_thin_binomial_mean_and_quadrat():
     # thinned homogeneous Poisson stays homogeneous
     passed = 0
     for s in range(200):
-        pat = simulate_poisson(IntensityModel.const(4000), UNIT, substream(s, 2))
+        pat = simulate_poisson(4000, UNIT, substream(s, 2))
         sub = thin(pat, 0.1, substream(s, 3))
         from stpp.core import project
 
@@ -114,7 +144,7 @@ def test_thin_first_order_intensity():
     # retention scales the first-order intensity by pi0
     counts = []
     for s in range(400):
-        pat = simulate_poisson(IntensityModel.const(1000), UNIT, substream(s, 4))
+        pat = simulate_poisson(1000, UNIT, substream(s, 4))
         counts.append(len(thin(pat, 0.2, substream(s, 5))))
     se = np.sqrt(200 / 400)
     assert abs(np.mean(counts) - 200) < 3 * se
@@ -125,7 +155,7 @@ def test_thin_composition_matches_product():
     # compare first and second moments of counts
     two, one = [], []
     for s in range(1000):
-        pat = simulate_poisson(IntensityModel.const(300), UNIT, substream(s, 6))
+        pat = simulate_poisson(300, UNIT, substream(s, 6))
         a = thin(pat, 0.5, substream(s, 7))
         a = thin(a, 0.4, substream(s, 8))
         b = thin(pat, 0.2, substream(s, 9))
@@ -139,15 +169,15 @@ def test_thin_composition_matches_product():
 
 
 def test_retention_spec_validation():
-    pat = simulate_poisson(IntensityModel.const(10), UNIT, 0)
+    pat = simulate_poisson(10, UNIT, 0)
     for pi0 in (1.5, -0.1, float("nan")):
         with pytest.raises(ValueError, match=r"retention probability must be in \[0, 1\]"):
             thin(pat, pi0, 1)
 
 
 def test_determinism_same_seed_same_pattern():
-    a = simulate_poisson(IntensityModel.const(500), UNIT, 42)
-    b = simulate_poisson(IntensityModel.const(500), UNIT, 42)
+    a = simulate_poisson(500, UNIT, 42)
+    b = simulate_poisson(500, UNIT, 42)
     assert np.array_equal(a.points, b.points)
     c1 = simulate_cluster(ClusterModel(50, 10, 0.03, 0.03), UNIT, 7)
     c2 = simulate_cluster(ClusterModel(50, 10, 0.03, 0.03), UNIT, 7)

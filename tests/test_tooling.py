@@ -59,3 +59,15 @@ def test_one_pool_and_one_budget():
                     if isinstance(name, ast.Name) and name.id.endswith("_BYTES"):
                         offenders.append(f"{path.name}:{node.lineno} defines {name.id}")
     assert offenders == []
+
+
+def test_readme_library_example_runs():
+    # the python block under README's "## Library example", run as written
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Library example\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    k_t, k_s = namespace["k_t"], namespace["k_s"]
+    assert len(k_t) == 50 and len(k_s) == 50
+    assert len(namespace["replicate"]) > 0
