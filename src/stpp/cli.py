@@ -28,7 +28,6 @@ import warnings
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from functools import partial
-from itertools import compress, repeat
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +39,16 @@ from .bandwidth import (
     select_bandwidth_spatial,
     select_bandwidth_temporal,
 )
-from .core import GridSpec, SpaceTimePattern, Window, parallel_map, project, substream
+from .core import (
+    GridSpec,
+    SpaceTimePattern,
+    Window,
+    _CSV_ROW_BYTES,
+    _blocks,
+    parallel_map,
+    project,
+    substream,
+)
 from .homogenize import HomogenizeConfig, homogenize
 from .inference import CurveSet, combined_erl_test
 from .intensity import KernelSpec, estimate_lambda_s, estimate_lambda_st, estimate_lambda_t
@@ -58,15 +66,6 @@ from .simulate import ClusterModel, simulate_cluster, simulate_poisson, thin
 EARTH_RADIUS_KM = 6371.0
 
 TASKS = ("intensity", "separability", "ripley-k", "homogenize", "simulate", "prop2-check")
-
-
-# rows of a pattern file formatted and written at a time
-_BLOCK_ROWS = 1 << 16
-
-
-def _fmt(values) -> list[str]:
-    """Each value as a Python float's shortest round-trip ``repr``."""
-    return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
 
 
 # ---------------------------------------------------------------- ingestion
@@ -273,33 +272,248 @@ def _time_seconds(fields):
     return micros / 1e6
 
 
+# ---------------------------------------------------------------- writers
+#
+# Every float is written as Python's shortest round-trip ``repr`` by one
+# numpy kernel, a block of values at a time.  Its digits come from
+# Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020):
+# with q the binary exponent of a double x's last bit and
+# k = floor(log10(2**q)), the shortest decimal inside x's rounding interval
+# is a multiple of 10**(k+1), or else s or s + 1 times 10**k, where
+# s = floor(x / 10**k).  x and the interval's ends are scaled by a 126-bit
+# 10**-k held as 32-bit limbs, so 64-bit integer products suffice.
+
+
+def _floor_log2_pow10(e):
+    return (e * 913_124_641_741) >> 38
+
+
+def _schubfach_table():
+    """Per row: k, 2**h and the four 32-bit limbs (bits 95 up, 63 to 94,
+    32 to 62 and 0 to 31) of g = floor(10**-k / 2**r) + 1, whose r puts g
+    in [2**125, 2**126].
+
+    A row is a biased exponent, plus 2048 for a power of two, whose
+    rounding interval below it is half as wide."""
+    rows = np.arange(4096)
+    q = np.maximum(rows % 2048, 1) - 1075
+    # floor(log10(2**q)), or floor(log10(3/4 * 2**q)) below a power of two
+    k = (q * 661_971_961_083 - (rows >= 2048) * 274_743_187_321) >> 41
+    g = {}
+    for kk in set(k.tolist()):
+        r = _floor_log2_pow10(-kk) - 125
+        num, den = (10**-kk, 1) if kk <= 0 else (1, 10**kk)
+        g[kk] = (num << max(-r, 0)) // (den << max(r, 0)) + 1
+    limbs = [
+        np.array([g[kk] >> shift & mask for kk in k.tolist()], dtype=np.uint64)
+        for shift, mask in ((95, 2**31 - 1), (63, 2**32 - 1), (32, 2**31 - 1), (0, 2**32 - 1))
+    ]
+    scale = np.uint64(1) << (q + _floor_log2_pow10(-k) + 2).astype(np.uint64)
+    return k.astype(np.int16), scale, limbs
+
+
+_TABLE_K, _TABLE_SCALE, _TABLE_G = _schubfach_table()
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def _high64(a1, a0, b1, b0):
+    """High 64 bits of (a1 2**32 + a0)(b1 2**32 + b0), limbs below 2**32."""
+    low = a0 * b0
+    low >>= np.uint64(32)
+    cross = a0 * b1
+    low += cross & _LOW32
+    cross >>= np.uint64(32)
+    other = a1 * b0
+    low += other & _LOW32
+    other >>= np.uint64(32)
+    cross += other
+    low >>= np.uint64(32)
+    cross += low
+    np.multiply(a1, b1, out=other)
+    cross += other
+    return cross
+
+
+def _shortest(bits):
+    """Digits f and table rows: each finite nonzero double is f * 10**k,
+    f the shortest digits that read back as it, the closest on a tie of
+    lengths, then the even one.  f < 10**17 and may end in zeros."""
+    mantissa = bits & np.uint64((1 << 52) - 1)
+    biased = bits >> np.uint64(52)
+    biased &= np.uint64(0x7FF)
+    row = ((mantissa == 0) & (biased > 1)) * np.uint64(2048)
+    row += biased
+    row = row.astype(np.intp)
+    c = (biased != 0) * np.uint64(1 << 52)
+    c |= mantissa
+    # the value and its rounding interval's ends, times 4 * 2**h
+    scale = _TABLE_SCALE.take(row)
+    cp = np.empty((3, len(bits)), np.uint64)
+    np.multiply(c << np.uint64(2), scale, out=cp[0])
+    np.subtract(cp[0], scale << (row < 2048).astype(np.uint64), out=cp[1])
+    np.add(cp[0], scale << np.uint64(1), out=cp[2])
+    c1, c0 = cp >> np.uint64(32), cp & _LOW32
+    g3, g2, g1, g0 = (limbs.take(row) for limbs in _TABLE_G)
+    # g cp / 2**127 rounded to odd, from g's two 63-bit halves
+    low = _high64(g1, g0, c1, c0)
+    mid = ((g3 << np.uint64(32)) | g2) * cp
+    v = _high64(g3, g2, c1, c0)
+    mid >>= np.uint64(1)
+    mid += low
+    v += mid >> np.uint64(63)
+    mid <<= np.uint64(1)
+    v |= mid != 0
+    vb, vbl, vbr = v
+    odd = c & np.uint64(1)  # an odd c's interval excludes its ends
+    vbl += odd
+    vbr -= odd
+    s = vb >> np.uint64(2)
+    s10 = s // np.uint64(10) * np.uint64(10)
+    lo_in, hi_in = vbl <= s << np.uint64(2), (s << np.uint64(2)) + np.uint64(4) <= vbr
+    short_lo, short_hi = vbl <= s10 << np.uint64(2), (s10 << np.uint64(2)) + np.uint64(40) <= vbr
+    rest = vb & np.uint64(3)
+    closer_hi = (rest > 2) | (rest == 2) & (s & np.uint64(1)).astype(bool)
+    f = s + np.where(lo_in != hi_in, hi_in, closer_hi)
+    return np.where(short_lo != short_hi, s10 + short_hi * np.uint64(10), f), row
+
+
+# the slots a rendered value may fill, in order: sign, "0." and three zeros
+# (1e-4 <= |x| < 1), 18 digits with a point slot after each of the first
+# 17, and the exponent's "e", sign and three digits
+_TEMPLATE = np.frombuffer(b"-0.000" + b"0." * 17 + b"0" + b"e+000", dtype=np.uint8)[:, None]
+_DIGITS, _POINTS, _EXPONENT = slice(6, 41, 2), slice(7, 40, 2), 41
+_SLOT = np.arange(18, dtype=np.int16)[:, None]
+_UP = np.arange(17, dtype=np.uint8)[:, None]
+_DOWN = _UP[::-1].copy()
+# nan (for either sign), 0.0 and inf, written over a value's first three slots
+_LITERALS = np.frombuffer(b"nan0.0inf", dtype=np.uint8).reshape(3, 3)
+
+
+def _render(values) -> np.ndarray:
+    """Each value's Python ``repr`` as a column of a uint8 matrix, NUL in
+    the slots it leaves empty; rows no value uses are dropped.
+
+    ``repr`` writes the shortest round-trip digits d_1..d_n of a finite
+    nonzero x = 0.d_1..d_n * 10**p positionally for -4 < p <= 16, with
+    ``.0`` on whole numbers, and else as d_1.d_2..d_ne-XX with at least two
+    exponent digits; the digits here are the Schubfach kernel's.
+    """
+    x = np.ascontiguousarray(values, dtype=float).ravel()
+    bits = x.view(np.uint64)
+    f, row = _shortest(bits)
+    chars = np.empty((len(_TEMPLATE), len(x)), dtype=np.uint8)
+    chars[:] = _TEMPLATE
+    digits = chars[_DIGITS]
+    high = f // np.uint64(10**8)
+    low = (f - high * np.uint64(10**8)).astype(np.uint32)
+    digits[0] = high // np.uint64(10**8)
+    high = (high - digits[0] * np.uint64(10**8)).astype(np.uint32)
+    ten = np.uint32(10)
+    for j in range(8, 0, -1):
+        tens = high // ten
+        digits[j] = high - tens * ten
+        high = tens
+        tens = low // ten
+        digits[8 + j] = low - tens * ten
+        low = tens
+    nonzero = digits[:17] != 0
+    first = 16 - (nonzero * _DOWN).max(axis=0).astype(np.int16)
+    last = (nonzero * _UP).max(axis=0).astype(np.int16)
+    digits[:17] += ord("0")
+    point = _TABLE_K.take(row) + 17  # the decimal point follows slot point - 1
+    p = point - first
+    exponent = (p <= -4) | (p > 16)
+    fraction = (p <= 0) & ~exponent
+    whole = ~(exponent | fraction)
+    end = np.where(whole, np.maximum(last, point), last)
+    dot = np.where(whole, point - 1, np.where(exponent & (last > first), first, -1))
+    digits *= (_SLOT >= first) & (_SLOT <= end)
+    chars[_POINTS] *= _SLOT[:17] == dot
+    chars[0] *= np.signbit(x)
+    chars[1:3] *= fraction
+    chars[3:6] *= fraction & (_SLOT[1:4] <= -p)
+    e = np.abs(p - 1)
+    tens = e // 10
+    chars[_EXPONENT + 1] = np.where(p > 0, ord("+"), ord("-"))
+    chars[_EXPONENT + 2] = (ord("0") + tens // 10) * (e >= 100)
+    chars[_EXPONENT + 3] = ord("0") + tens - tens // 10 * 10
+    chars[_EXPONENT + 4] = ord("0") + e - tens * 10
+    chars[_EXPONENT:] *= exponent
+    special = (bits << np.uint64(1)) - np.uint64(1) >= np.uint64(0xFFE0_0000_0000_0000 - 1)
+    if special.any():  # zeros, infinities and NaNs
+        cols = np.flatnonzero(special)
+        twice = bits[cols] << np.uint64(1)
+        kind = (twice == 0) + 2 * (twice == np.uint64(0xFFE0_0000_0000_0000))
+        chars[1:, cols] = 0
+        chars[6:9, cols] = _LITERALS[kind].T
+        chars[0, cols] *= kind != 0
+    return chars[chars.any(axis=1)]
+
+
+_COMMA = np.array([[ord(",")]], dtype=np.uint8)
+_CRLF = np.array([[ord("\r")], [ord("\n")]], dtype=np.uint8)
+
+
 def _write_csv(path, header, blocks) -> None:
     """Write a CSV file block by block, every line ending in CRLF.
 
-    Each block is a list of columns, each an iterable of field strings
-    (``itertools.repeat`` for a constant one); a block's rows run to its
-    shortest column.  Float fields never need quoting, so the text equals
-    what ``csv.writer`` writes, and one block at a time is held in memory.
+    Each block is a list of ``_render`` matrices, one per column, with one
+    matrix column per row.  Every field is its float's ``repr``, from the
+    Schubfach kernel (``tests/test_cli.py`` checks it equal to ``repr``),
+    and float fields never need quoting, so the text equals what
+    ``csv.writer`` writes with one ``repr`` per field.  One block at a time,
+    sized by ``core._blocks``, is held in memory.
     """
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + b"\r\n")
         for columns in blocks:
-            fh.write("".join([",".join(row) + "\r\n" for row in zip(*columns)]))
+            n = columns[0].shape[1]
+            parts = [np.broadcast_to(_COMMA, (1, n))] * (2 * len(columns))
+            parts[::2] = columns
+            parts[-1] = np.broadcast_to(_CRLF, (2, n))
+            text = np.concatenate(parts).T
+            fh.write(text[text != 0].tobytes())
+
+
+def _write_columns(path, header, columns) -> None:
+    """One row per index of the equal-length float ``columns``."""
+    rows = _blocks(len(columns[0]), _CSV_ROW_BYTES)
+    _write_csv(path, header, ([_render(c[block]) for c in columns] for block in rows))
+
+
+def _packed(values) -> np.ndarray:
+    """``_render`` with each value's text moved to the top of its column,
+    so the matrix is no taller than the longest text; for short tables."""
+    text = [col.tobytes().replace(b"\0", b"") for col in _render(values).T]
+    return np.ascontiguousarray(np.array(text).view(np.uint8).reshape(len(text), -1).T)
+
+
+def _write_grid(path, header, field, inside) -> None:
+    """One row per grid cell over a spatial cell ``inside``, in C order:
+    the cell's centres, then its value.  Axes are rendered once and
+    gathered per row."""
+    axes = [_packed(field.grid.centers(axis)) for axis in range(field.values.ndim)]
+    cells = np.flatnonzero(inside)
+    times = field.values.size // inside.size  # > 1 on a space-time grid
+    values = field.values.reshape(inside.size, times)
+
+    def block(rows):
+        cell, m = np.divmod(np.arange(rows.start, rows.stop), times)
+        cell = cells[cell]
+        index = np.unravel_index(cell, inside.shape) + ((m,) if times > 1 else ())
+        return [axis[:, i] for axis, i in zip(axes, index)] + [_render(values[cell, m])]
+
+    _write_csv(path, header, map(block, _blocks(len(cells) * times, _CSV_ROW_BYTES)))
 
 
 def emit_pattern(path, pattern) -> None:
+    """Write a pattern's events, one row each, through ``_write_csv``."""
     pts = pattern.points
-    header = ["x1", "x2", "t"] if pts.shape[1] == 3 else ["x1", "x2"]
-    blocks = (
-        [_fmt(col) for col in pts[start:start + _BLOCK_ROWS].T]
-        for start in range(0, len(pts), _BLOCK_ROWS)
-    )
-    _write_csv(path, header, blocks)
+    _write_columns(path, ["x1", "x2", "t"][: pts.shape[1]], pts.T)
 
 
 def _write_curves(path, args, observed, lower, upper) -> None:
-    columns = [_fmt(c) for c in (args, observed, lower, upper)]
-    _write_csv(path, ["arg", "observed", "lo", "hi"], [columns])
+    _write_columns(path, ["arg", "observed", "lo", "hi"], (args, observed, lower, upper))
 
 
 def _write_curve_pair(out_dir, names, res, split, outputs) -> None:
@@ -312,26 +526,15 @@ def _write_curve_pair(out_dir, names, res, split, outputs) -> None:
 
 
 def _write_field_2d(path, field) -> None:
-    xs, ys = _fmt(field.grid.centers(0)), _fmt(field.grid.centers(1))
-    blocks = (
-        [repeat(x), compress(ys, keep), _fmt(values[keep])]
-        for x, keep, values in zip(xs, field.mask, field.values)
-    )
-    _write_csv(path, ["x1", "x2", "value"], blocks)
+    _write_grid(path, ["x1", "x2", "value"], field, field.mask)
 
 
 def _write_field_1d(path, field) -> None:
-    columns = [_fmt(field.grid.centers(0)), _fmt(field.values)]
-    _write_csv(path, ["t", "value"], [columns])
+    _write_columns(path, ["t", "value"], (field.grid.centers(0), field.values))
 
 
 def _write_field_3d(path, field) -> None:
-    xs, ys, ts = (_fmt(field.grid.centers(axis)) for axis in range(3))
-    blocks = (
-        [repeat(xs[i]), repeat(ys[j]), ts, _fmt(field.values[i, j])]
-        for i, j in zip(*np.nonzero(field.mask[:, :, 0]))
-    )
-    _write_csv(path, ["x1", "x2", "t", "value"], blocks)
+    _write_grid(path, ["x1", "x2", "t", "value"], field, field.mask[:, :, 0])
 
 
 # ---------------------------------------------------------------- pipeline

@@ -143,6 +143,10 @@ class VoronoiRegionMask:
 # cost 128 MiB of memory; small blocks also keep what each owner-search
 # thread allocates, and its allocator then holds, to a few MB
 _BLOCK_BYTES = 1 << 23
+# scratch bytes charged per row of a CSV file the writers render: tracemalloc
+# measured a peak near 500 per intensity_st.csv row, so a block of 8192 rows
+# stays within the budget
+_CSV_ROW_BYTES = 1 << 10
 
 
 def _blocks(n, row_bytes) -> list[slice]:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stpp import cli
+from stpp import cli, core
 from stpp.cli import EARTH_RADIUS_KM, build_window, emit_pattern, ingest, main, run
 from stpp.core import GridSpec, PolygonMask, ScalarField, SpaceTimePattern, SpatialPattern, Window
 from stpp.simulate import thin
@@ -425,19 +425,54 @@ class TestColumnarIngest:
         assert len(got[0]) == 3
 
 
-SPECIAL = [-0.0, 1e-320, 5e-324, 1.7976931348623157e308, 0.1, -2.5e-7, 123456789.0]
+# finite values on both sides of each of repr's layout switches: positional
+# from 1e-4 up to 1e16, ".0" on whole numbers, subnormals
+SPECIAL = [
+    -0.0, 1e-320, 5e-324, 1.7976931348623157e308, 0.1, -2.5e-7, 123456789.0,
+    1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05, 100.0, 123456789012345.67, 1e22,
+]
+NEGATIVE_NAN = float(np.copysign(math.nan, -1.0))
 
 
 def field_values(shape, seed):
     rng = np.random.default_rng(seed)
     values = rng.gamma(2.0, 1e3, size=shape).ravel()
-    values[: len(SPECIAL)] = SPECIAL
+    n = min(values.size, len(SPECIAL))
+    values[:n] = SPECIAL[:n]
     return values.reshape(shape)
+
+
+def test_render_matches_repr():
+    # random bit patterns cover both signs, normals, subnormals and NaN
+    # payloads; a power of two's lower neighbour is Schubfach's narrower
+    # rounding interval
+    rng = np.random.default_rng(0)
+    bits = rng.integers(0, 2**64, size=10**6, dtype=np.uint64)
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    edges = np.concatenate([powers, tens])
+    values = np.concatenate([
+        bits.view(float), edges, np.nextafter(edges, 0.0), np.nextafter(edges, math.inf),
+        np.arange(1.0, 10**5 + 1),
+        [0.0, -0.0, math.inf, -math.inf, 5e-324, 1.7976931348623157e308],
+    ])
+    exponent = bits >> np.uint64(52) & np.uint64(0x7FF)
+    assert (exponent == 0).sum() > 100 and (exponent == 0x7FF).sum() > 100
+    assert 0 < (bits >> np.uint64(63)).sum() < len(bits)
+    text = []
+    for start in range(0, len(values), 1 << 16):
+        chars = cli._render(values[start:start + (1 << 16)])
+        lines = np.vstack([chars, np.full((1, chars.shape[1]), ord("\n"), np.uint8)]).T
+        text.append(lines[lines != 0].tobytes())  # NUL marks an unused slot
+    got = b"".join(text).decode().split("\n")[:-1]
+    want = [repr(v) for v in values.tolist()]
+    wrong = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+    assert len(got) == len(want) and not wrong[:10]
 
 
 class TestWriters:
     @pytest.mark.parametrize("window", [UNIT, POLYGON], ids=["rectangle", "polygon"])
-    def test_fields_match_csv_writer(self, tmp_path, window):
+    def test_fields_match_csv_writer(self, tmp_path, monkeypatch, window):
         spatial = GridSpec.spatial(window, 9, 7)
         field_2d = ScalarField(spatial, field_values(spatial.shape, 1), window.raster(spatial))
         text = same_bytes(tmp_path, cli._write_field_2d, oracle_write_field_2d, field_2d)
@@ -447,38 +482,51 @@ class TestWriters:
         field_3d = ScalarField(spacetime, field_values(spacetime.shape, 2), mask)
         text = same_bytes(tmp_path, cli._write_field_3d, oracle_write_field_3d, field_3d)
         assert text.count(b"\r\n") == 1 + field_3d.mask.sum()
-        temporal = GridSpec.temporal(window, 11)
+        temporal = GridSpec.temporal(window, len(SPECIAL) + 2)
         field_1d = ScalarField(temporal, field_values(temporal.shape, 3))
         same_bytes(tmp_path, cli._write_field_1d, oracle_write_field_1d, field_1d)
         if window is POLYGON:
             assert not field_2d.mask.all() and not field_3d.mask.all()
+        # blocks of 999 rows end inside a cell's 25 times
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 999 * core._CSV_ROW_BYTES)
+        spacetime = GridSpec.spacetime(window, 16, 12, 25)
+        mask = window.raster(GridSpec.spatial(window, 16, 12))
+        field_3d = ScalarField(spacetime, field_values(spacetime.shape, 4), mask)
+        text = same_bytes(tmp_path, cli._write_field_3d, oracle_write_field_3d, field_3d)
+        assert text.count(b"\r\n") == 1 + field_3d.mask.sum() > 3 * 999
 
     @pytest.mark.parametrize("columns", [2, 3])
     def test_emit_pattern_matches_csv_writer(self, tmp_path, monkeypatch, columns):
         rng = np.random.default_rng(columns)
         pts = rng.uniform(size=(100, 3))
         pts = pts[np.argsort(pts[:, 2])]
-        pts[0, :2] = [1e-320, -0.0]
+        inside = [v for v in SPECIAL if abs(v) < 1e23]
+        pts[: len(inside), 0] = inside
+        pts[: len(inside), 1] = [-v for v in inside]
+        wide = Window((-1e23, 1e23), (-1e23, 1e23), (0, 1))
         if columns == 3:
-            pattern = SpaceTimePattern(pts, UNIT)
+            pattern = SpaceTimePattern(pts, wide)
         else:
-            pattern = SpatialPattern(pts[:, :2], UNIT)
-        monkeypatch.setattr(cli, "_BLOCK_ROWS", 7)  # rows span several blocks
+            pattern = SpatialPattern(pts[:, :2], wide)
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 7 * core._CSV_ROW_BYTES)  # rows span several blocks
         text = same_bytes(tmp_path, emit_pattern, oracle_emit_pattern, pattern)
         assert text.count(b"\r\n") == 101
         assert text.split(b"\r\n")[1].count(b",") == columns - 1
 
     def test_curves_with_special_values_match_csv_writer(self, tmp_path):
-        args = np.linspace(0.0, 1.0, 6)
-        observed = np.array([math.inf, math.nan, -0.0, 1e-320, -math.inf, 2.0])
-        lower = np.array([-0.0, 0.0, 1e-320, math.nan, 3.0, 5e-324])
-        upper = np.array([1e308, math.inf, 0.1, 0.2, -0.0, math.nan])
+        args = np.linspace(0.0, 1.0, 6 + len(SPECIAL))
+        observed = np.array([math.inf, NEGATIVE_NAN, -0.0, 1e-320, -math.inf, 2.0] + SPECIAL)
+        lower = np.array([-0.0, 0.0, 1e-320, math.nan, 3.0, 5e-324] + SPECIAL[::-1])
+        upper = np.array([1e308, math.inf, 0.1, 0.2, -0.0, math.nan] + [-v for v in SPECIAL])
+        assert np.signbit(observed[1])
         text = same_bytes(
             tmp_path, cli._write_curves, oracle_write_curves, args, observed, lower, upper
         )
         fields = set(text.replace(b"\r\n", b",").split(b","))
         assert {b"inf", b"-inf", b"nan", b"-0.0", b"1e-320", b"5e-324"} <= fields
-        assert text.endswith(b"\r\n") and text.count(b"\r\n") == 7
+        assert {b"1e+16", b"9999999999999998.0", b"0.0001", b"9.999999999999999e-05"} <= fields
+        assert {b"100.0", b"123456789012345.67", b"1e+22", b"-1e+22"} <= fields
+        assert text.endswith(b"\r\n") and text.count(b"\r\n") == 7 + len(SPECIAL)
 
 
 class TestRun:
