@@ -71,24 +71,30 @@ TASKS = ("intensity", "separability", "ripley-k", "homogenize", "simulate", "pro
 # ---------------------------------------------------------------- ingestion
 
 
-def _parse_time(raw: str, origin: float | None):
+def _parse_time(raw: str) -> float:
+    """Epoch seconds of a number or an ISO-8601 stamp (UTC unless it says)."""
     raw = raw.strip()
     try:
-        return float(raw) - (origin or 0.0)
+        return float(raw)
     except ValueError:
         pass
     stamp = raw.replace("Z", "+00:00")
     dt = datetime.fromisoformat(stamp)
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return dt.timestamp() - (origin or 0.0)
+    return dt.timestamp()
 
 
-def _project_lonlat(lon, lat, lat0):
-    """Equirectangular projection (km) about the reference latitude."""
-    x1 = EARTH_RADIUS_KM * math.cos(math.radians(lat0)) * np.radians(lon)
-    x2 = EARTH_RADIUS_KM * np.radians(lat)
-    return x1, x2
+def _to_window(a, b, t, context: dict) -> None:
+    """Map a file's float columns (x1, x2, t or lon, lat, epoch seconds) to
+    window coordinates in place: times from the window's start, lon/lat
+    projected equirectangularly to km about ``lat0`` unless in degrees."""
+    t -= context["time_origin"]
+    if context["mode"] == "lonlat":
+        np.radians(a, out=a)
+        a *= EARTH_RADIUS_KM * math.cos(math.radians(context["lat0"]))
+        np.radians(b, out=b)
+        b *= EARTH_RADIUS_KM
 
 
 def build_window(config: dict) -> tuple[Window, dict]:
@@ -112,26 +118,26 @@ def build_window(config: dict) -> tuple[Window, dict]:
     for k in ("lon", "lat", "time") if geographic else ("x1", "x2"):
         if wc[k] is None:
             raise KeyError(f"window.{k}" if "window" in config else "window")
-    if geographic:
-        t0, t1 = (_parse_time(str(v), None) for v in wc["time"])
-        if projection == "degrees":
-            window = Window(tuple(wc["lon"]), tuple(wc["lat"]), (0.0, t1 - t0))
-            return window, {"mode": "degrees", "time_origin": t0}
-        lat0 = 0.5 * (wc["lat"][0] + wc["lat"][1])
-        x1a, x2a = _project_lonlat(np.array(wc["lon"]), np.array(wc["lat"]), lat0)
-        window = Window(tuple(map(float, x1a)), tuple(map(float, x2a)), (0.0, t1 - t0))
-        return window, {"mode": "lonlat", "lat0": lat0, "time_origin": t0}
-    window = Window(tuple(wc["x1"]), tuple(wc["x2"]), tuple(wc["t"]))
-    return window, {"mode": "planar", "time_origin": 0.0}
+    if not geographic:
+        window = Window(tuple(wc["x1"]), tuple(wc["x2"]), tuple(wc["t"]))
+        return window, {"mode": "planar", "time_origin": 0.0}
+    times = [_parse_time(str(v)) for v in wc["time"]]
+    context = {"mode": "degrees", "time_origin": times[0]}
+    if projection != "degrees":
+        context.update(mode="lonlat", lat0=0.5 * (wc["lat"][0] + wc["lat"][1]))
+    corners = np.array([wc["lon"], wc["lat"], times], dtype=float)
+    _to_window(*corners, context)
+    return Window(*(tuple(c.tolist()) for c in corners)), context
 
 
 def ingest(path, window: Window, context: dict, skip_bad=False, jitter=False) -> SpaceTimePattern:
     """Read an event CSV into a validated pattern.
 
     Geographic files carry a ``lon,lat,time`` header (ISO-8601 or epoch
-    seconds) and are projected onto the planar window; planar files carry
-    ``x1,x2,t``.  The header's form must be the window's.  Malformed rows
-    abort with their line number unless ``skip_bad`` is set.
+    seconds); planar files carry ``x1,x2,t``.  The header's form must be
+    the window's.  Malformed rows abort with their line number unless
+    ``skip_bad`` is set.  The parsed columns are mapped to window
+    coordinates by ``_to_window``, as the window's corners are.
 
     Files of plain numbers, with geographic times either all epoch seconds
     or all ``YYYY-MM-DDTHH:MM:SS[.ffffff]Z``, are parsed by columns; any
@@ -152,33 +158,26 @@ def ingest(path, window: Window, context: dict, skip_bad=False, jitter=False) ->
         if geographic == (context["mode"] == "planar"):
             keys = "window.lon, window.lat and window.time" if geographic else "window.x1 and window.x2"
             raise ValueError(f"{path}: header {','.join(header[:3])} needs a window with {keys}")
-        points = _parse_columns(path, reader.line_num, geographic, context)
+        points = _parse_columns(path, reader.line_num, geographic)
         if points is None:
-            points = _parse_rows(path, reader, geographic, context, skip_bad)
+            points = _parse_rows(path, reader, geographic, skip_bad)
+    _to_window(*points.T, context)
     if not len(points):
         warnings.warn(f"{path}: no events parsed")
         return SpaceTimePattern(np.empty((0, 3)), window)
     return SpaceTimePattern(points, window, jitter=jitter)
 
 
-def _parse_rows(path, reader, geographic: bool, context: dict, skip_bad: bool) -> np.ndarray:
-    """The (n, 3) events of the rows left in ``reader``, parsed one row at a time."""
+def _parse_rows(path, reader, geographic: bool, skip_bad: bool) -> np.ndarray:
+    """The (n, 3) columns of the rows left in ``reader``, parsed one row at a time."""
     rows = []
     bad = 0
     for lineno, row in enumerate(reader, start=2):
         if not row or all(not c.strip() for c in row):
             continue
         try:
-            if geographic:
-                lon, lat = float(row[0]), float(row[1])
-                t = _parse_time(row[2], context["time_origin"])
-                if context["mode"] == "degrees":
-                    rows.append((lon, lat, t))
-                else:
-                    x1, x2 = _project_lonlat(lon, lat, context["lat0"])
-                    rows.append((float(x1), float(x2), t))
-            else:
-                rows.append((float(row[0]), float(row[1]), float(row[2])))
+            a, b = float(row[0]), float(row[1])
+            rows.append((a, b, _parse_time(row[2]) if geographic else float(row[2])))
         except (ValueError, IndexError) as exc:
             if skip_bad:
                 bad += 1
@@ -200,8 +199,8 @@ _STAMP_LAYOUTS = [
 ]
 
 
-def _parse_columns(path, skiprows: int, geographic: bool, context: dict):
-    """The (n, 3) events of the file parsed by columns, or None if the row
+def _parse_columns(path, skiprows: int, geographic: bool):
+    """The (n, 3) columns of the file parsed by columns, or None if the row
     parser is needed.
 
     ``np.loadtxt`` parses each number to the same float as ``float`` or
@@ -225,15 +224,10 @@ def _parse_columns(path, skiprows: int, geographic: bool, context: dict):
         return None
     if not len(cols):
         return None
-    x1, x2, t = cols["a"], cols["b"], cols["c"]
-    if geographic:
-        t = _time_seconds(t)
-        if t is None:
-            return None
-        t = t - context["time_origin"]
-        if context["mode"] != "degrees":
-            x1, x2 = _project_lonlat(x1, x2, context["lat0"])
-    return np.column_stack([x1, x2, t])
+    t = _time_seconds(cols["c"]) if geographic else cols["c"]
+    if t is None:
+        return None
+    return np.column_stack([cols["a"], cols["b"], t])
 
 
 def _time_seconds(fields):
@@ -579,7 +573,7 @@ def _is_time(v) -> bool:
     if not isinstance(v, str):
         return _is_number(v)
     try:
-        return math.isfinite(_parse_time(v, None))
+        return math.isfinite(_parse_time(v))
     except ValueError:
         return False
 
@@ -769,9 +763,21 @@ def run(config: dict, task: str, seed=None, threads=1, force=False, skip_bad=Fal
 
 
 def _write_json(path, obj) -> None:
+    """Strict JSON: a non-finite float is written as null."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(_finite(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+def _finite(obj):
+    """``obj`` with every non-finite float in its dicts and lists replaced by None."""
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def _task_simulate(cfg, window, seed, report):

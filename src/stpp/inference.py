@@ -1,5 +1,5 @@
-"""Monte-Carlo inference: global envelope tests with extreme-rank-length
-ordering, combined tests over several summary functions, and the quadrat
+"""Monte-Carlo inference: the global envelope test with extreme-rank-length
+ordering, over one summary function or several combined, and the quadrat
 homogeneity test.
 
 The envelope machinery only assumes that the observed curve and its B
@@ -25,7 +25,6 @@ from .core import _FINE_RASTER, GridSpec, SpatialPattern
 __all__ = [
     "CurveSet",
     "EnvelopeResult",
-    "erl_test",
     "combined_erl_test",
     "quadrat_test",
 ]
@@ -45,10 +44,6 @@ class CurveSet:
         if not (np.isfinite(self.observed).all() and np.isfinite(self.replicates).all()):
             raise ValueError("curves must be finite")
 
-    @property
-    def n_replicates(self) -> int:
-        return len(self.replicates)
-
     def stacked(self) -> np.ndarray:
         """All curves with the observed one in row 0."""
         return np.vstack([self.observed[None, :], self.replicates])
@@ -60,12 +55,10 @@ class EnvelopeResult:
 
     args: np.ndarray
     observed: np.ndarray
-    central: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     p_value: float
     measures: np.ndarray  # per-curve extremeness in (0, 1], row 0 = observed
-    reject_pointwise: np.ndarray
     alpha: float
 
     @property
@@ -139,15 +132,26 @@ def _build_envelope(curves: np.ndarray, order: np.ndarray, alpha: float):
     return kept.min(axis=0), kept.max(axis=0)
 
 
-def erl_test(curves: CurveSet, alpha: float = 0.05) -> EnvelopeResult:
-    """Two-sided global envelope test with extreme-rank-length ordering.
+def combined_erl_test(curve_sets, alpha: float = 0.05) -> EnvelopeResult:
+    """Two-sided global envelope test with extreme-rank-length ordering,
+    over one summary function or several combined.
 
+    Each component is rank-transformed pointwise (a strictly monotone
+    change of scale, which leaves one component's ERL ordering as it is)
+    and the transformed curves are concatenated along the argument axis.
     The p-value is (1 + #replicates at least as extreme as the observed
-    curve) / (B + 1); the envelope at level alpha removes the
-    ceil(alpha*(B+1)) - 1 most extreme of all B+1 curves and takes
-    pointwise extremes of the rest.
+    curve) / (B + 1) in the ERL ordering of the concatenated curves.  The
+    envelope at level alpha removes the ceil(alpha*(B+1)) - 1 most extreme
+    of all B+1 curves and takes pointwise extremes of the rest, on the
+    original scale.  Warns when B < 2/alpha - 1, where no p-value reaches
+    alpha.
     """
-    B = curves.n_replicates
+    if len(curve_sets) == 0:
+        raise ValueError("need at least one curve set")
+    bs = {len(cs.replicates) for cs in curve_sets}
+    if len(bs) != 1:
+        raise ValueError(f"components disagree on replicate count: {sorted(bs)}")
+    (B,) = bs
     if B < 1:
         raise ValueError("need at least one replicate curve")
     if B < 2.0 / alpha - 1:
@@ -155,35 +159,14 @@ def erl_test(curves: CurveSet, alpha: float = 0.05) -> EnvelopeResult:
             f"B={B} replicates is small for alpha={alpha}; "
             f"recommend B >= {int(math.ceil(2 / alpha - 1))}"
         )
-    return combined_erl_test([curves], alpha)
-
-
-def combined_erl_test(curve_sets, alpha: float = 0.05) -> EnvelopeResult:
-    """Combined global envelope test over several summary functions.
-
-    Each component is rank-transformed pointwise (a strictly monotone
-    change of scale, which leaves one component's ERL ordering as it is),
-    the transformed curves are concatenated along the argument axis, and
-    the ERL ordering of the concatenated curves gives one global p-value,
-    as in :func:`erl_test`.  Envelopes are reported on the original scale
-    from the jointly retained curves.
-    """
-    if len(curve_sets) == 0:
-        raise ValueError("need at least one curve set")
-    bs = {cs.n_replicates for cs in curve_sets}
-    if len(bs) != 1:
-        raise ValueError(f"components disagree on replicate count: {sorted(bs)}")
     stacked = [cs.stacked() for cs in curve_sets]
     transformed = np.hstack([_rank_columns(c, "average") for c in stacked])
     measures, order = _erl_order(transformed)
     p = float(measures[0])
-    original = np.hstack(stacked)
-    lower, upper = _build_envelope(original, order, alpha)
+    lower, upper = _build_envelope(np.hstack(stacked), order, alpha)
     args = np.concatenate([cs.args for cs in curve_sets])
     observed = np.concatenate([cs.observed for cs in curve_sets])
-    reject = (observed < lower) | (observed > upper)
-    central = np.median(original, axis=0)
-    return EnvelopeResult(args, observed, central, lower, upper, p, measures, reject, alpha)
+    return EnvelopeResult(args, observed, lower, upper, p, measures, alpha)
 
 
 def _tile_areas(window, fine: GridSpec, inside, nx: int, ny: int) -> np.ndarray:

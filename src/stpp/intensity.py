@@ -154,25 +154,25 @@ def _spatial_corrections(xy, grid: GridSpec, mask, b) -> np.ndarray:
     return e
 
 
-def _spacetime_rows(x, t, window: Window, grid: GridSpec, b_s, b_t):
+def _spacetime_rows(x, t, window: Window, grid: GridSpec, mask, b_s, b_t):
     """Corrected kernel factor rows on a space-time grid of the events (x, t).
 
-    Returns the scaled spatial factors gx / (e_s * cell area) (n, nx) and
-    gy (n, ny), whose outer products :func:`_spatial_kernel_rows` makes
-    into each event's spatial kernel divided by its correction, T (n, nt),
-    the same for the temporal kernel, the corrections e_s and e_t, and the
-    spatial raster (None if unmasked).  No bandwidth or underflow check is
+    ``mask`` is the window's raster on the grid's spatial cells (None if
+    unmasked), made once by the caller.  Returns the scaled spatial factors
+    gx / (e_s * cell area) (n, nx) and gy (n, ny), whose outer products
+    :func:`_spatial_kernel_rows` makes into each event's spatial kernel
+    divided by its correction, T (n, nt), the same for the temporal kernel,
+    and the corrections e_s and e_t.  No bandwidth or underflow check is
     made here.
     """
     nx, ny, nt = grid.shape
     spatial = GridSpec.spatial(window, nx, ny)
-    mask = window.raster(spatial)
     gx, gy, e_s = _spatial_rows(x, spatial, mask, b_s)
     e_t = temporal_corrections(t, window, b_t)
     gx /= e_s[:, None] * spatial.cell_volume
     T = _gauss_factors(t, grid.centers(2), 1.0, b_t)
     T /= e_t[:, None]
-    return gx, gy, T, e_s, e_t, mask
+    return gx, gy, T, e_s, e_t
 
 
 def _spatial_kernel_rows(gx, gy):
@@ -400,15 +400,15 @@ def estimate_lambda_st(
     blocks = _blocks(len(pattern), 8 * (nx * ny + nt))
     # the largest block's rows S and T, the 3D field and a block's product
     _check_memory((blocks[0].stop if blocks else 0) * (nx * ny + nt) + 2 * nx * ny * nt)
+    mask2d = window.raster(GridSpec.spatial(window, nx, ny))
     if len(pattern) == 0:
         warnings.warn("empty pattern: returning a zero intensity field")
-        mask2d = window.raster(GridSpec.spatial(window, nx, ny))
         return ScalarField(grid, np.zeros(grid.shape), mask2d)
     _check_resolvable(kernel_s.bandwidth, grid, (0, 1))
     values = np.zeros((nx * ny, nt))
     for rows in blocks:
-        gx, gy, T, e_s, e_t, mask2d = _spacetime_rows(
-            pattern.x[rows], pattern.t[rows], window, grid,
+        gx, gy, T, e_s, e_t = _spacetime_rows(
+            pattern.x[rows], pattern.t[rows], window, grid, mask2d,
             kernel_s.bandwidth, kernel_t.bandwidth,
         )
         if (e_s < _MIN_CORRECTION).any() or (e_t < _MIN_CORRECTION).any():

@@ -58,8 +58,9 @@ class _SeparabilityEngine:
             + (self.blocks[0].stop if self.blocks else 0) * nx * ny
             + pairings * (nx * ny + nt)
         )
-        self.gx, self.gy, self.T, _, _, mask2d = _spacetime_rows(
-            pattern.x, pattern.t, window, grid, kernel_s.bandwidth, kernel_t.bandwidth
+        mask2d = window.raster(GridSpec.spatial(window, nx, ny))
+        self.gx, self.gy, self.T, _, _ = _spacetime_rows(
+            pattern.x, pattern.t, window, grid, mask2d, kernel_s.bandwidth, kernel_t.bandwidth
         )
         if mask2d is None:
             mask2d = np.ones((nx, ny), dtype=bool)

@@ -17,7 +17,7 @@ import pytest
 from stpp.bandwidth import BandwidthSearch, select_bandwidth_spatial, select_bandwidth_temporal
 from stpp.core import GridSpec, SpaceTimePattern, Window, ball_volume, project, substream
 from stpp.homogenize import HomogenizeConfig, homogenize
-from stpp.inference import CurveSet, combined_erl_test, erl_test, quadrat_test
+from stpp.inference import CurveSet, combined_erl_test, quadrat_test
 from stpp.intensity import (
     KernelSpec,
     estimate_lambda_s,
@@ -146,7 +146,7 @@ def test_erl_calibration_and_power():
         ks = np.empty((B + 1, 20))
         for b in range(B + 1):
             kt[b], ks[b] = _k_curves(lam, grid, substream(200 + e, b))
-        single_hits += erl_test(CurveSet(grid.tau, kt[0], kt[1:])).p_value <= 0.05
+        single_hits += combined_erl_test([CurveSet(grid.tau, kt[0], kt[1:])]).p_value <= 0.05
         combined_hits += (
             combined_erl_test(
                 [CurveSet(grid.tau, kt[0], kt[1:]), CurveSet(grid.r, ks[0], ks[1:])]

@@ -216,12 +216,13 @@ def oracle_ingest(path, window, context, skip_bad=False, jitter=False):
             try:
                 if geographic:
                     lon, lat = float(row[0]), float(row[1])
-                    t = cli._parse_time(row[2], context["time_origin"])
+                    t = cli._parse_time(row[2]) - context["time_origin"]
                     if context["mode"] == "degrees":
                         rows.append((lon, lat, t))
                     else:
-                        x1, x2 = cli._project_lonlat(lon, lat, context["lat0"])
-                        rows.append((float(x1), float(x2), t))
+                        kx = EARTH_RADIUS_KM * math.cos(math.radians(context["lat0"]))
+                        x1, x2 = kx * math.radians(lon), EARTH_RADIUS_KM * math.radians(lat)
+                        rows.append((x1, x2, t))
                 else:
                     rows.append((float(row[0]), float(row[1]), float(row[2])))
             except (ValueError, IndexError) as exc:
@@ -290,7 +291,7 @@ def both_ingests(tmp_path, lines, spec, skip_bad=False, header=None):
         return result, [str(w.message) for w in caught]
 
     got, want = outcome(ingest), outcome(oracle_ingest)
-    columnar = cli._parse_columns(str(path), 1, "lon" in spec["window"], ctx) is not None
+    columnar = cli._parse_columns(str(path), 1, "lon" in spec["window"]) is not None
     return got, want, columnar
 
 
@@ -305,6 +306,23 @@ def assert_same_ingest(got, want):
 
 class TestColumnarIngest:
     """The columnar parse agrees with the row parser bit for bit."""
+
+    @pytest.mark.parametrize("projection", ["equirect", "degrees"])
+    @pytest.mark.parametrize("zone", ["Z", "+00:00"], ids=["columnar", "rows"])
+    def test_events_at_window_corners_are_inside(self, tmp_path, projection, zone):
+        # events and the window's corners go through the one map to window
+        # coordinates, so an event on a corner lands on it exactly
+        spec = {**GEO, "projection": projection}
+        start, stop = (stamp.replace("Z", zone) for stamp in GEO["window"]["time"])
+        lines = [f"{lon!r},{lat!r},{t}" for lon in (4.0, 8.0) for lat in (43.0, 47.0)
+                 for t in (start, stop)]
+        got, want, columnar = both_ingests(tmp_path, lines, spec)
+        assert columnar == (zone == "Z")
+        assert_same_ingest(got, want)
+        window, _ = build_window(spec)
+        assert sorted(set(got[0][:, 0])) == list(window.x_range)
+        assert sorted(set(got[0][:, 1])) == list(window.y_range)
+        assert sorted(set(got[0][:, 2])) == list(window.t_range)
 
     @pytest.mark.parametrize("stamp", [iso_z, epoch], ids=["iso_z", "epoch"])
     def test_geographic_bit_identical(self, tmp_path, stamp):
@@ -588,7 +606,8 @@ class TestRun:
             "bandwidth": {"temporal": 0.05, "spatial": 0.1},
             "seed": 4,
         }
-        run(cfg2, "separability")
+        with pytest.warns(UserWarning, match="B=19 replicates is small for alpha=0.05"):
+            run(cfg2, "separability")
         report = json.loads((tmp_path / "sep" / "report.json").read_text())
         assert 0 < report["p_value"] <= 1
         st = read_csv(tmp_path / "sep" / "curves_St.csv")
@@ -621,7 +640,8 @@ class TestRun:
                 "bandwidth": {"temporal": 0.05, "spatial": 0.1},
                 "seed": 4,
             }
-            run(cfg2, "separability")
+            with pytest.warns(UserWarning, match="B=19 replicates is small for alpha=0.05"):
+                run(cfg2, "separability")
             reports.append(json.loads((tmp_path / f"sep{versions}" / "report.json").read_text()))
         one, two = reports
         assert len(sizes) == 3 and sizes[0] == sizes[1] != sizes[2]
@@ -742,13 +762,54 @@ class TestRun:
                 output_dir=str(tmp_path / f"{task}{threads}"),
                 **extra,
             )
-            assert main([task, "--config", str(cfg_path), "--threads", threads]) == 0
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main([task, "--config", str(cfg_path), "--threads", threads]) == 0
+            small_b = ["B=19 replicates is small for alpha=0.05; recommend B >= 39"]
+            assert [str(w.message) for w in caught] == (small_b if "test" in extra else [])
             outputs.append(
                 [(tmp_path / f"{task}{threads}" / name).read_bytes()
                  for name in names + ["report.json"]]
             )
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0][-1])[positive] > 0
+
+    def test_ripley_k_small_b_warns(self, tmp_path):
+        # at B = 9 the smallest p-value is 0.1, so the test cannot reject at
+        # alpha = 0.05; the CLI runs it and says so
+        _, cfg = write_config(tmp_path, simulate={"lambda": 300})
+        cfg["output_dir"] = str(tmp_path / "data")
+        out = run(cfg, "simulate")
+        cfg_path, _ = write_config(
+            tmp_path, name="k.json", input=str(out / "pattern.csv"),
+            output_dir=str(tmp_path / "k"), pi0=1.0, test={"B": 9},
+            kgrid={"n_r": 5, "n_tau": 5},
+        )
+        with pytest.warns(UserWarning, match="B=9 replicates is small for alpha=0.05"):
+            assert main(["ripley-k", "--config", str(cfg_path)]) == 0
+        report = json.loads((tmp_path / "k" / "report.json").read_text())
+        assert report["B"] == 9 and report["p_value"] >= 0.1
+
+    def test_report_is_strict_json(self, tmp_path):
+        # a target count of 0.5 retains no event, so the quadrat test has
+        # nothing to test and its statistic and p-value are NaN
+        _, cfg = write_config(tmp_path, simulate={"lambda": 300})
+        cfg["output_dir"] = str(tmp_path / "data")
+        out = run(cfg, "simulate")
+        _, cfg2 = write_config(
+            tmp_path, input=str(out / "pattern.csv"), output_dir=str(tmp_path / "hom"),
+            homogenize={"target_count": 0.5},
+        )
+        with pytest.warns(UserWarning, match="only 0 points retained"):
+            run(cfg2, "homogenize")
+
+        def rejected(name):
+            raise ValueError(f"{name} is not JSON")
+
+        report, _ = (json.loads((tmp_path / "hom" / name).read_text(), parse_constant=rejected)
+                     for name in ("report.json", "manifest.json"))
+        assert report["retained"] == 0
+        assert report["quadrat_p"] is None and report["quadrat_statistic"] is None
 
     def test_prop2_task(self, tmp_path):
         _, cfg = write_config(tmp_path)

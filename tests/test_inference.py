@@ -6,7 +6,7 @@ from scipy.stats import chi2, rankdata
 
 from stpp import core, inference
 from stpp.core import GridSpec, PolygonMask, SpatialPattern, Window, project, substream
-from stpp.inference import CurveSet, _tile_areas, combined_erl_test, erl_test, quadrat_test
+from stpp.inference import CurveSet, _tile_areas, combined_erl_test, quadrat_test
 from stpp.simulate import simulate_poisson
 
 UNIT = Window((0, 1), (0, 1), (0, 1))
@@ -21,13 +21,13 @@ class TestErl:
     def test_most_extreme_gets_minimal_p(self):
         rng = substream(0, 0)
         reps = null_curves(rng, 199)
-        res = erl_test(CurveSet(ARGS, np.full(len(ARGS), 50.0), reps))
+        res = combined_erl_test([CurveSet(ARGS, np.full(len(ARGS), 50.0), reps)])
         assert res.p_value == pytest.approx(1 / 200)
         assert res.rejected
 
     def test_total_tie_gives_p_one(self):
         curve = np.sin(ARGS)
-        res = erl_test(CurveSet(ARGS, curve, np.tile(curve, (99, 1))))
+        res = combined_erl_test([CurveSet(ARGS, curve, np.tile(curve, (99, 1)))])
         assert res.p_value == 1.0
 
     def test_p_values_on_grid(self):
@@ -35,7 +35,7 @@ class TestErl:
         B = 39
         for _ in range(20):
             reps = null_curves(rng, B)
-            res = erl_test(CurveSet(ARGS, rng.normal(size=len(ARGS)), reps))
+            res = combined_erl_test([CurveSet(ARGS, rng.normal(size=len(ARGS)), reps)])
             k = res.p_value * (B + 1)
             assert k == pytest.approx(round(k))
             assert 1 <= round(k) <= B + 1
@@ -44,20 +44,24 @@ class TestErl:
         rng = substream(2, 0)
         reps = null_curves(rng, 99)
         obs = rng.normal(size=len(ARGS))
-        base = erl_test(CurveSet(ARGS, obs, reps))
-        trans = erl_test(CurveSet(ARGS, np.exp(obs), np.exp(reps)))
+        base = combined_erl_test([CurveSet(ARGS, obs, reps)])
+        trans = combined_erl_test([CurveSet(ARGS, np.exp(obs), np.exp(reps))])
         assert trans.p_value == base.p_value
         assert np.array_equal(trans.measures, base.measures)
 
     def test_envelope_bounds_order(self):
         rng = substream(3, 0)
-        res = erl_test(CurveSet(ARGS, rng.normal(size=len(ARGS)), null_curves(rng, 199)))
+        res = combined_erl_test([CurveSet(ARGS, rng.normal(size=len(ARGS)), null_curves(rng, 199))])
         assert (res.lower <= res.upper).all()
 
     def test_small_b_warns(self):
         rng = substream(4, 0)
-        with pytest.warns(UserWarning, match="replicates"):
-            erl_test(CurveSet(ARGS, rng.normal(size=len(ARGS)), null_curves(rng, 9)))
+        with pytest.warns(UserWarning, match="B=9 replicates is small for alpha=0.05"):
+            combined_erl_test([CurveSet(ARGS, rng.normal(size=len(ARGS)), null_curves(rng, 9))])
+
+    def test_no_replicates_rejected(self):
+        with pytest.raises(ValueError, match="at least one replicate"):
+            combined_erl_test([CurveSet(ARGS, np.zeros(len(ARGS)), np.empty((0, len(ARGS))))])
 
     def test_type_one_error_calibrated(self):
         # null: observed exchangeable with replicates
@@ -67,22 +71,12 @@ class TestErl:
         runs = 400
         for _ in range(runs):
             curves = null_curves(rng, B + 1)
-            res = erl_test(CurveSet(ARGS, curves[0], curves[1:]))
+            res = combined_erl_test([CurveSet(ARGS, curves[0], curves[1:])])
             hits += res.p_value <= 0.05
         assert 0.03 <= hits / runs <= 0.07
 
 
 class TestCombined:
-    def test_single_component_identical(self):
-        rng = substream(6, 0)
-        reps = null_curves(rng, 199)
-        obs = rng.normal(size=len(ARGS))
-        single = erl_test(CurveSet(ARGS, obs, reps))
-        combined = combined_erl_test([CurveSet(ARGS, obs, reps)])
-        assert combined.p_value == single.p_value
-        assert np.array_equal(combined.lower, single.lower)
-        assert np.array_equal(combined.upper, single.upper)
-
     def test_mismatched_b_rejected(self):
         rng = substream(7, 0)
         a = CurveSet(ARGS, rng.normal(size=len(ARGS)), null_curves(rng, 99))
@@ -140,8 +134,7 @@ def loop_erl_order(curves):
 
 
 def assert_same_result(got, want):
-    for field in ("args", "observed", "central", "lower", "upper", "measures",
-                  "reject_pointwise"):
+    for field in ("args", "observed", "lower", "upper", "measures"):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
     assert got.p_value == want.p_value
 
@@ -190,7 +183,7 @@ class TestErlOracle:
         def run_all():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                return [(erl_test(a), combined_erl_test([a, b])) for a, b in cases]
+                return [(combined_erl_test([a]), combined_erl_test([a, b])) for a, b in cases]
 
         got = run_all()
         monkeypatch.setattr(inference, "_rank_columns",

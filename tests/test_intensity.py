@@ -757,6 +757,26 @@ class TestChunkedEstimators:
         np.testing.assert_allclose(est.values, want, rtol=1e-12, atol=0)
         assert (want == 0).all() == (b_t < 1e-3)
 
+    def test_lambda_st_rasterizes_the_window_once(self, monkeypatch):
+        # blocks of 3 events share one raster of the polygon window
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 3 * 8 * (12 * 10 + 20))
+        pat = chunk_pattern(POLYGON, 3)
+        grid = GridSpec.spacetime(POLYGON, 12, 10, 20)
+        shapes = []
+        raster = PolygonMask.raster
+
+        def counted(mask, xs, ys):
+            shapes.append((len(xs), len(ys)))
+            return raster(mask, xs, ys)
+
+        monkeypatch.setattr(PolygonMask, "raster", counted)
+        est = estimate_lambda_st(pat, KernelSpec(0.1), KernelSpec(0.05), grid)
+        assert shapes == [(12, 10)]
+        assert len(core._blocks(len(pat), 8 * (12 * 10 + 20))) > 100
+        np.testing.assert_allclose(
+            est.values, oracle_lambda_st(pat, 0.1, 0.05, grid, 1.0), rtol=1e-12, atol=0
+        )
+
     def test_memory_cap_counts_one_chunk(self, monkeypatch):
         # 3 events' rows plus the field fit 0.1 MB; all 400 events' rows do not
         monkeypatch.setattr(intensity, "_MEMORY_CAP_MB", 0.1)

@@ -133,8 +133,9 @@ class WholeRowsEngine:
         window = pattern.window
         nx, ny, nt = grid.shape
         n = len(pattern)
-        gx, gy, self.T, _, _, mask2d = intensity._spacetime_rows(
-            pattern.x, pattern.t, window, grid, kernel_s.bandwidth, kernel_t.bandwidth
+        mask2d = window.raster(GridSpec.spatial(window, nx, ny))
+        gx, gy, self.T, _, _ = intensity._spacetime_rows(
+            pattern.x, pattern.t, window, grid, mask2d, kernel_s.bandwidth, kernel_t.bandwidth
         )
         self.S = (gx[:, :, None] * gy[:, None, :]).reshape(n, nx * ny)
         if mask2d is None:
@@ -291,7 +292,8 @@ class TestEngine:
 
         monkeypatch.setattr(_SeparabilityEngine, "curves", counted_curves)
         monkeypatch.setattr(separability, "combined_erl_test", kept_erl_test)
-        separability_test(pat, ks, kt, B=7, grid=grid, seed=16)
+        with pytest.warns(UserWarning, match="B=7 replicates is small for alpha=0.05"):
+            separability_test(pat, ks, kt, B=7, grid=grid, seed=16)
         assert calls == [3, 3, 2]
         perms = [np.arange(n)] + [substream(16, b).permutation(n) for b in range(7)]
         for curve_set, oracle in zip(sets, oracle_curves(pat, ks, kt, grid, perms)):
