@@ -43,6 +43,7 @@ from .core import (
     GridSpec,
     SpaceTimePattern,
     Window,
+    _BLOCK_BYTES,
     _CSV_ROW_BYTES,
     _blocks,
     parallel_map,
@@ -205,13 +206,16 @@ def _parse_columns(path, skiprows: int, geographic: bool):
 
     ``np.loadtxt`` parses each number to the same float as ``float`` or
     rejects it.  Files with quotes or NUL characters are declined, so the
-    fields are the ones ``csv.reader`` splits.
+    fields are the ones ``csv.reader`` splits; they are looked for in reads
+    of ``core._BLOCK_BYTES``, not in the whole file at once.  Besides the
+    structured array ``np.loadtxt`` returns (48 bytes a row when
+    geographic) and the result, the parse holds one float64 column and
+    one block of rows' scratch.
     """
     with open(path, "rb") as fb:
-        data = fb.read()
-    if b'"' in data or b"\0" in data:
-        return None
-    del data
+        chunks = iter(partial(fb.read, _BLOCK_BYTES), b"")
+        if any(b'"' in chunk or b"\0" in chunk for chunk in chunks):
+            return None
     third = f"S{_TIME_FIELD}" if geographic else float
     try:
         with warnings.catch_warnings():
@@ -240,30 +244,45 @@ def _time_seconds(fields):
     is checked character by character first.  Stamps are exact integer
     microseconds below 2**53, so dividing by 1e6 rounds as the row parser's
     ``timestamp()`` does.
+
+    The fields are read in ``core._blocks`` of rows, each copied, checked
+    and converted on its own.  The first block decides which form the
+    fields take: a later block of the other form means a mix, which
+    ``float`` or the layout check rejects, so the row parser takes the file.
     """
-    raw = np.ascontiguousarray(fields)
-    chars = raw.view(np.uint8).reshape(len(raw), _TIME_FIELD)
-    if chars[:, -1].any():
-        return None
-    shape = chars.copy()
-    np.putmask(shape, (chars >= ord("0")) & (chars <= ord("9")), ord("0"))
-    words = shape.view(np.uint64)  # eight characters compared at a time
-    stamps = np.zeros(len(raw), dtype=bool)
-    for layout in _STAMP_LAYOUTS:
-        stamps |= (words == layout).all(axis=1)
-    if not stamps.all():
+    seconds = np.empty(len(fields))
+    stamped = None
+    # a row's copies and boolean temporaries take about five times its width
+    for rows in _blocks(len(fields), 8 * _TIME_FIELD):
+        raw = np.ascontiguousarray(fields[rows])
+        chars = raw.view(np.uint8).reshape(len(raw), _TIME_FIELD)
+        if chars[:, -1].any():
+            return None
+        shape = chars.copy()
+        np.putmask(shape, (chars >= ord("0")) & (chars <= ord("9")), ord("0"))
+        words = shape.view(np.uint64)  # eight characters compared at a time
+        stamps = np.zeros(len(raw), dtype=bool)
+        for layout in _STAMP_LAYOUTS:
+            stamps |= (words == layout).all(axis=1)
+        if stamped is None:
+            stamped = bool(stamps.all())
+        if not stamped:
+            try:
+                seconds[rows] = [float(f) for f in raw.tolist()]
+            except ValueError:
+                return None
+            continue
+        if not stamps.all():
+            return None
+        chars[chars == ord("Z")] = 0
         try:
-            return np.array([float(f) for f in raw.tolist()])
+            micros = raw.astype("datetime64[us]").astype(np.int64)
         except ValueError:
             return None
-    chars[chars == ord("Z")] = 0
-    try:
-        micros = raw.astype("datetime64[us]").astype(np.int64)
-    except ValueError:
-        return None
-    if (np.abs(micros) >= 2**53).any():
-        return None
-    return micros / 1e6
+        if (np.abs(micros) >= 2**53).any():
+            return None
+        seconds[rows] = micros / 1e6
+    return seconds
 
 
 # ---------------------------------------------------------------- writers
@@ -484,18 +503,27 @@ def _packed(values) -> np.ndarray:
 
 def _write_grid(path, header, field, inside) -> None:
     """One row per grid cell over a spatial cell ``inside``, in C order:
-    the cell's centres, then its value.  Axes are rendered once and
-    gathered per row."""
+    the cell's centres, then its value.  Axes are rendered once; a block
+    gathers the x1 and x2 text of each of its cells once and repeats it
+    along the time axis."""
     axes = [_packed(field.grid.centers(axis)) for axis in range(field.values.ndim)]
     cells = np.flatnonzero(inside)
     times = field.values.size // inside.size  # > 1 on a space-time grid
     values = field.values.reshape(inside.size, times)
 
     def block(rows):
-        cell, m = np.divmod(np.arange(rows.start, rows.stop), times)
-        cell = cells[cell]
-        index = np.unravel_index(cell, inside.shape) + ((m,) if times > 1 else ())
-        return [axis[:, i] for axis, i in zip(axes, index)] + [_render(values[cell, m])]
+        first, stop = rows.start // times, -(-rows.stop // times)
+        cell = cells[first:stop]
+        head = rows.start - first * times
+        text = [axis[:, i] for axis, i in zip(axes, np.unravel_index(cell, inside.shape))]
+        if times > 1:
+            # rows of each cell in the block: all its times but at the cut ends
+            counts = np.full(len(cell), times)
+            counts[0] -= head
+            counts[-1] -= stop * times - rows.stop
+            text = [np.repeat(t, counts, axis=1) for t in text]
+            text.append(axes[-1][:, np.arange(rows.start, rows.stop) % times])
+        return text + [_render(values[cell].ravel()[head : head + rows.stop - rows.start])]
 
     _write_csv(path, header, map(block, _blocks(len(cells) * times, _CSV_ROW_BYTES)))
 

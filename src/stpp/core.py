@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -188,7 +189,7 @@ def _nearest_owners(tree, xs, ys, inside) -> np.ndarray:
 
     Returns an int32 (len(xs), len(ys)) grid of indices into ``tree.data``,
     -1 where the boolean grid ``inside`` is False (None: every cell);
-    ``_owner_grid`` checks that the indices fit.
+    ``_owner_blocks`` checks that the indices fit.
 
     The grid is cut into tiles of at most 4 x 4 cells.  One query fetches
     the k = min(8, n) generators nearest each tile's centre C, the k-th at
@@ -267,16 +268,17 @@ def _nearest_owners(tree, xs, ys, inside) -> np.ndarray:
     return owners
 
 
-def _owner_grid(tree, xs, ys, inside) -> np.ndarray:
-    """``_nearest_owners`` of a whole grid, in blocks of whole rows of tiles.
+def _owner_blocks(tree, xs, ys, inside, consume) -> None:
+    """``_nearest_owners`` of a whole grid, in blocks of whole rows of tiles,
+    each block's int32 owners handed to ``consume(rows, owners)``.
 
     Blocks of ``_BLOCK_BYTES`` at ``_RASTER_CELL_BYTES`` a cell (8 rows of
     a 4000-column raster) run through :func:`parallel_map` on
     ``os.cpu_count()`` threads, the count ``workers=-1`` uses; each queries
-    on one thread, so its numpy work runs in parallel too.  Every block
-    writes its own rows, so the grid does not depend on the thread count.
+    on one thread, so its numpy work runs in parallel too, and ``consume``
+    is called from those threads.
 
-    The grid is int32, half the bytes of an intp one.  Its indices fit
+    The owners are int32, half the bytes of intp ones.  Their indices fit
     below 2^31 generators; that many would hold 32 GB of coordinates in
     the tree alone, so a larger tree raises ValueError rather than wrap.
     """
@@ -284,7 +286,6 @@ def _owner_grid(tree, xs, ys, inside) -> np.ndarray:
         raise ValueError(f"{tree.n} generators exceed the int32 owner grid")
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    owners = np.empty((len(xs), len(ys)), dtype=np.int32)
     # whole rows of tiles: a block that cut one would pad it to full size
     blocks = [
         slice(_TILE * b.start, min(_TILE * b.stop, len(xs)))
@@ -294,10 +295,39 @@ def _owner_grid(tree, xs, ys, inside) -> np.ndarray:
     def assign(i):
         rows = blocks[i]
         block = None if inside is None else inside[rows]
-        owners[rows] = _nearest_owners(tree, xs[rows], ys, block)
+        consume(rows, _nearest_owners(tree, xs[rows], ys, block))
 
     parallel_map(assign, len(blocks), os.cpu_count() or 1)
+
+
+def _owner_grid(tree, xs, ys, inside) -> np.ndarray:
+    """The int32 (len(xs), len(ys)) grid of ``_owner_blocks``, -1 where
+    ``inside`` is False.  Every block writes its own rows, so the grid does
+    not depend on the thread count."""
+    owners = np.empty((len(xs), len(ys)), dtype=np.int32)
+
+    def write(rows, block):
+        owners[rows] = block
+
+    _owner_blocks(tree, xs, ys, inside, write)
     return owners
+
+
+def _owner_counts(tree, xs, ys, inside) -> np.ndarray:
+    """The int64 count of cells of ``_owner_blocks`` each generator owns,
+    without building the grid.  Each finished block's owners are added in
+    under a lock; integer sums are exact in any order, so the counts do
+    not depend on the thread count."""
+    # cells outside ``inside`` hold -1, which counts into the extra last slot
+    counts = np.zeros(tree.n + 1, dtype=np.int64)
+    lock = threading.Lock()
+
+    def add(rows, block):
+        with lock:
+            np.add.at(counts, block, 1)
+
+    _owner_blocks(tree, xs, ys, inside, add)
+    return counts[:-1]
 
 
 @dataclass(frozen=True)

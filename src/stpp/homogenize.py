@@ -92,14 +92,18 @@ def minimize_loss(cells: VoronoiCells, config: HomogenizeConfig) -> float:
             f"target count {target:g} exceeds the pattern size {n_points}; "
             "retention probabilities will be capped at 1"
         )
-    finite = np.isfinite(cells.values)
-    values = cells.values[finite]
-    order = np.argsort(values)
-    values = values[order]
-    areas = cells.areas[finite][order]
-    del order
-    # suffix_area[searchsorted(values, mu, "left")] is the area of {value >= mu}
-    suffix_area = np.concatenate([np.cumsum(areas[::-1])[::-1], [0.0]])
+    # the finite cells by ascending value, as one index into the cells
+    index = np.flatnonzero(np.isfinite(cells.values))
+    index = index[np.argsort(cells.values[index])]
+    values = cells.values[index]
+    # suffix_area[searchsorted(values, mu, "left")] is the area of {value >= mu}:
+    # the areas gathered in that order, then summed from the back in place
+    # ("clip" writes straight into ``out``; "raise" would buffer a copy)
+    suffix_area = np.empty(len(index) + 1)
+    np.take(cells.areas, index, out=suffix_area[:-1], mode="clip")
+    del index
+    suffix_area[-1] = 0.0
+    np.cumsum(suffix_area[-2::-1], out=suffix_area[-2::-1])
 
     # mu * area(mu) is linear between consecutive distinct values, so the
     # candidate minimizers are the breakpoints themselves plus each piece's

@@ -60,8 +60,8 @@ from .core import (
     TemporalPattern,
     VoronoiRegionMask,
     Window,
-    _RASTER_CELL_BYTES,
     _blocks,
+    _owner_counts,
     _owner_grid,
 )
 
@@ -434,23 +434,36 @@ def estimate_lambda_st(
 class VoronoiCells:
     """Per-generator cell table of a window-clipped Voronoi tessellation.
 
-    ``areas`` come from a raster assignment of grid cells to their nearest
-    generator; ``values`` are 1/area (inf where a generator captured no
-    raster cell).  ``assignment`` is the int32 grid of each masked-in
-    raster cell's generator index, -1 outside the mask.  ``tree`` is the
-    k-d tree over the generators that made the assignment, kept for
+    ``areas`` come from a raster count of grid cells by nearest generator;
+    ``values`` are 1/area (inf where a generator captured no raster cell).
+    ``tree`` is the k-d tree over the generators, kept for
     nearest-generator queries.  ``window_mask`` is the window's mask the
     tessellation was clipped to (None for a rectangle); a level set of the
     cells keeps it as its parent, so the region stays inside the window.
+
+    ``raster_mask``, the boolean grid of masked-in raster cells, and
+    ``assignment``, the int32 grid of each masked-in cell's generator index
+    (-1 outside the mask), are built on first read from the tree, the grid
+    and the window's mask: ``homogenize`` needs neither.  The raster of a
+    masked window, which counting the cells needed anyway, is kept as
+    ``raster_mask`` from the start.
     """
 
     tree: cKDTree
     areas: np.ndarray
     values: np.ndarray
     grid: GridSpec
-    assignment: np.ndarray
-    raster_mask: np.ndarray
     window_mask: PolygonMask | VoronoiRegionMask | None = None
+
+    @cached_property
+    def raster_mask(self) -> np.ndarray:
+        if self.window_mask is None:
+            return np.ones(self.grid.shape, dtype=bool)
+        return self.window_mask.raster(self.grid.centers(0), self.grid.centers(1))
+
+    @cached_property
+    def assignment(self) -> np.ndarray:
+        return _owner_grid(self.tree, self.grid.centers(0), self.grid.centers(1), self.raster_mask)
 
 
 class _VoronoiEstimate:
@@ -487,15 +500,18 @@ def voronoi_intensity(
     ties included (see there for the argument).  The raster runs in
     blocks of whole tile rows, ``core._BLOCK_BYTES`` at
     ``core._RASTER_CELL_BYTES`` (256) bytes a cell, on ``os.cpu_count()``
-    threads, and does not depend on the thread count.  The owners are then
-    counted in blocks of as many rows, which adds the integer counts
-    exactly.  The estimate's field is built on first access to ``.field``.
+    threads; each finished block's owners are added into integer counts,
+    which are exact in any order, so the areas do not depend on the thread
+    count.  The owner grid is built on first read of the cells'
+    ``assignment`` and the estimate's field on first read of ``.field``.
 
-    Memory: besides the k-d tree, about 120 bytes per cell of each running
-    block, plus the int32 owner grid and the boolean mask: at 10^6 events
-    (a 4000 x 4000 raster, 8 rows a block) about 4 MB per block, 64 MB for
-    the owners and 16 MB for the mask.  Reading ``.field`` adds the 128 MB
-    float64 field.
+    Memory: besides the k-d tree and a few float64 vectors per generator,
+    about 120 bytes per cell of each running block, plus the boolean
+    window raster on a masked window: at 10^6 events (a 4000 x 4000
+    raster, 8 rows a block) about 4 MB per block.  Reading ``assignment``
+    adds the int32 owner grid (64 MB there) and, on a rectangle, an
+    all-True mask (16 MB); reading ``.field`` adds the 128 MB float64
+    field.
     """
     from scipy.spatial import cKDTree
 
@@ -506,18 +522,12 @@ def voronoi_intensity(
     if resolution is None:
         resolution = max(256, int(math.ceil(math.sqrt(16.0 * n))))
     grid = GridSpec.spatial(window, resolution, resolution)
-    xs, ys = grid.centers(0), grid.centers(1)
-    mask = window.raster(grid)
-    if mask is None:
-        mask = np.ones(grid.shape, dtype=bool)
     tree = cKDTree(pattern.points)
-    assignment = _owner_grid(tree, xs, ys, mask)
-    # cells outside the mask hold -1, which counts into the extra last slot
-    counts = np.zeros(n + 1, dtype=np.int64)
-    for rows in _blocks(resolution, _RASTER_CELL_BYTES * resolution):
-        np.add.at(counts, assignment[rows], 1)
-    areas = counts[:n] * grid.cell_volume
+    inside = window.raster(grid)  # None on a rectangle: every cell
+    areas = _owner_counts(tree, grid.centers(0), grid.centers(1), inside) * grid.cell_volume
     with np.errstate(divide="ignore"):
         values = 1.0 / areas  # inf marks generators that captured no raster cell
-    cells = VoronoiCells(tree, areas, values, grid, assignment, mask, window.mask)
+    cells = VoronoiCells(tree, areas, values, grid, window.mask)
+    if inside is not None:
+        cells.raster_mask = inside  # so that reading it does not raster the mask again
     return _VoronoiEstimate(cells), cells

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -441,6 +442,52 @@ class TestColumnarIngest:
         got, want, _ = both_ingests(tmp_path, lines, PLANAR)
         assert_same_ingest(got, want)
         assert len(got[0]) == 3
+
+    @pytest.mark.parametrize("first", [iso_z, epoch], ids=["iso_z_first", "epoch_first"])
+    def test_time_blocks_agree_with_one_block(self, tmp_path, monkeypatch, first):
+        # blocks of 7 time fields: one form parses by columns across blocks,
+        # and a form that changes after the first block takes the row parser
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 7 * 8 * cli._TIME_FIELD)
+        second = epoch if first is iso_z else iso_z
+        got, want, columnar = both_ingests(tmp_path, geo_rows(50, 1, first), GEO)
+        assert columnar
+        assert_same_ingest(got, want)
+        lines = geo_rows(30, 7, first) + geo_rows(30, 8, second)
+        got, want, columnar = both_ingests(tmp_path, lines, GEO)
+        assert not columnar
+        assert_same_ingest(got, want)
+        assert len(got[0]) == 60
+
+    @pytest.mark.parametrize("char", ['"', "\0"], ids=["quote", "nul"])
+    def test_quote_or_nul_after_the_first_read_takes_the_row_parser(
+        self, tmp_path, monkeypatch, char
+    ):
+        # reads of 64 bytes: the character sits some 50 reads into the file
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", 64)
+        lines = [f"{i / 200!r},0.5,0.5" for i in range(200)]
+        lines[-1] += f",{char}note{char}"
+        got, want, columnar = both_ingests(tmp_path, lines, PLANAR)
+        assert not columnar
+        assert_same_ingest(got, want)
+        assert len(got[0]) == 200
+
+    def test_columnar_parse_holds_its_arrays_and_one_block(self, tmp_path):
+        # 2·10^5 lon/lat/ISO rows: the parse holds the structured loadtxt
+        # array (48 bytes a row), the (n, 3) result, a few float64 vectors
+        # and one block of scratch, not copies of the whole time column
+        n = 200_000
+        path = tmp_path / "events.csv"
+        path.write_text("".join(line + "\n" for line in ["lon,lat,time", *geo_rows(n, 10, iso_z)]))
+        window, ctx = build_window(GEO)
+        tracemalloc.start()
+        try:
+            pattern = ingest(str(path), window, ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cli._parse_columns(str(path), 1, True) is not None
+        assert len(pattern) == n
+        assert peak < n * (48 + 24 + 3 * 8) + 1.25 * core._BLOCK_BYTES
 
 
 # finite values on both sides of each of repr's layout switches: positional

@@ -339,6 +339,25 @@ class TestVoronoi:
         assert np.array_equal(est.field.values.view(np.int64), field.view(np.int64))
         assert est.field is est.field and np.array_equal(est.field.mask, mask)
 
+    def test_areas_hold_one_block_not_the_grid(self, monkeypatch):
+        # a 3000 x 3000 raster on one thread: the areas need one block's
+        # scratch and a few vectors per generator, not the int32 owner grid
+        # and the boolean mask (5 bytes a cell, 45 MB here)
+        monkeypatch.setattr(core.os, "cpu_count", lambda: 1)
+        pat = SpatialPattern(substream(9, 4).uniform(size=(20000, 2)), UNIT)
+        tracemalloc.start()
+        try:
+            est, cells = voronoi_intensity(pat, resolution=3000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * core._BLOCK_BYTES + 64 * len(pat)
+        areas, values, field, assignment, mask = oracle_voronoi(pat, 3000)
+        assert np.array_equal(cells.areas, areas) and np.array_equal(cells.values, values)
+        assert np.array_equal(cells.assignment, assignment)
+        assert np.array_equal(cells.raster_mask, mask)
+        assert np.array_equal(est.field.values.view(np.int64), field.view(np.int64))
+
     def test_single_point_is_uniform(self):
         pat = SpatialPattern([(0.4, 0.6)], UNIT)
         est, cells = voronoi_intensity(pat)
@@ -574,8 +593,9 @@ class TestNearestOwners:
     def test_thread_count_does_not_change_the_grid(self, monkeypatch, window):
         # one row of tiles per block: 17 blocks of the 67-cell raster; eight
         # workers (more than the cores) switching threads every microsecond
-        # must not lose or mix any block's rows.  One worker takes
-        # parallel_map's serial path and starts no pool
+        # must not lose or mix any block's rows or counts.  One worker takes
+        # parallel_map's serial path and starts no pool; more start one for
+        # the counts and one for the grid that reading .assignment builds
         monkeypatch.setattr(core, "_BLOCK_BYTES", core._TILE * core._RASTER_CELL_BYTES * 67)
         pools = []
 
@@ -595,7 +615,7 @@ class TestNearestOwners:
                 runs.append(assert_voronoi_matches_oracle(pat, 67))
         finally:
             sys.setswitchinterval(interval)
-        assert pools == [3, 8]
+        assert pools == [3, 3, 8, 8]
         for run in runs[1:]:
             assert np.array_equal(run.assignment, runs[0].assignment)
             assert np.array_equal(run.areas, runs[0].areas)
