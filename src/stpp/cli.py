@@ -50,7 +50,7 @@ from .core import (
     project,
     substream,
 )
-from .homogenize import HomogenizeConfig, homogenize
+from .homogenize import homogenize
 from .inference import CurveSet, combined_erl_test
 from .intensity import KernelSpec, estimate_lambda_s, estimate_lambda_st, estimate_lambda_t
 from .secondorder import (
@@ -920,8 +920,7 @@ def _task_ripley_k(pattern, cfg, seed, report, out_dir, outputs, threads):
 def _task_homogenize(pattern, cfg, seed, report, out_dir, outputs):
     sp, _ = project(pattern)
     target_count = cfg["homogenize.target_count"] or 0.1 * len(pattern)
-    hc = HomogenizeConfig(target_count, seed=seed, resolution=cfg["homogenize.resolution"])
-    sub, rep = homogenize(sp, hc)
+    sub, rep = homogenize(sp, target_count, seed, cfg["homogenize.resolution"])
     emit_pattern(out_dir / "pattern_homogenized.csv", sub)
     outputs.append("pattern_homogenized.csv")
     report.update(vars(rep))

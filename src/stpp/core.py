@@ -552,14 +552,10 @@ def project(pattern: SpaceTimePattern) -> tuple[SpatialPattern, TemporalPattern]
 _FINE_RASTER = 512
 
 
-def _is_count(n) -> bool:
-    """Whether ``n`` is an integer >= 1, a bool not counting as one."""
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
-
-
 def _check_counts(*counts) -> None:
-    """Raise ValueError unless every grid cell count is an integer >= 1."""
-    if not all(map(_is_count, counts)):
+    """Raise ValueError unless every grid cell count is an integer >= 1, not a bool."""
+    ok = (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1 for n in counts)
+    if not all(ok):
         raise ValueError(f"grid cell counts must be integers >= 1, got {list(counts)!r}")
 
 

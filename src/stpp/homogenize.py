@@ -20,12 +20,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import SpatialPattern, VoronoiRegionMask, _is_count, _trusted, substream
+from .core import SpatialPattern, VoronoiRegionMask, _trusted, substream
 from .inference import quadrat_test
 from .intensity import VoronoiCells, voronoi_intensity
 
 __all__ = [
-    "HomogenizeConfig",
     "HomogenizeReport",
     "level_set",
     "minimize_loss",
@@ -35,21 +34,6 @@ __all__ = [
 # relative loss at the minimum above which the target count is reported as
 # unattainable
 _LOSS_TOLERANCE = 1e-9
-
-
-@dataclass
-class HomogenizeConfig:
-    """Target expected count and seeds for the homogenization pipeline."""
-
-    target_count: float
-    seed: int = 0
-    resolution: int | None = None
-
-    def __post_init__(self):
-        if self.target_count <= 0:
-            raise ValueError("target expected count must be positive")
-        if self.resolution is not None and not _is_count(self.resolution):
-            raise ValueError(f"resolution must be an integer >= 1, got {self.resolution!r}")
 
 
 @dataclass
@@ -78,50 +62,53 @@ def level_set(cells: VoronoiCells, mu: float) -> VoronoiRegionMask:
     return VoronoiRegionMask(cells.tree, member, area, cells.window_mask)
 
 
-def minimize_loss(cells: VoronoiCells, config: HomogenizeConfig) -> float:
-    """Exact minimizer of (target - mu * |level set area(mu)|)^2.
+def minimize_loss(cells: VoronoiCells, target_count: float) -> float:
+    """Exact minimizer of (target_count - mu * |level set area(mu)|)^2.
 
     The map mu -> mu * |area(mu)| is piecewise linear with breakpoints at
     the sorted cell values, so scanning the breakpoint intervals finds the
-    global minimum exactly.  Returns the smallest minimizing mu.
+    global minimum exactly.  Returns the smallest minimizing mu.  The
+    values come from one sort of the positive areas: those of
+    ``voronoi_intensity`` are whole multiples of one raster cell, so
+    ascending area is strictly descending value.  Peak memory is about 18
+    bytes a cell.  The target must be finite and > 0.
     """
-    target = config.target_count
+    if not (math.isfinite(target_count) and target_count > 0):
+        raise ValueError(f"target count must be finite and positive, got {target_count!r}")
     n_points = len(cells.areas)
-    if target > n_points:
+    if target_count > n_points:
         warnings.warn(
-            f"target count {target:g} exceeds the pattern size {n_points}; "
+            f"target count {target_count:g} exceeds the pattern size {n_points}; "
             "retention probabilities will be capped at 1"
         )
-    # the finite cells by ascending value, as one index into the cells
-    index = np.flatnonzero(np.isfinite(cells.values))
-    index = index[np.argsort(cells.values[index])]
-    values = cells.values[index]
+    # the finite cells' areas ascending, smallest area (largest value) first
+    values = cells.areas[cells.areas > 0]
+    values.sort()
     # suffix_area[searchsorted(values, mu, "left")] is the area of {value >= mu}:
-    # the areas gathered in that order, then summed from the back in place
-    # ("clip" writes straight into ``out``; "raise" would buffer a copy)
-    suffix_area = np.empty(len(index) + 1)
-    np.take(cells.areas, index, out=suffix_area[:-1], mode="clip")
-    del index
+    # the prefix sums of the ascending areas, written back to front
+    suffix_area = np.empty(len(values) + 1)
     suffix_area[-1] = 0.0
-    np.cumsum(suffix_area[-2::-1], out=suffix_area[-2::-1])
+    np.cumsum(values, out=suffix_area[-2::-1])
+    np.divide(1.0, values, out=values)
+    values = values[::-1]  # ascending values, a view
 
     # mu * area(mu) is linear between consecutive distinct values, so the
     # candidate minimizers are the breakpoints themselves plus each piece's
-    # interior parabola vertex target / area
+    # interior parabola vertex target_count / area
     first = np.ones(len(values), dtype=bool)  # first of each run of equal values
     first[1:] = values[1:] != values[:-1]
     uniq = values[first]
     lo_edges = np.concatenate([[0.0], uniq[:-1]])
     piece_areas = suffix_area[np.searchsorted(values, uniq, side="left")]
     with np.errstate(divide="ignore"):
-        vertices = np.where(piece_areas > 0, target / piece_areas, np.inf)
+        vertices = np.where(piece_areas > 0, target_count / piece_areas, np.inf)
     interior = (vertices > lo_edges) & (vertices < uniq)
     candidates = np.sort(np.concatenate([[0.0], uniq, vertices[interior]]))
     cand_areas = suffix_area[np.searchsorted(values, candidates, side="left")]
-    losses = (target - candidates * cand_areas) ** 2
+    losses = (target_count - candidates * cand_areas) ** 2
     best = int(np.argmin(losses))  # first minimum = smallest minimizing mu
     best_mu, best_loss = float(candidates[best]), float(losses[best])
-    if best_loss > _LOSS_TOLERANCE * target**2:
+    if best_loss > _LOSS_TOLERANCE * target_count**2:
         warnings.warn(
             f"loss at the minimum is {best_loss:.3g}; "
             "the target count may be unattainable for this pattern"
@@ -130,22 +117,22 @@ def minimize_loss(cells: VoronoiCells, config: HomogenizeConfig) -> float:
 
 
 def homogenize(
-    pattern: SpatialPattern, config: HomogenizeConfig
+    pattern: SpatialPattern, target_count: float, seed=0, resolution: int | None = None
 ) -> tuple[SpatialPattern, HomogenizeReport]:
     """Thin an inhomogeneous pattern into a homogeneous one on a level set.
 
-    Runs the Voronoi estimate, minimizes the loss over mu, keeps points of
-    the level set with probability min(1, mu * cell area), and reports the
-    quadrat test of the retained pattern on the level-set region.  That
-    region is the output window's mask; it stays inside the input window's
-    mask.
+    Runs the Voronoi estimate at ``resolution`` (None: its default), picks
+    mu for ``target_count``, keeps points of the level set with probability
+    min(1, mu * cell area) drawn from ``substream(seed, 29)``, and reports
+    the quadrat test of the retained pattern on the level-set region.  That
+    region is the output window's mask, inside the input window's mask.
     """
-    _, cells = voronoi_intensity(pattern, resolution=config.resolution)
-    mu = minimize_loss(cells, config)
+    _, cells = voronoi_intensity(pattern, resolution=resolution)
+    mu = minimize_loss(cells, target_count)
     region = level_set(cells, mu)
-    loss = (config.target_count - mu * region.area) ** 2
+    loss = (target_count - mu * region.area) ** 2
     retain_p = np.where(region.member, np.minimum(1.0, mu * cells.areas), 0.0)
-    rng = substream(config.seed, 29)
+    rng = substream(seed, 29)
     keep = rng.uniform(size=len(pattern)) < retain_p
 
     out = _trusted(SpatialPattern, pattern.points[keep], replace(pattern.window, mask=region))

@@ -161,18 +161,20 @@ def _spacetime_rows(x, t, window: Window, grid: GridSpec, mask, b_s, b_t):
     unmasked), made once by the caller.  Returns the scaled spatial factors
     gx / (e_s * cell area) (n, nx) and gy (n, ny), whose outer products
     :func:`_spatial_kernel_rows` makes into each event's spatial kernel
-    divided by its correction, T (n, nt), the same for the temporal kernel,
-    and the corrections e_s and e_t.  No bandwidth or underflow check is
-    made here.
+    divided by its correction, and T (n, nt), the same for the temporal
+    kernel.  Raises ValueError if a correction underflows; no bandwidth
+    check is made here.
     """
     nx, ny, nt = grid.shape
     spatial = GridSpec.spatial(window, nx, ny)
     gx, gy, e_s = _spatial_rows(x, spatial, mask, b_s)
     e_t = temporal_corrections(t, window, b_t)
+    if (e_s < _MIN_CORRECTION).any() or (e_t < _MIN_CORRECTION).any():
+        raise ValueError("edge-correction weight underflow at a data point")
     gx /= e_s[:, None] * spatial.cell_volume
     T = _gauss_factors(t, grid.centers(2), 1.0, b_t)
     T /= e_t[:, None]
-    return gx, gy, T, e_s, e_t
+    return gx, gy, T
 
 
 def _spatial_kernel_rows(gx, gy):
@@ -407,12 +409,10 @@ def estimate_lambda_st(
     _check_resolvable(kernel_s.bandwidth, grid, (0, 1))
     values = np.zeros((nx * ny, nt))
     for rows in blocks:
-        gx, gy, T, e_s, e_t = _spacetime_rows(
+        gx, gy, T = _spacetime_rows(
             pattern.x[rows], pattern.t[rows], window, grid, mask2d,
             kernel_s.bandwidth, kernel_t.bandwidth,
         )
-        if (e_s < _MIN_CORRECTION).any() or (e_t < _MIN_CORRECTION).any():
-            raise ValueError("edge-correction weight underflow at a data point")
         S = _spatial_kernel_rows(gx, gy)
         cols = slice(None)
         if len(blocks) > 1:
@@ -434,8 +434,9 @@ def estimate_lambda_st(
 class VoronoiCells:
     """Per-generator cell table of a window-clipped Voronoi tessellation.
 
-    ``areas`` come from a raster count of grid cells by nearest generator;
-    ``values`` are 1/area (inf where a generator captured no raster cell).
+    ``areas`` come from a raster count of grid cells by nearest generator
+    and are the one stored fact: ``values``, 1 / area (inf where a
+    generator captured no raster cell), is computed on each read.
     ``tree`` is the k-d tree over the generators, kept for
     nearest-generator queries.  ``window_mask`` is the window's mask the
     tessellation was clipped to (None for a rectangle); a level set of the
@@ -451,9 +452,13 @@ class VoronoiCells:
 
     tree: cKDTree
     areas: np.ndarray
-    values: np.ndarray
     grid: GridSpec
     window_mask: PolygonMask | VoronoiRegionMask | None = None
+
+    @property
+    def values(self) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return 1.0 / self.areas
 
     @cached_property
     def raster_mask(self) -> np.ndarray:
@@ -505,13 +510,13 @@ def voronoi_intensity(
     count.  The owner grid is built on first read of the cells'
     ``assignment`` and the estimate's field on first read of ``.field``.
 
-    Memory: besides the k-d tree and a few float64 vectors per generator,
-    about 120 bytes per cell of each running block, plus the boolean
-    window raster on a masked window: at 10^6 events (a 4000 x 4000
-    raster, 8 rows a block) about 4 MB per block.  Reading ``assignment``
-    adds the int32 owner grid (64 MB there) and, on a rectangle, an
-    all-True mask (16 MB); reading ``.field`` adds the 128 MB float64
-    field.
+    Memory: besides the k-d tree, the generators' int64 counts and their
+    float64 areas (the cells keep no values vector), about 120 bytes per
+    cell of each running block, plus the boolean window raster on a
+    masked window: at 10^6 events (a 4000 x 4000 raster, 8 rows a block)
+    about 4 MB per block.  Reading ``assignment`` adds the int32 owner grid
+    (64 MB there) and, on a rectangle, an all-True mask (16 MB); reading
+    ``.field`` adds the 128 MB float64 field.
     """
     from scipy.spatial import cKDTree
 
@@ -525,9 +530,7 @@ def voronoi_intensity(
     tree = cKDTree(pattern.points)
     inside = window.raster(grid)  # None on a rectangle: every cell
     areas = _owner_counts(tree, grid.centers(0), grid.centers(1), inside) * grid.cell_volume
-    with np.errstate(divide="ignore"):
-        values = 1.0 / areas  # inf marks generators that captured no raster cell
-    cells = VoronoiCells(tree, areas, values, grid, window.mask)
+    cells = VoronoiCells(tree, areas, grid, window.mask)
     if inside is not None:
         cells.raster_mask = inside  # so that reading it does not raster the mask again
     return _VoronoiEstimate(cells), cells

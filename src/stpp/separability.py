@@ -59,7 +59,7 @@ class _SeparabilityEngine:
             + pairings * (nx * ny + nt)
         )
         mask2d = window.raster(GridSpec.spatial(window, nx, ny))
-        self.gx, self.gy, self.T, _, _ = _spacetime_rows(
+        self.gx, self.gy, self.T = _spacetime_rows(
             pattern.x, pattern.t, window, grid, mask2d, kernel_s.bandwidth, kernel_t.bandwidth
         )
         if mask2d is None:

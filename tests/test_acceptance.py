@@ -16,7 +16,7 @@ import pytest
 
 from stpp.bandwidth import BandwidthSearch, select_bandwidth_spatial, select_bandwidth_temporal
 from stpp.core import GridSpec, SpaceTimePattern, Window, ball_volume, project, substream
-from stpp.homogenize import HomogenizeConfig, homogenize
+from stpp.homogenize import homogenize
 from stpp.inference import CurveSet, combined_erl_test, quadrat_test
 from stpp.intensity import (
     KernelSpec,
@@ -256,7 +256,7 @@ def test_homogenization_study(kind):
     for s in range(runs):
         pat = simulate_poisson_spatial((func, bound), UNIT, substream(s, 80))
         assert quadrat_test(pat)[1] < 1e-4
-        sub, report = homogenize(pat, HomogenizeConfig(target_count=target, seed=s))
+        sub, report = homogenize(pat, target, seed=s)
         assert report.loss_at_minimum < 1e-6 * target**2
         assert abs(report.retained - target) <= 3.0 * math.sqrt(target)
         accepted += report.quadrat_p > 0.05

@@ -1238,6 +1238,16 @@ class TestMain:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    def test_homogenize_on_a_header_only_file_exits_2(self, tmp_path, capsys):
+        events = tmp_path / "events.csv"
+        events.write_text("x1,x2,t\n")
+        cfg_path, _ = write_config(tmp_path, input=str(events))
+        with pytest.warns(UserWarning, match="no events parsed"):
+            assert main(["homogenize", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "header, window, projection, keys",
         [

@@ -8,7 +8,7 @@ from scipy.spatial import cKDTree
 
 from stpp import core
 from stpp.core import GridSpec, PolygonMask, ScalarField, SpatialPattern, Window, substream
-from stpp.homogenize import HomogenizeConfig, homogenize, level_set, minimize_loss
+from stpp.homogenize import homogenize, level_set, minimize_loss
 from stpp.inference import quadrat_test
 from stpp.intensity import voronoi_intensity
 
@@ -104,18 +104,15 @@ class TestMinimizeLoss:
         cells = VoronoiCells(
             tree=cKDTree(np.random.default_rng(0).uniform(size=(n, 2))),
             areas=np.full(n, 1.0 / n),
-            values=np.full(n, float(n)),
             grid=grid,
         )
-        cfg = HomogenizeConfig(target_count=40.0)
-        mu = minimize_loss(cells, cfg)
+        mu = minimize_loss(cells, 40.0)
         assert mu == pytest.approx(40.0)
         assert (40.0 - mu * 1.0) ** 2 < 1e-20
 
     def test_matches_brute_force_grid(self):
         _, cells = poisson_cells(400, 4)
-        cfg = HomogenizeConfig(target_count=120.0)
-        mu_hat = minimize_loss(cells, cfg)
+        mu_hat = minimize_loss(cells, 120.0)
 
         def loss(mu):
             member = cells.values >= mu
@@ -135,13 +132,14 @@ class TestMinimizeLoss:
     def test_target_above_n_warns(self):
         _, cells = poisson_cells(100, 5)
         with pytest.warns(UserWarning, match="cap"):
-            minimize_loss(cells, HomogenizeConfig(target_count=1000.0))
+            minimize_loss(cells, 1000.0)
 
     def test_equals_the_scan_over_separately_sorted_arrays(self):
         # the reference sorts the finite values and gathers their areas in
         # two steps, then sums the suffix areas by a reversed cumsum; the
-        # estimator's one index and in-place sums give the same mu bit for
-        # bit.  A clump of 20 points leaves cells without raster cells (inf)
+        # estimator's one sort of the positive areas, whose prefix sums it
+        # writes back to front, gives the same mu bit for bit.  A clump of
+        # 20 points leaves cells without raster cells (inf)
         rng = substream(6, 1)
         xy = np.vstack([rng.uniform(size=(2000, 2)), 0.5 + rng.uniform(-1e-3, 1e-3, (20, 2))])
         _, cells = voronoi_intensity(SpatialPattern(xy, UNIT))
@@ -159,7 +157,43 @@ class TestMinimizeLoss:
             candidates = np.sort(np.concatenate([[0.0], uniq, inner]))
             losses = (target - candidates * suffix_area[np.searchsorted(values, candidates)]) ** 2
             mu = candidates[np.argmin(losses)]
-            assert minimize_loss(cells, HomogenizeConfig(target)) == mu
+            assert minimize_loss(cells, target) == mu
+
+
+    def test_values_are_the_reciprocal_areas(self):
+        # the cells store only their areas; values is 1 / area on each read,
+        # inf where a clumped generator captured no raster cell
+        rng = substream(6, 1)
+        xy = np.vstack([rng.uniform(size=(2000, 2)), 0.5 + rng.uniform(-1e-3, 1e-3, (20, 2))])
+        _, cells = voronoi_intensity(SpatialPattern(xy, UNIT))
+        with np.errstate(divide="ignore"):
+            want = 1.0 / cells.areas
+        assert np.isinf(want).any()
+        assert np.array_equal(cells.values.view(np.int64), want.view(np.int64))
+        assert "values" not in vars(cells)
+
+    def test_memory_per_cell(self):
+        # the sorted positive areas, the n + 1 suffix sums and two boolean
+        # vectors: 18 bytes a cell, where an index sorted by value and the
+        # values gathered through it took 24
+        pat = SpatialPattern(substream(10, 1).uniform(size=(200_000, 2)), UNIT)
+        _, cells = voronoi_intensity(pat)
+        minimize_loss(cells, 20000.0)  # so that first-use allocations are not traced
+        tracemalloc.start()
+        try:
+            minimize_loss(cells, 20000.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * len(cells.areas), peak / len(cells.areas)
+
+    @pytest.mark.parametrize("target", [0.0, -1.0, math.nan, math.inf])
+    def test_target_must_be_finite_and_positive(self, target):
+        pat, cells = poisson_cells(100, 5)
+        with pytest.raises(ValueError, match="finite and positive"):
+            minimize_loss(cells, target)
+        with pytest.raises(ValueError, match="finite and positive"):
+            homogenize(pat, target)
 
 
 class TestHomogenize:
@@ -174,10 +208,9 @@ class TestHomogenize:
         cells = VoronoiCells(
             tree=cKDTree(substream(0, 3).uniform(size=(n, 2))),
             areas=np.full(n, 1.0 / n),
-            values=np.full(n, float(n)),
             grid=grid,
         )
-        mu = minimize_loss(cells, HomogenizeConfig(target_count=float(n)))
+        mu = minimize_loss(cells, float(n))
         assert mu == pytest.approx(float(n))
         ls = level_set(cells, mu)
         assert ls.n_cells == n
@@ -192,7 +225,7 @@ class TestHomogenize:
         for s in range(runs):
             pat = simulate_poisson_spatial((func, bound), UNIT, substream(s, 1))
             raw_rejected += quadrat_test(pat)[1] < 1e-4
-            sub, report = homogenize(pat, HomogenizeConfig(target_count=500.0, seed=s))
+            sub, report = homogenize(pat, 500.0, seed=s)
             assert report.loss_at_minimum < 1e-6 * 500.0**2
             retained.append(report.retained)
             quadrat_ok += report.quadrat_p > 0.05
@@ -205,7 +238,7 @@ class TestHomogenize:
             func, bound = sin_intensity(doubled=doubled)
             pat = simulate_poisson_spatial((func, bound), UNIT, substream(7, int(doubled)))
             assert abs(len(pat) - 50000) < 4 * math.sqrt(50000)
-            sub, report = homogenize(pat, HomogenizeConfig(target_count=500.0, seed=3))
+            sub, report = homogenize(pat, 500.0, seed=3)
             assert report.loss_at_minimum < 1e-6 * 500.0**2
             assert abs(report.retained - 500) <= 3 * math.sqrt(500)
             assert report.quadrat_p > 0.05
@@ -213,7 +246,7 @@ class TestHomogenize:
     @pytest.mark.parametrize("window", [UNIT, POLYGON], ids=["rectangle", "polygon"])
     def test_report_consistency(self, window):
         pat = simulate_poisson_spatial(300.0, window, 8)
-        sub, report = homogenize(pat, HomogenizeConfig(target_count=100.0, seed=2))
+        sub, report = homogenize(pat, 100.0, seed=2)
         assert len(sub) == report.retained
         assert sub.window.mask is not None
         assert sub.window.area == pytest.approx(report.level_area)
@@ -232,7 +265,7 @@ class TestHomogenize:
 
         monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
         pat = simulate_poisson_spatial(300.0, UNIT, 8)
-        sub, report = homogenize(pat, HomogenizeConfig(target_count=100.0, seed=2))
+        sub, report = homogenize(pat, 100.0, seed=2)
         assert len(builds) == 1
         assert np.isfinite(report.quadrat_statistic)
         assert sub.window.contains_xy(sub.points).all()
@@ -247,7 +280,7 @@ class TestHomogenize:
 
         monkeypatch.setattr(ScalarField, "__init__", counting_init)
         pat = simulate_poisson_spatial(300.0, UNIT, 8)
-        homogenize(pat, HomogenizeConfig(target_count=100.0, seed=2))
+        homogenize(pat, 100.0, seed=2)
         assert built == []
         est, _ = voronoi_intensity(pat)
         assert built == []
@@ -260,13 +293,11 @@ class TestHomogenize:
         monkeypatch.setattr(core.os, "cpu_count", lambda: 1)
         pat = SpatialPattern(substream(8, 1).uniform(size=(20000, 2)), UNIT)
         # a small run first, so imports made on first use are not traced
-        homogenize(pat, HomogenizeConfig(target_count=500.0, seed=2, resolution=64))
+        homogenize(pat, 500.0, seed=2, resolution=64)
         resolution = 1500
         tracemalloc.start()
         try:
-            _, report = homogenize(
-                pat, HomogenizeConfig(target_count=500.0, seed=2, resolution=resolution)
-            )
+            _, report = homogenize(pat, 500.0, seed=2, resolution=resolution)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -280,7 +311,7 @@ class TestHomogenize:
         # the quadrat test rasterizes the level-set region on its own 512^2
         # grid, not on the Voronoi estimate's
         pat = simulate_poisson_spatial(300.0, window, 8)
-        sub, _ = homogenize(pat, HomogenizeConfig(target_count=100.0, seed=2))
+        sub, _ = homogenize(pat, 100.0, seed=2)
         region = sub.window.mask
         for shape in ((512, 512), (67, 53)):
             grid = GridSpec.spatial(window, *shape)
@@ -298,7 +329,7 @@ class TestHomogenize:
     def test_region_raster_on_voronoi_grid_is_member_of_assignment(self, window):
         pat = simulate_poisson_spatial(300.0, window, 8)
         _, cells = voronoi_intensity(pat)
-        region = level_set(cells, minimize_loss(cells, HomogenizeConfig(target_count=100.0)))
+        region = level_set(cells, minimize_loss(cells, 100.0))
         raster = region.raster(cells.grid.centers(0), cells.grid.centers(1))
         # -1 marks raster cells outside the window's mask
         expected = np.where(cells.assignment >= 0, region.member[cells.assignment], False)
@@ -317,7 +348,7 @@ class TestHomogenize:
         p_values = []
         for s in range(5):
             pat = simulate_poisson_spatial(3000.0, TRIANGLE, substream(s, 31))
-            sub, report = homogenize(pat, HomogenizeConfig(target_count=500.0, seed=s))
+            sub, report = homogenize(pat, 500.0, seed=s)
             region = sub.window.mask
             assert region.parent is polygon
             assert not region.contains(outside).any()
@@ -332,7 +363,7 @@ class TestHomogenize:
         p_values = []
         for s in range(5):
             pat = simulate_poisson_spatial(2000.0, TRIANGLE, substream(s, 31))
-            _, report = homogenize(pat, HomogenizeConfig(200.0, seed=s))
+            _, report = homogenize(pat, 200.0, seed=s)
             p_values.append(report.quadrat_p)
         assert np.isfinite(p_values).all() and min(p_values) > 0.01, p_values
 
@@ -341,12 +372,18 @@ class TestHomogenize:
         counts = []
         for s in range(60):
             pat = simulate_poisson_spatial(800.0, UNIT, substream(s, 2))
-            _, report = homogenize(pat, HomogenizeConfig(target_count=200.0, seed=s))
+            _, report = homogenize(pat, 200.0, seed=s)
             counts.append(report.retained)
         se = np.std(counts, ddof=1) / math.sqrt(len(counts))
         assert abs(np.mean(counts) - 200.0) < 3 * se
 
+    @pytest.mark.parametrize("resolution", [0, 2.5, True])
+    def test_resolution_must_be_a_count(self, resolution):
+        pat = simulate_poisson_spatial(100.0, UNIT, 9)
+        with pytest.raises(ValueError, match="integers >= 1"):
+            homogenize(pat, 20.0, resolution=resolution)
+
     def test_low_retention_warns(self):
         pat = simulate_poisson_spatial(100.0, UNIT, 9)
         with pytest.warns(UserWarning, match="unreliable"):
-            homogenize(pat, HomogenizeConfig(target_count=5.0, seed=0))
+            homogenize(pat, 5.0, seed=0)

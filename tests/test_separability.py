@@ -134,7 +134,7 @@ class WholeRowsEngine:
         nx, ny, nt = grid.shape
         n = len(pattern)
         mask2d = window.raster(GridSpec.spatial(window, nx, ny))
-        gx, gy, self.T, _, _ = intensity._spacetime_rows(
+        gx, gy, self.T = intensity._spacetime_rows(
             pattern.x, pattern.t, window, grid, mask2d, kernel_s.bandwidth, kernel_t.bandwidth
         )
         self.S = (gx[:, :, None] * gy[:, None, :]).reshape(n, nx * ny)
@@ -462,3 +462,12 @@ class TestSeparabilityTest:
                                     seed=(s, 14))
             hits += res.p_value <= 0.05
         assert hits <= 5  # expect ~1.5 of 30 at the 5% level
+
+    def test_underflowing_correction_is_named(self):
+        # at b_s = 0.001 on a 4 x 4 grid most events lie between cell
+        # centres, where the spatial correction underflows; the test must
+        # say so, as the space-time estimate does, rather than divide by it
+        pat = SpaceTimePattern(substream(1, 0).uniform(size=(50, 3)), UNIT)
+        grid = GridSpec.spacetime(UNIT, 4, 4, 10)
+        with pytest.raises(ValueError, match="underflow"):
+            separability_test(pat, KernelSpec(0.001), KernelSpec(0.05), B=19, grid=grid)
