@@ -24,17 +24,15 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridSpec, SpatialPattern, TemporalPattern, substream
+from .core import GridSpec, SpatialPattern, TemporalPattern, _check_int, substream
 from .simulate import thin as thin_spatial
 from .intensity import _MIN_CORRECTION, _spatial_corrections
 from .secondorder import _close_pairs
 
 __all__ = [
-    "BandwidthSearch",
     "cvl_loss",
     "inverse_residual_loss",
     "select_bandwidth_spatial",
@@ -49,36 +47,6 @@ def default_candidates(window, num: int = 16) -> np.ndarray:
     """Log-spaced candidate bandwidths between 0.5% and 20% of sqrt(|W|)."""
     scale = math.sqrt(window.area)
     return np.geomspace(0.005 * scale, 0.20 * scale, num)
-
-
-@dataclass
-class BandwidthSearch:
-    """Search plan for the spatial selector.
-
-    candidates must be finite, positive and sorted; ``folds`` is the k of the
-    cross-validation, ``retention`` the thinning probability applied before
-    each repeat, ``repeats`` the number of thinned subsamples whose
-    selected bandwidths are averaged.
-    """
-
-    candidates: np.ndarray
-    folds: int = 10
-    retention: float = 0.025
-    repeats: int = 50
-    seed: int = 0
-
-    def __post_init__(self):
-        c = np.asarray(self.candidates, dtype=float)
-        if c.ndim != 1 or len(c) == 0 or not (np.isfinite(c) & (c > 0)).all() \
-                or (np.diff(c) < 0).any():
-            raise ValueError("candidates must be finite, positive and sorted ascending")
-        self.candidates = c
-        if self.folds < 2:
-            raise ValueError("folds must be >= 2")
-        if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
-        if not (0 < self.retention <= 1):
-            raise ValueError("retention must be in (0, 1]")
 
 
 def inverse_residual_loss(lam_at_points, area: float):
@@ -179,8 +147,15 @@ def _held_out_lambdas(xy, w, fold_of, candidates):
     return lam
 
 
-def select_bandwidth_spatial(pattern: SpatialPattern, search: BandwidthSearch) -> float:
+def select_bandwidth_spatial(pattern: SpatialPattern, candidates, folds: int = 10,
+                             retention: float = 0.025, repeats: int = 50, seed=0) -> float:
     """Cross-validated spatial bandwidth on thinned subsamples.
+
+    ``candidates``, the bandwidths searched, are finite, positive and
+    ascending; ``folds`` (an integer >= 2) is the k of the k-fold CV,
+    ``retention`` (in (0, 1]) the thinning probability of each repeat and
+    ``repeats`` (an integer >= 1) the number of thinned subsamples whose
+    choices are averaged.  A bad value raises ValueError naming it before any draw.
 
     For each repeat: thin the pattern, split the subsample into k folds,
     fit on the complement of each fold and accumulate the loss at fold
@@ -197,25 +172,33 @@ def select_bandwidth_spatial(pattern: SpatialPattern, search: BandwidthSearch) -
     loss at b is +inf; beyond that reach the dense sum adds less than
     exp(-50) of a kernel's peak.  The losses equal the per-fold,
     per-candidate ``cvl_loss`` procedure's to 1e-9 relative (tested).
-    Memory is the corrections, (k, n) for the n distinct drawn points,
-    plus one pair chunk; it does not grow with the square of a subsample.
+    Memory is the corrections, one row per candidate and one column per
+    distinct drawn point, plus one pair chunk; it does not grow with the
+    square of a subsample.
 
     Warns once when, with two or more candidates, some repeats choose the
     first or the last candidate, as the best bandwidth may lie outside them.
     """
+    candidates = np.asarray(candidates, dtype=float)
+    if candidates.ndim != 1 or len(candidates) == 0 or (np.diff(candidates) < 0).any() \
+            or not (np.isfinite(candidates) & (candidates > 0)).all():
+        raise ValueError("candidates must be finite, positive and sorted ascending")
+    _check_int("folds", folds, 2)
+    _check_int("repeats", repeats, 1)
+    if not (0 < retention <= 1):
+        raise ValueError("retention must be in (0, 1]")
     window = pattern.window
     grid = GridSpec.spatial(window, _CV_GRID, _CV_GRID)
-    candidates = search.candidates
     draws = []
-    for r in range(search.repeats):
-        rng = substream(search.seed, r)
-        sub = thin_spatial(pattern, search.retention, rng)
+    for r in range(repeats):
+        rng = substream(seed, r)
+        sub = thin_spatial(pattern, retention, rng)
         n_sub = len(sub)
-        if n_sub < search.folds:
+        if n_sub < folds:
             warnings.warn(f"repeat {r}: subsample of {n_sub} points too small, discarded")
             continue
         fold_of = np.empty(n_sub, dtype=np.intp)
-        for f, fold in enumerate(np.array_split(rng.permutation(n_sub), search.folds)):
+        for f, fold in enumerate(np.array_split(rng.permutation(n_sub), folds)):
             fold_of[fold] = f
         draws.append((sub.points, fold_of))
     if not draws:
@@ -234,9 +217,9 @@ def select_bandwidth_spatial(pattern: SpatialPattern, search: BandwidthSearch) -
         start += len(xy)
         lam = _held_out_lambdas(xy, w[:, rows], fold_of, candidates)
         losses = np.zeros(len(candidates))
-        for f in range(search.folds):
+        for f in range(folds):
             losses += inverse_residual_loss(lam[:, fold_of == f], window.area)
-        losses /= search.folds
+        losses /= folds
         chosen.append(int(np.argmin(losses)))
     ends = [chosen.count(0), chosen.count(len(candidates) - 1)]
     if len(candidates) > 1 and any(ends):

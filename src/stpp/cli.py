@@ -34,7 +34,6 @@ import numpy as np
 
 from . import __version__
 from .bandwidth import (
-    BandwidthSearch,
     default_candidates,
     select_bandwidth_spatial,
     select_bandwidth_temporal,
@@ -55,7 +54,6 @@ from .inference import CurveSet, combined_erl_test
 from .intensity import KernelSpec, estimate_lambda_s, estimate_lambda_st, estimate_lambda_t
 from .secondorder import (
     KGrid,
-    SeriesDiagnostics,
     average_K,
     estimate_K,
     j_residual_ratio,
@@ -575,13 +573,13 @@ def _bandwidths(pattern, cfg, seed):
         b_t = select_bandwidth_temporal(tp)
     b_s = cfg["bandwidth.spatial"]
     if b_s is None:
-        search = BandwidthSearch(
+        b_s = select_bandwidth_spatial(
+            sp,
             cfg["bandwidth.search.candidates"]
             or default_candidates(pattern.window, cfg["bandwidth.search.n_candidates"]),
             folds=cfg["bandwidth.search.folds"], retention=cfg["bandwidth.search.retention"],
             repeats=cfg["bandwidth.search.repeats"], seed=seed,
         )
-        b_s = select_bandwidth_spatial(sp, search)
     return float(b_s), float(b_t)
 
 
@@ -928,8 +926,7 @@ def _task_homogenize(pattern, cfg, seed, report, out_dir, outputs):
 
 def _task_prop2(cfg, report):
     r, tau, p = cfg["prop2.r"], cfg["prop2.tau"], cfg["prop2.p"]
-    diag = SeriesDiagnostics(lam_floor=cfg["prop2.lam_floor"], pi0=p, order=cfg["prop2.order"])
-    f, g, j = poisson_series_fgj(diag, r, tau)
+    f, g, j = poisson_series_fgj(cfg["prop2.lam_floor"], p, r, tau, cfg["prop2.order"])
     report["series"] = {"F": f, "G": g, "J": j}
     model, _ = _model(cfg, "prop2")
     res = j_residual_ratio(model, p=p, r=r, tau=tau, seeds=range(cfg["prop2.seeds"]),

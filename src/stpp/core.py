@@ -559,6 +559,12 @@ def _check_counts(*counts) -> None:
         raise ValueError(f"grid cell counts must be integers >= 1, got {list(counts)!r}")
 
 
+def _check_int(name: str, value, least: int) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integer >= ``least``, not a bool."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Regular cell grid: cell i has center origin[d] + (i + 1/2) * step[d]."""

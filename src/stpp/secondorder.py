@@ -46,14 +46,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    _FINE_RASTER, GridSpec, ScalarField, SpaceTimePattern, Window, ball_volume, substream,
+    _FINE_RASTER, GridSpec, ScalarField, SpaceTimePattern, Window, _check_int, ball_volume,
+    substream,
 )
 from .simulate import ClusterModel, simulate_cluster, simulate_poisson, thin
 
 __all__ = [
     "KGrid",
     "KEstimate",
-    "SeriesDiagnostics",
     "estimate_K",
     "average_K",
     "poisson_series_fgj",
@@ -432,41 +432,29 @@ def average_K(est: KEstimate) -> tuple[np.ndarray, np.ndarray]:
     return k_t, k_s
 
 
-@dataclass
-class SeriesDiagnostics:
-    """Inputs of the truncated F/G/J series under the Poisson reference.
-
-    ``lam_floor`` plays the role of the lower intensity bound.
-    """
-
-    lam_floor: float
-    pi0: float
-    order: int = 30
-
-    def __post_init__(self):
-        if self.lam_floor < 0:
-            raise ValueError("intensity floor must be nonnegative")
-        if not (0 < self.pi0 <= 1):
-            raise ValueError("pi0 must be in (0, 1]")
-        if self.order < 2:
-            raise ValueError("truncation order must be >= 2")
-
-
-def poisson_series_fgj(diag: SeriesDiagnostics, r: float, tau: float):
+def poisson_series_fgj(lam_floor: float, pi0: float, r: float, tau: float, order: int = 30):
     """Truncated F/G/J series evaluated under the Poisson substitution.
 
-    With the k-fold integrals replaced by their Poisson values |B|^k the
-    alternating series for 1-F and 1-G both truncate the exponential
-    exp(-lam pi0 |B|), and J is exactly 1.  Raises if the proxy for the
-    series convergence condition fails (last term ratio >= 1).
+    ``lam_floor`` (a number >= 0) plays the role of the lower intensity
+    bound, ``pi0`` (in (0, 1]) is the retention probability and ``order``
+    (an integer >= 2) the truncation order; a bad value, NaN included,
+    raises ValueError naming it.  With the k-fold integrals replaced by
+    their Poisson values |B|^k the alternating series for 1-F and 1-G both
+    truncate exp(-lam_floor pi0 |B|), and J is exactly 1.  Raises if the
+    proxy for the series convergence condition fails (last term ratio >= 1).
     """
+    if not lam_floor >= 0:
+        raise ValueError(f"lam_floor must be nonnegative, got {lam_floor!r}")
+    if not (0 < pi0 <= 1):
+        raise ValueError("pi0 must be in (0, 1]")
+    _check_int("order", order, 2)
     vol = ball_volume(r, tau)
-    x = diag.lam_floor * diag.pi0 * vol
-    terms = np.empty(diag.order + 1)
+    x = lam_floor * pi0 * vol
+    terms = np.empty(order + 1)
     terms[0] = 1.0
-    for kk in range(1, diag.order + 1):
+    for kk in range(1, order + 1):
         terms[kk] = terms[kk - 1] * (-x) / kk
-    if diag.order >= 1 and x / (diag.order + 1) >= 1.0:
+    if x / (order + 1) >= 1.0:
         raise ValueError(
             "series terms are not decaying at the requested order; "
             "increase the order or reduce lam*pi0*volume"

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from stpp.bandwidth import BandwidthSearch, select_bandwidth_spatial, select_bandwidth_temporal
+from stpp.bandwidth import select_bandwidth_spatial, select_bandwidth_temporal
 from stpp.core import GridSpec, SpaceTimePattern, Window, ball_volume, project, substream
 from stpp.homogenize import homogenize
 from stpp.inference import CurveSet, combined_erl_test, quadrat_test
@@ -26,7 +26,6 @@ from stpp.intensity import (
 )
 from stpp.secondorder import (
     KGrid,
-    SeriesDiagnostics,
     average_K,
     estimate_K,
     j_residual_ratio,
@@ -113,8 +112,7 @@ def test_prop2_order_check():
     """First-order-corrected J residual scales like the square of the
     retention: ratio between 0.05 and 0.025 lands in [2.5, 6]; the Poisson
     series truncation reproduces the exponential to 1e-10."""
-    diag = SeriesDiagnostics(lam_floor=2000.0, pi0=0.05, order=30)
-    f, g, j = poisson_series_fgj(diag, 0.1, 0.05)
+    f, g, j = poisson_series_fgj(2000.0, 0.05, 0.1, 0.05, order=30)
     target = math.exp(-2000.0 * 0.05 * ball_volume(0.1, 0.05))
     assert abs((1.0 - f) - target) <= 1e-10
     assert abs(j - 1.0) <= 1e-10
@@ -180,10 +178,9 @@ def test_erl_calibration_and_power():
 def _separability_pipeline(pattern, seed):
     sp, tp = project(pattern)
     b_t = select_bandwidth_temporal(tp)
-    search = BandwidthSearch(
-        np.geomspace(0.02, 0.2, 6), folds=5, retention=0.5, repeats=2, seed=7
+    b_s = select_bandwidth_spatial(
+        sp, np.geomspace(0.02, 0.2, 6), folds=5, retention=0.5, repeats=2, seed=7
     )
-    b_s = select_bandwidth_spatial(sp, search)
     return separability_test(
         pattern, KernelSpec(b_s), KernelSpec(b_t), B=199,
         grid=GridSpec.spacetime(UNIT, 16, 16, 40), seed=seed,

@@ -9,7 +9,6 @@ from scipy.optimize import brentq
 
 from stpp import bandwidth, intensity, secondorder
 from stpp.bandwidth import (
-    BandwidthSearch,
     cvl_loss,
     default_candidates,
     inverse_residual_loss,
@@ -113,8 +112,7 @@ class TestCvlLoss:
 class TestSelectSpatial:
     def test_single_candidate_returned(self):
         pat = poisson_spatial(500, 2)
-        search = BandwidthSearch(np.array([0.07]), folds=2, retention=0.5, repeats=2, seed=0)
-        assert select_bandwidth_spatial(pat, search) == 0.07
+        assert select_bandwidth_spatial(pat, [0.07], folds=2, retention=0.5, repeats=2, seed=0) == 0.07
 
     @pytest.mark.parametrize("window", [UNIT, POLYGON], ids=["rectangle", "polygon"])
     def test_matches_procedural_oracle(self, window):
@@ -126,8 +124,7 @@ class TestSelectSpatial:
         # test), and the chosen candidates, hence their mean, exactly
         pat = poisson_spatial(800, 3, window)
         candidates = np.geomspace(0.02, 0.3, 16)
-        search = BandwidthSearch(candidates, folds=5, retention=0.5, repeats=3, seed=11)
-        got = select_bandwidth_spatial(pat, search)
+        got = select_bandwidth_spatial(pat, candidates, folds=5, retention=0.5, repeats=3, seed=11)
 
         chosen = []
         for r in range(3):
@@ -209,19 +206,17 @@ class TestSelectSpatial:
 
     def test_warns_when_repeats_choose_an_end(self):
         pat = poisson_spatial(800, 5)
-        search = BandwidthSearch(np.array([0.3, 0.4, 0.5]), folds=5, retention=0.5,
-                                 repeats=3, seed=2)
         with pytest.warns(UserWarning, match="3 of 3 repeats chose the smallest candidate 0.3 "
                                              "and 0 the largest 0.5") as record:
-            assert select_bandwidth_spatial(pat, search) == 0.3
+            assert select_bandwidth_spatial(pat, [0.3, 0.4, 0.5], folds=5, retention=0.5,
+                                            repeats=3, seed=2) == 0.3
         assert len(record) == 1
 
     def test_single_candidate_does_not_warn(self):
         pat = poisson_spatial(500, 2)
-        search = BandwidthSearch(np.array([0.07]), folds=2, retention=0.5, repeats=2, seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            select_bandwidth_spatial(pat, search)
+            select_bandwidth_spatial(pat, [0.07], folds=2, retention=0.5, repeats=2, seed=0)
 
     def test_scale_equivariance_within_one_step(self):
         # 15 Gaussian clusters of 60 points (sd 0.06): every repeat's CV
@@ -234,12 +229,11 @@ class TestSelectSpatial:
         c = 3.0
         big = Window((0, c), (0, c), (0, 1))
         cands = np.geomspace(0.01, 0.2, 10)
-        search = BandwidthSearch(cands, folds=5, retention=0.5, repeats=2, seed=5)
-        search_scaled = BandwidthSearch(cands * c, folds=5, retention=0.5, repeats=2, seed=5)
+        search = dict(folds=5, retention=0.5, repeats=2, seed=5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            b1 = select_bandwidth_spatial(SpatialPattern(xy, UNIT), search)
-            b2 = select_bandwidth_spatial(SpatialPattern(xy * c, big), search_scaled)
+            b1 = select_bandwidth_spatial(SpatialPattern(xy, UNIT), cands, **search)
+            b2 = select_bandwidth_spatial(SpatialPattern(xy * c, big), cands * c, **search)
         assert cands[0] < b1 < cands[-1]
         step = cands[1] / cands[0]
         ratio = b2 / (c * b1)
@@ -247,17 +241,15 @@ class TestSelectSpatial:
 
     def test_deterministic_given_seed(self):
         pat = poisson_spatial(600, 6)
-        search = BandwidthSearch(np.geomspace(0.03, 0.3, 5), folds=3,
-                                 retention=0.5, repeats=3, seed=9)
-        assert select_bandwidth_spatial(pat, search) == select_bandwidth_spatial(pat, search)
+        search = dict(candidates=np.geomspace(0.03, 0.3, 5), folds=3, retention=0.5, repeats=3,
+                      seed=9)
+        assert select_bandwidth_spatial(pat, **search) == select_bandwidth_spatial(pat, **search)
 
     def test_all_repeats_discarded_raises(self):
         pat = poisson_spatial(30, 7)
-        search = BandwidthSearch(np.array([0.1]), folds=10, retention=0.05,
-                                 repeats=2, seed=0)
         with pytest.warns(UserWarning):
             with pytest.raises(ValueError, match="discarded"):
-                select_bandwidth_spatial(pat, search)
+                select_bandwidth_spatial(pat, [0.1], folds=10, retention=0.05, repeats=2, seed=0)
 
     def test_fold_partition(self):
         # every subsampled point lands in exactly one validation fold
@@ -544,12 +536,26 @@ def test_default_candidates_bracket():
 
 
 def test_search_validation():
+    pat = poisson_spatial(200, 1)
     with pytest.raises(ValueError):
-        BandwidthSearch(np.array([0.2, 0.1]))  # unsorted
+        select_bandwidth_spatial(pat, [0.2, 0.1])  # unsorted
     with pytest.raises(ValueError):
-        BandwidthSearch(np.array([0.1]), folds=1)
+        select_bandwidth_spatial(pat, [0.1], folds=1)
     with pytest.raises(ValueError):
-        BandwidthSearch(np.array([0.1]), repeats=0)
+        select_bandwidth_spatial(pat, [0.1], repeats=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [({"folds": 2.5}, "folds"), ({"folds": math.nan}, "folds"), ({"folds": True}, "folds"),
+     ({"repeats": 1.5}, "repeats"), ({"retention": math.nan}, "retention")],
+    ids=["folds-2.5", "folds-nan", "folds-bool", "repeats-1.5", "retention-nan"],
+)
+def test_search_rejects_bad_values_by_name(kwargs, name, monkeypatch):
+    # rejected by name before any repeat is drawn, not by a TypeError mid-search
+    monkeypatch.setattr(bandwidth, "substream", None)
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        select_bandwidth_spatial(poisson_spatial(200, 1), [0.1], **kwargs)
 
 
 @pytest.mark.parametrize("candidates", [[math.nan], [0.1, math.inf], [-math.inf, 0.1]],
@@ -557,4 +563,4 @@ def test_search_validation():
 def test_search_rejects_nonfinite_candidates(candidates):
     # the pair pass sizes its search from 10 x the largest candidate
     with pytest.raises(ValueError, match="finite"):
-        BandwidthSearch(np.array(candidates))
+        select_bandwidth_spatial(poisson_spatial(200, 1), candidates)

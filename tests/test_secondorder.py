@@ -8,7 +8,6 @@ from stpp.core import PolygonMask, SpaceTimePattern, Window, ball_volume, substr
 from stpp.secondorder import (
     KEstimate,
     KGrid,
-    SeriesDiagnostics,
     average_K,
     empirical_fgj,
     estimate_K,
@@ -606,41 +605,47 @@ class TestAverageK:
 
 class TestSeries:
     def test_truncation_matches_exponential(self):
-        diag = SeriesDiagnostics(lam_floor=2000.0, pi0=0.025, order=30)
-        f, g, j = poisson_series_fgj(diag, 0.1, 0.05)
+        f, g, j = poisson_series_fgj(2000.0, 0.025, 0.1, 0.05, order=30)
         target = math.exp(-2000.0 * 0.025 * ball_volume(0.1, 0.05))
         assert abs((1 - f) - target) < 1e-10
         assert abs((1 - g) - target) < 1e-10
 
     def test_j_is_one(self):
-        diag = SeriesDiagnostics(lam_floor=500.0, pi0=0.1, order=40)
-        _, _, j = poisson_series_fgj(diag, 0.15, 0.02)
+        _, _, j = poisson_series_fgj(500.0, 0.1, 0.15, 0.02, order=40)
         assert abs(j - 1.0) < 1e-10
 
     def test_zero_intensity_floor(self):
-        diag = SeriesDiagnostics(lam_floor=0.0, pi0=0.5, order=5)
-        f, g, j = poisson_series_fgj(diag, 0.2, 0.2)
+        f, g, j = poisson_series_fgj(0.0, 0.5, 0.2, 0.2, order=5)
         assert f == 0.0 and g == 0.0
 
     def test_nondecaying_terms_rejected(self):
-        diag = SeriesDiagnostics(lam_floor=1e6, pi0=1.0, order=2)
         with pytest.raises(ValueError, match="order"):
-            poisson_series_fgj(diag, 0.5, 0.5)
+            poisson_series_fgj(1e6, 1.0, 0.5, 0.5, order=2)
 
     def test_diagnostics_validation(self):
         with pytest.raises(ValueError):
-            SeriesDiagnostics(lam_floor=-1.0, pi0=0.5)
+            poisson_series_fgj(-1.0, 0.5, 0.1, 0.1)
         with pytest.raises(ValueError):
-            SeriesDiagnostics(lam_floor=1.0, pi0=0.0)
+            poisson_series_fgj(1.0, 0.0, 0.1, 0.1)
         with pytest.raises(ValueError):
-            SeriesDiagnostics(lam_floor=1.0, pi0=0.5, order=1)
+            poisson_series_fgj(1.0, 0.5, 0.1, 0.1, order=1)
+
+    @pytest.mark.parametrize(
+        "lam_floor, order, name",
+        [(math.nan, 30, "lam_floor"), (1.0, 2.5, "order"), (1.0, math.nan, "order"),
+         (1.0, True, "order")],
+        ids=["nan-floor", "order-2.5", "order-nan", "order-bool"],
+    )
+    def test_bad_values_rejected_by_name(self, lam_floor, order, name):
+        # a NaN floor once gave (nan, nan, nan) without an error
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            poisson_series_fgj(lam_floor, 0.5, 0.1, 0.1, order=order)
 
     def test_poisson_reference_integrals(self):
         # the series' k-fold integrals are |B(r, tau)|^k, k = 1..order
-        diag = SeriesDiagnostics(lam_floor=1.0, pi0=0.5, order=4)
         vol = ball_volume(0.1, 0.2)
         terms = (-0.5) ** np.arange(1, 5) * vol ** np.arange(1, 5) / [1, 2, 6, 24]
-        f, g, _ = poisson_series_fgj(diag, 0.1, 0.2)
+        f, g, _ = poisson_series_fgj(1.0, 0.5, 0.1, 0.2, order=4)
         assert f == g == pytest.approx(-terms.sum(), rel=1e-12)
 
 
